@@ -27,7 +27,7 @@ from .qubit import (
     Trajectory,
     FitModel,
     FitResult,
-    evolve,
+    propagate,
     free_evolve,
     rabi_analytic,
     fit_curve,

@@ -87,10 +87,6 @@ def pulse_drive(
     return baseband_output(cfg, prog, bits)
 
 
-def _pulse_dt(cfg: MixerConfig, a_if: float) -> float:
-    return 1.0 / (100.0 * amplitude_map(cfg, max(a_if, 1e-6)))
-
-
 def _run_pulses(
     q: QubitParams,
     cfg: MixerConfig,
@@ -100,9 +96,7 @@ def _run_pulses(
     rho0: np.ndarray,
 ) -> float:
     drive = pulse_drive(cfg, pulse, repeats=repeats, a_if=a_if)
-    dt = min(_pulse_dt(cfg, a_if), pulse.tau_if_s / 32.0)
-    traj = qb.evolve(q, drive, rho0, dt)
-    return float(traj.p1[-1])
+    return float(qb.propagate(q, drive, rho0).p1[-1])
 
 
 # State after an exact pi/2 rotation about x from ground; biases the
@@ -221,8 +215,7 @@ def residual_ratio(
             tau = periods / f_eff
             pulse = CalibratedPulse(f_lo_hz, f_lo_hz - q.f_qubit_hz, float(a), tau, math.pi)
             drive = pulse_drive(cfg, pulse, on=(state == "on"))
-            dt = 1.0 / (100.0 * f_eff)
-            traj = qb.evolve(q, drive, qb.ground_state(), dt)
+            traj = qb.propagate(q, drive, qb.ground_state(), drive.edges_s)
             try:
                 fit = fit_curve(FitModel.RABI_SINUSOID, traj.times_s, traj.p1)
                 freqs[state] = fit.params["f"]

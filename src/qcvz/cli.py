@@ -22,7 +22,7 @@ from .compiler import CompileError, Gate, Program, schedule, parallelism_stats
 from .demux import Resonator, demux, matched_channel
 from .experiments import ExperimentError, chevron, run_experiment
 from .mixer import BitTimeline, MixerConfig, MixerError, baseband_output, output_spectrum
-from .qubit import FitError, FitModel, QubitParams, StepSizeError, fit_curve
+from .qubit import FitError, FitModel, QubitParams, fit_curve
 from .resources import ResourceError, resource_report
 from .signals import CycleSpec, Envelope, MultiToneLo, SignalError, Tone, make_if_program
 from .svgplot import PlotError, emit_plot
@@ -198,8 +198,7 @@ def cmd_rabi(cfg: DeviceConfig, args) -> None:
     f_if = f_lo - q.f_qubit_hz
     pulse = CalibratedPulse(f_lo, f_if, args.a_if, args.tau_max_s, math.pi)
     drive = pulse_drive(cfg.mixers[k], pulse, on=not args.off)
-    dt = 1.0 / (100.0 * max(drive.peak_hz, 1.0 / args.tau_max_s))
-    traj = qb.evolve(q, drive, qb.ground_state(), dt)
+    traj = qb.propagate(q, drive, qb.ground_state(), drive.edges_s)
     path = out / "rabi.csv"
     _write_csv(path, ["t_s", "p1"], zip(traj.times_s.tolist(), traj.p1.tolist()))
     _write_sidecar(path, "rabi", args, cfg)
@@ -226,12 +225,15 @@ def _coherence_cmd(kind: str, model: FitModel):
         _write_csv(path, ["t_s", "p1"], zip(traj.times_s.tolist(), traj.p1.tolist()))
         _write_sidecar(path, kind, args, cfg)
         fit = fit_curve(model, traj.times_s, traj.p1)
+        # A singular covariance leaves sigma non-finite; strict JSON has null.
+        sigma = {key: v if math.isfinite(v) else None for key, v in fit.sigma.items()}
         (out / f"{kind}_fit.json").write_text(
             json.dumps(
-                {"model": fit.model.value, "params": fit.params, "sigma": fit.sigma,
+                {"model": fit.model.value, "params": fit.params, "sigma": sigma,
                  "residual": fit.residual},
                 indent=2,
                 sort_keys=True,
+                allow_nan=False,
             )
             + "\n"
         )
@@ -425,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"qcvz: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FitError, CalibrationError, ExperimentError, StepSizeError, PlotError,
+    except (FitError, CalibrationError, ExperimentError, PlotError,
             CompileError, MixerError, SignalError, ResourceError, qb.QubitError) as exc:
         print(f"qcvz: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

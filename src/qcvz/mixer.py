@@ -22,6 +22,10 @@ from .signals import IfProgram, SignalError, EnvelopeShape
 MAX_OUTPUT_POWER_PW = 4.11
 MAX_OUTPUT_POWER_DBM = -83.9
 
+# Envelope samples per control cycle; the drive holds each for
+# cycle_period / SAMPLES_PER_CYCLE.
+SAMPLES_PER_CYCLE = 256
+
 
 class MixerError(ValueError):
     """Invalid mixer configuration or drive request."""
@@ -74,14 +78,14 @@ class BitTimeline:
 class DriveEnvelope:
     """Complex baseband envelope at the difference frequency.
 
-    ``samples`` are in Hz (instantaneous Rabi rate); evaluation between
-    samples is linear interpolation, zero outside the sampled span.
+    ``samples`` are in Hz (instantaneous Rabi rate). The drive is
+    sample-and-hold: sample k holds over [k, k + 1) / envelope_rate_hz, the
+    final sample up to the end of the drive, and the drive is zero outside.
     """
 
     carrier_hz: float
     samples: np.ndarray
     envelope_rate_hz: float
-    t0_s: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=complex))
@@ -93,23 +97,21 @@ class DriveEnvelope:
         return len(self.samples) / self.envelope_rate_hz
 
     @property
+    def edges_s(self) -> np.ndarray:
+        """Sample edges k / envelope_rate_hz for k = 0 .. len(samples)."""
+        return np.arange(len(self.samples) + 1) / self.envelope_rate_hz
+
+    @property
     def peak_hz(self) -> float:
         return float(np.max(np.abs(self.samples))) if len(self.samples) else 0.0
 
     def value(self, t):
-        """Complex envelope at absolute time t (array-aware).
-
-        Linear interpolation between samples; the final sample is held to the
-        end of the nominal duration so an m-sample flat pulse spans exactly
-        m / envelope_rate seconds.
-        """
-        tq = np.asarray(t, dtype=float) - self.t0_s
+        """Complex envelope at time t (array-aware): the sample held at t."""
+        tq = np.asarray(t, dtype=float)
         n = len(self.samples)
-        ts = np.append(np.arange(n) / self.envelope_rate_hz, n / self.envelope_rate_hz)
-        vals = np.append(self.samples, self.samples[-1] if n else 0.0)
-        re = np.interp(tq, ts, vals.real, left=0.0, right=0.0)
-        im = np.interp(tq, ts, vals.imag, left=0.0, right=0.0)
-        return re + 1j * im
+        k = np.minimum(np.floor(tq * self.envelope_rate_hz), n - 1)
+        k = np.where((tq < 0.0) | (tq > self.duration_s), n, k)
+        return np.append(self.samples, 0.0)[k.astype(int)]
 
 
 def amplitude_map(cfg: MixerConfig, a_if: float) -> float:
@@ -142,7 +144,6 @@ def baseband_output(
     cfg: MixerConfig,
     prog: IfProgram,
     bits: BitTimeline,
-    samples_per_cycle: int = 256,
 ) -> DriveEnvelope:
     """Mix the channel tone with the IF program into a drive envelope.
 
@@ -158,12 +159,12 @@ def baseband_output(
         raise MixerError(
             f"difference frequency {carrier} Hz is not positive (f_if >= f_lo)"
         )
-    rate = samples_per_cycle / prog.cycle_period_s
-    tloc = np.arange(samples_per_cycle) / rate
+    rate = SAMPLES_PER_CYCLE / prog.cycle_period_s
+    tloc = np.arange(SAMPLES_PER_CYCLE) / rate
     chunks = []
     for i, cyc in enumerate(prog.cycles):
         if cyc.idle:
-            chunks.append(np.zeros(samples_per_cycle, dtype=complex))
+            chunks.append(np.zeros(SAMPLES_PER_CYCLE, dtype=complex))
             continue
         scale = 1.0 if bits.bits[i] else cfg.off_leakage
         amp = amplitude_map(cfg, cyc.envelope.value(tloc))

@@ -4,18 +4,20 @@ The density matrix evolves under
     drho/dt = -i[H, rho] + (1/T1) D[sigma-] rho + (1/(2 Tphi)) D[sigma_z] rho
 with H = (delta/2) sigma_z + (Omega_re sigma_x + Omega_im sigma_y)/2,
 Omega(t) = 2 pi * envelope(t) and delta = 2 pi (carrier - f_qubit).
-Integration is fixed-step RK4 with an explicit step-size precondition so
-runs are deterministic. Basis: index 0 = ground, index 1 = excited;
-p1 = rho[1, 1].
+Drives are sample-and-hold, so propagation is exact: a product of 4x4
+superoperator exponentials, with no step size to choose. Basis: index
+0 = ground, index 1 = excited; p1 = rho[1, 1].
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import curve_fit
+from scipy.linalg import expm
+from scipy.optimize import OptimizeWarning, curve_fit
 
 from .mixer import DriveEnvelope
 
@@ -30,10 +32,6 @@ I2 = np.eye(2, dtype=complex)
 
 class QubitError(ValueError):
     """Invalid qubit parameters or state."""
-
-
-class StepSizeError(QubitError):
-    """RK4 step too coarse for the requested dynamics."""
 
 
 class FitError(RuntimeError):
@@ -152,68 +150,57 @@ def liouvillian_parts(q: QubitParams, delta_rad: float):
     return l0, lx, ly
 
 
-def evolve(
+def propagate(
     q: QubitParams,
     drive: DriveEnvelope,
     rho0: np.ndarray,
-    dt_s: float,
+    times_s=None,
 ) -> Trajectory:
-    """Fixed-step RK4 Lindblad integration over the drive duration.
+    """Exact Lindblad propagation of a sample-and-hold drive.
 
-    Precondition: at least 50 steps per period of the fastest rate present,
-    dt <= 1 / (50 max(|Omega|, |delta|) / 2 pi).
-    p1 is sampled at every step (including t = 0).
+    Each maximal run of equal samples between report times is one
+    exponential expm(L t) with L = l0 + 2 pi (Re s lx + Im s ly); equal
+    (sample, duration) pairs share one exponential. p1 is reported at
+    ``times_s`` (sorted, inside [0, duration]; default: start and end of
+    the drive) and ``rho_final`` is the state at the end of the drive.
     """
     rho0 = validate_density_matrix(rho0)
-    delta = TWO_PI * (drive.carrier_hz - q.f_qubit_hz)
-    omega_max = TWO_PI * drive.peak_hz
-    bound = max(abs(delta), omega_max) / TWO_PI
-    if bound > 0 and dt_s > 1.0 / (50.0 * bound):
-        raise StepSizeError(
-            f"dt={dt_s} too coarse; need dt <= {1.0 / (50.0 * bound):.3e}"
-        )
     duration = drive.duration_s
-    n = max(1, int(round(duration / dt_s)))
-    dt = duration / n
+    times = np.array([0.0, duration]) if times_s is None else np.asarray(times_s, dtype=float)
+    if times.ndim != 1 or not np.all((times >= 0.0) & (times <= duration)):
+        raise QubitError(f"report times must lie in [0, {duration:.6g}] s")
+    if np.any(np.diff(times) < 0):
+        raise QubitError("report times must be sorted")
+    s = drive.samples
+    starts = np.concatenate(([0], np.flatnonzero(s[1:] != s[:-1]) + 1))  # runs of equal samples
+    t_starts = starts / drive.envelope_rate_hz
+    cuts = np.union1d(np.append(t_starts, duration), times)
+    held = s[starts[np.searchsorted(t_starts, cuts[:-1], side="right") - 1]]
+    keys, which = np.unique(
+        np.stack([held.real, held.imag, np.diff(cuts)], axis=1), axis=0, return_inverse=True
+    )
+    l0, lx, ly = liouvillian_parts(q, TWO_PI * (drive.carrier_hz - q.f_qubit_hz))
+    gen = l0 + TWO_PI * (keys[:, 0, None, None] * lx + keys[:, 1, None, None] * ly)
+    steps = expm(gen * keys[:, 2, None, None])
 
-    l0, lx, ly = liouvillian_parts(q, delta)
-    ts = np.arange(n + 1) * dt
-    # Envelope quadratures at step and half-step points, in angular units.
-    half_ts = np.arange(2 * n + 1) * (0.5 * dt)
-    env = TWO_PI * drive.value(drive.t0_s + half_ts)
-    a, b = env.real, env.imag
-
-    v = rho0.reshape(4).astype(complex)
-    p1 = np.empty(n + 1)
-    p1[0] = v[3].real
-    for k in range(n):
-        la = l0 + a[2 * k] * lx + b[2 * k] * ly
-        lm = l0 + a[2 * k + 1] * lx + b[2 * k + 1] * ly
-        lb = l0 + a[2 * k + 2] * lx + b[2 * k + 2] * ly
-        k1 = la @ v
-        k2 = lm @ (v + 0.5 * dt * k1)
-        k3 = lm @ (v + 0.5 * dt * k2)
-        k4 = lb @ (v + dt * k3)
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        p1[k + 1] = v[3].real
-    rho = v.reshape(2, 2)
-    return Trajectory(ts, np.clip(p1, 0.0, 1.0), rho)
+    states = np.empty((len(cuts), 4), dtype=complex)
+    states[0] = rho0.reshape(4)
+    for j, k in enumerate(which):
+        states[j + 1] = steps[k] @ states[j]
+    p1 = states[np.searchsorted(cuts, times), 3].real
+    return Trajectory(times, np.clip(p1, 0.0, 1.0), states[-1].reshape(2, 2))
 
 
 def free_evolve(q: QubitParams, rho: np.ndarray, t_s: float, delta_rad: float = 0.0) -> np.ndarray:
-    """Exact drive-free Lindblad propagation (diagonal Hamiltonian).
+    """Exact drive-free Lindblad propagation, expm(l0 t) applied to rho.
 
     Populations relax toward the ground state at 1/T1; the coherence decays
     at 1/T2 while rotating at the detuning.
     """
     if t_s < 0:
         raise QubitError("negative delay")
-    rho = np.asarray(rho, dtype=complex)
-    g1 = math.exp(-t_s / q.t1_s) if math.isfinite(q.t1_s) else 1.0
-    g2 = math.exp(-t_s / q.t2_s) if math.isfinite(q.t2_s) else 1.0
-    p1 = rho[1, 1].real * g1
-    c = rho[0, 1] * g2 * np.exp(-1j * delta_rad * t_s)
-    return np.array([[1.0 - p1, c], [c.conjugate(), p1]], dtype=complex)
+    l0 = liouvillian_parts(q, delta_rad)[0]
+    return (expm(l0 * t_s) @ np.asarray(rho, dtype=complex).reshape(4)).reshape(2, 2)
 
 
 class FitModel(str, Enum):
@@ -278,7 +265,11 @@ def fit_curve(model: FitModel | str, times_s, values) -> FitResult:
     if len(t) < 4 * n_free:
         raise FitError(f"need at least {4 * n_free} points for {model.value}, got {len(t)}")
     try:
-        popt, pcov = curve_fit(f, t, y, p0=p0, maxfev=20000)
+        # A noise-free decay can leave the covariance singular; sigma then
+        # reads inf, which callers report, so the warning is not printed.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OptimizeWarning)
+            popt, pcov = curve_fit(f, t, y, p0=p0, maxfev=20000)
     except RuntimeError as exc:
         raise FitError(f"{model.value} fit did not converge: {exc}") from exc
     resid = float(np.linalg.norm(f(t, *popt) - y))

@@ -36,9 +36,9 @@ from qcvz.mixer import (
 from qcvz.qubit import (
     FitModel,
     QubitParams,
-    evolve,
     fit_curve,
     ground_state,
+    propagate,
     rabi_analytic,
 )
 from qcvz.resources import cable_count, max_tones, power_estimate
@@ -291,6 +291,29 @@ def test_criterion_4_end_to_end_programs():
     print(f"ACCEPTANCE 4 PASS (end-to-end): 3 programs, max |dp1| {err:.2e} < 1e-3")
 
 
+def test_criterion_4_pulse_then_idle_cycles():
+    # Qubit 0 fires once, then sits through cycles it does not fire in:
+    # its drive must stop at the end of its pulse's cycle.
+    program = Program(
+        (
+            (Gate.parse("x90"),),
+            tuple(Gate.parse("x90") for _ in range(3)),
+        )
+    )
+    sched = schedule(program)
+    f_los = (8.0e9, 8.25e9)
+    qs = [QubitParams(f - F_IF_CENTER) for f in f_los]
+    cfgs = [make_cfg(f_lo=f, ratio=100.0) for f in f_los]
+    x90s = [
+        calibrate_pulse(q, c, 0.5 * math.pi, 15e-9, f)
+        for q, c, f in zip(qs, cfgs, f_los)
+    ]
+    sim, ideal = simulate_schedule(sched, program, qs, cfgs, x90s, 15e-9)
+    err = float(np.max(np.abs(sim - ideal)))
+    assert err < 1e-3
+    print(f"ACCEPTANCE 4 PASS (pulse then idle): max |dp1| {err:.2e} < 1e-3")
+
+
 # --------------------------------------------------------------------------
 # 5. Scheduling bounds
 
@@ -411,7 +434,8 @@ def test_criterion_9_integrator_accuracy():
             drive = DriveEnvelope(
                 F_QUBIT + df, np.full(n, f_rabi, dtype=complex), rate
             )
-            traj = evolve(q, drive, ground_state(), dt)
+            times = np.linspace(0.0, drive.duration_s, int(round(drive.duration_s / dt)) + 1)
+            traj = propagate(q, drive, ground_state(), times)
             ana = rabi_analytic(
                 TWO_PI * f_rabi, TWO_PI * df, traj.times_s
             )
@@ -432,7 +456,8 @@ def test_criterion_9_trace_preservation():
     drive = DriveEnvelope(
         F_QUBIT, np.full(int(tau * rate), f_rabi, dtype=complex), rate
     )
-    traj = evolve(q, drive, ground_state(), dt)
+    times = np.linspace(0.0, drive.duration_s, n_steps + 1)
+    traj = propagate(q, drive, ground_state(), times)
     err = abs(np.trace(traj.rho_final) - 1.0)
     assert err < 1e-9
     print(f"ACCEPTANCE 9 PASS (trace): |tr - 1| = {err:.2e} after {n_steps} steps")

@@ -12,7 +12,7 @@ from qcvz.calibration import (
 )
 from qcvz.demux import ChannelTone
 from qcvz.mixer import MixerConfig, Nonlinearity
-from qcvz.qubit import QubitParams, evolve, ground_state
+from qcvz.qubit import QubitParams, ground_state, propagate
 
 F_Q = 4.53202e9
 F_LO = 8.0e9
@@ -55,7 +55,7 @@ def test_calibrated_pulse_rotates_as_requested():
     for angle, p1_expect in ((math.pi / 2, 0.5), (math.pi, 1.0)):
         pulse = calibrate_pulse(q, cfg, angle, 15e-9, F_LO)
         drive = pulse_drive(cfg, pulse)
-        traj = evolve(q, drive, ground_state(), 1.0 / (200.0 * cfg.gain_hz_per_unit))
+        traj = propagate(q, drive, ground_state())
         assert traj.p1[-1] == pytest.approx(p1_expect, abs=1e-6)
 
 

@@ -1,9 +1,13 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.optimize import OptimizeWarning
 
+from qcvz import cli
 from qcvz.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -12,6 +16,7 @@ from qcvz.cli import (
     load_config,
     main,
 )
+from qcvz.qubit import Trajectory
 
 
 def run(outdir, *argv):
@@ -154,6 +159,24 @@ def test_calibrate_then_t1(tmp_path):
     )
     fit = json.loads((tmp_path / "t1_fit.json").read_text())
     assert fit["params"]["tau"] == pytest.approx(25.3e-6, rel=0.02)
+
+
+def test_fit_json_is_strict_when_covariance_is_singular(tmp_path, monkeypatch):
+    # A noise-free exponential leaves curve_fit's covariance singular.
+    def noise_free_t1(kind, q, cfg, x90, x180, delays_s, **kwargs):
+        return Trajectory(delays_s, np.exp(-delays_s / 25.3e-6))
+
+    monkeypatch.setattr(cli, "run_experiment", noise_free_t1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", OptimizeWarning)
+        assert run(tmp_path, "t1") == EXIT_OK
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    fit = json.loads((tmp_path / "t1_fit.json").read_text(), parse_constant=reject)
+    assert fit["params"]["tau"] == pytest.approx(25.3e-6, rel=1e-6)
+    assert fit["sigma"] == {"a": None, "c": None, "tau": None}
 
 
 def test_vz_ramsey_cmd(tmp_path):

@@ -2,18 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcvz.mixer import DriveEnvelope
+from qcvz.calibration import CalibratedPulse
+from qcvz.compiler import Gate, Program, schedule
+from qcvz.demux import ChannelTone
+from qcvz.experiments import simulate_schedule
+from qcvz.mixer import DriveEnvelope, MixerConfig
 from qcvz.qubit import (
+    SX,
+    SY,
+    SZ,
     FitError,
     FitModel,
+    QubitError,
     QubitParams,
-    StepSizeError,
-    evolve,
     excited_state,
     fit_curve,
     free_evolve,
     ground_state,
+    propagate,
     rabi_analytic,
     validate_density_matrix,
 )
@@ -25,6 +34,12 @@ F_Q = 4.53202e9
 def flat_drive(f_rabi_hz, tau_s, carrier_hz=F_Q, rate_hz=1e9):
     n = max(int(round(tau_s * rate_hz)), 1)
     return DriveEnvelope(carrier_hz, np.full(n, f_rabi_hz, dtype=complex), rate_hz)
+
+
+def step_grid(drive, dt_s):
+    """Report times on a uniform grid of about ``dt_s`` over the drive."""
+    n = max(1, int(round(drive.duration_s / dt_s)))
+    return np.linspace(0.0, drive.duration_s, n + 1)
 
 
 def test_t2_relation():
@@ -63,7 +78,7 @@ def test_evolve_matches_analytic_on_resonance():
     f_rabi = 1e6
     drive = flat_drive(f_rabi, 2e-6)
     dt = 1.0 / (200.0 * f_rabi)
-    traj = evolve(q, drive, ground_state(), dt)
+    traj = propagate(q, drive, ground_state(), step_grid(drive, dt))
     ana = rabi_analytic(TWO_PI * f_rabi, 0.0, traj.times_s)
     assert np.max(np.abs(traj.p1 - ana)) < 1e-6
     validate_density_matrix(traj.rho_final)
@@ -74,22 +89,79 @@ def test_evolve_matches_analytic_detuned():
     f_rabi, df = 1e6, 2.5e6
     f_gen = math.hypot(f_rabi, df)
     drive = flat_drive(f_rabi, 1e-6, carrier_hz=F_Q + df)
-    traj = evolve(q, drive, ground_state(), 1.0 / (200.0 * f_gen))
+    traj = propagate(q, drive, ground_state(), step_grid(drive, 1.0 / (200.0 * f_gen)))
     ana = rabi_analytic(TWO_PI * f_rabi, TWO_PI * df, traj.times_s)
     assert np.max(np.abs(traj.p1 - ana)) < 1e-6
 
 
-def test_evolve_step_size_guard():
+def test_propagate_rejects_times_outside_drive():
     q = QubitParams(F_Q)
     drive = flat_drive(10e6, 1e-7)
-    with pytest.raises(StepSizeError):
-        evolve(q, drive, ground_state(), 1e-8)
+    for times in ([-1e-12, 5e-8], [0.0, 1.01e-7], [0.0, math.nan], [5e-8, 1e-8]):
+        with pytest.raises(QubitError):
+            propagate(q, drive, ground_state(), times)
+
+
+def bloch_state(r, theta, phi):
+    n = r * np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
+                      math.cos(theta)])
+    return 0.5 * (np.eye(2) + n[0] * SX + n[1] * SY + n[2] * SZ)
+
+
+@given(
+    f_rabi=st.floats(0.0, 20e6),
+    df=st.floats(-10e6, 10e6),
+    t1=st.floats(1e-7, 1e-4),
+    tphi=st.floats(1e-7, 1e-4),
+    codes=st.lists(st.integers(0, 3), min_size=1, max_size=40),
+    split=st.integers(0, 40),
+    fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    bloch=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, math.pi), st.floats(0.0, TWO_PI)),
+    z_gates=st.lists(st.sampled_from(["t", "tdg", "s", "sdg", "z135", "z:0.3"]),
+                     min_size=1, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_propagate_properties(f_rabi, df, t1, tphi, codes, split, fracs, bloch, z_gates):
+    rate = 2.5e8
+    rho0 = bloch_state(*bloch)
+
+    # closed system, flat drive: the Rabi closed form at any report time
+    flat = flat_drive(f_rabi, len(codes) / rate, carrier_hz=F_Q + df, rate_hz=rate)
+    times = np.sort(fracs) * flat.duration_s
+    traj = propagate(QubitParams(F_Q), flat, ground_state(), times)
+    ana = rabi_analytic(TWO_PI * f_rabi, TWO_PI * df, times)
+    assert np.max(np.abs(traj.p1 - ana)) < 1e-9
+
+    # open system, piecewise drive: a density matrix at the end
+    q = QubitParams(F_Q, t1_s=t1, tphi_s=tphi)
+    levels = f_rabi * np.array([0.0, 1.0, 1j, -0.5 + 0.5j])
+    drive = DriveEnvelope(F_Q + df, levels[codes], rate)
+    rho = propagate(q, drive, rho0).rho_final
+    assert abs(np.trace(rho) - 1.0) < 1e-12
+    assert np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))) >= -1e-12
+
+    # one call equals the two halves in sequence
+    k = min(split, len(codes))
+    first = DriveEnvelope(F_Q + df, levels[codes[:k]], rate)
+    second = DriveEnvelope(F_Q + df, levels[codes[k:]], rate)
+    halves = propagate(q, second, propagate(q, first, rho0).rho_final).rho_final
+    assert np.max(np.abs(halves - rho)) < 1e-12
+
+    # a zero-sample drive returns rho0; a Z-only program schedules no cycles
+    empty = propagate(q, DriveEnvelope(F_Q, [], rate), rho0)
+    assert np.array_equal(empty.rho_final, rho0)
+    program = Program((tuple(Gate.parse(g) for g in z_gates),))
+    f_lo = 8.0e9
+    cfg = MixerConfig(ChannelTone(f_lo, 0.5, 0.0), 4.0e7)
+    x90 = CalibratedPulse(f_lo, f_lo - F_Q, 0.3, 15e-9, math.pi / 2)
+    sim, ideal = simulate_schedule(schedule(program, "free"), program, [q], [cfg], [x90], 15e-9)
+    assert sim[0] == ideal[0] == 0.0
 
 
 def test_evolve_t1_decay():
     q = QubitParams(F_Q, t1_s=10e-6)
     drive = flat_drive(0.0, 5e-6)  # idle line
-    traj = evolve(q, drive, excited_state(), 5e-9)
+    traj = propagate(q, drive, excited_state(), step_grid(drive, 5e-9))
     expect = np.exp(-traj.times_s / 10e-6)
     assert np.max(np.abs(traj.p1 - expect)) < 1e-7
 
@@ -112,7 +184,7 @@ def test_free_evolve_matches_evolve():
     q = QubitParams(F_Q, t1_s=12e-6, tphi_s=9e-6)
     rho = np.array([[0.75, 0.25 - 0.3j], [0.25 + 0.3j, 0.25]], dtype=complex)
     t = 2e-6
-    traj = evolve(q, flat_drive(0.0, t), rho, 1e-9)
+    traj = propagate(q, flat_drive(0.0, t), rho)
     direct = free_evolve(q, rho, t)
     assert np.max(np.abs(traj.rho_final - direct)) < 1e-8
 
