@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import qubit as qb
-from .demux import ChannelTone
 from .mixer import (
     BitTimeline,
     DriveEnvelope,
@@ -72,9 +71,7 @@ def pulse_drive(
     a_if: float | None = None,
 ) -> DriveEnvelope:
     """Drive envelope for ``repeats`` back-to-back copies of a calibrated pulse."""
-    cfg = replace(
-        cfg, channel=ChannelTone(pulse.f_lo_hz, cfg.channel.amp, cfg.channel.phase_rad)
-    )
+    cfg = replace(cfg, channel=replace(cfg.channel, freq_hz=pulse.f_lo_hz))
     env = Envelope(EnvelopeShape.FLAT, pulse.tau_if_s, pulse.a_if if a_if is None else a_if)
     cycles = [CycleSpec(theta_if_deg, env) for _ in range(repeats)]
     prog = make_if_program(

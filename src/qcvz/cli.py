@@ -19,7 +19,7 @@ import numpy as np
 from . import qubit as qb
 from .calibration import CalibratedPulse, CalibrationError, calibrate_pulse, pulse_drive
 from .compiler import CompileError, Gate, Program, schedule, parallelism_stats
-from .demux import Resonator, demux, matched_channel
+from .demux import Resonator, demux, matched_channels
 from .experiments import ExperimentError, chevron, run_experiment
 from .mixer import BitTimeline, MixerConfig, MixerError, baseband_output, output_spectrum
 from .qubit import FitError, FitModel, QubitParams, fit_curve
@@ -97,17 +97,23 @@ def load_config(path: str | None) -> DeviceConfig:
         )
         resonators = [Resonator(r["f_r_hz"], r["q"]) for r in raw["resonators"]]
         qubits = [_qubit_from_dict(d) for d in raw["qubits"]]
-        mixers = []
-        for k, m in enumerate(raw["mixers"]):
-            mixers.append(
-                MixerConfig(
-                    channel=matched_channel(resonators, lo, k),
-                    gain_hz_per_unit=m["gain_hz_per_unit"],
-                    on_off_ratio_db=m.get("on_off_ratio_db", 28.5),
-                    nonlinearity=m.get("nonlinearity", "sine_saturating"),
-                    bpf_stopband_db=m.get("bpf_stopband_db", 60.0),
-                )
+        if not (len(resonators) == len(raw["mixers"]) == len(qubits)):
+            raise ConfigError(
+                f"counts disagree: {len(resonators)} resonators, "
+                f"{len(raw['mixers'])} mixers, {len(qubits)} qubits"
             )
+        if not qubits:
+            raise ConfigError("device has no qubits")
+        mixers = [
+            MixerConfig(
+                channel=channel,
+                gain_hz_per_unit=m["gain_hz_per_unit"],
+                on_off_ratio_db=m.get("on_off_ratio_db", 28.5),
+                nonlinearity=m.get("nonlinearity", "sine_saturating"),
+                bpf_stopband_db=m.get("bpf_stopband_db", 60.0),
+            )
+            for channel, m in zip(matched_channels(resonators, lo), raw["mixers"])
+        ]
         defaults = raw.get("if_defaults", {})
         cfg = DeviceConfig(
             lo=lo,
@@ -118,15 +124,10 @@ def load_config(path: str | None) -> DeviceConfig:
             cycle_period_s=defaults.get("cycle_period_s", 1.5e-8),
             raw=raw,
         )
-    except (KeyError, TypeError, SignalError, MixerError, qb.QubitError) as exc:
+        if not (0 < cfg.f_if_hz < math.inf and 0 < cfg.cycle_period_s < math.inf):
+            raise ConfigError("IF defaults must be positive and finite")
+    except (KeyError, TypeError, AttributeError, SignalError, MixerError, qb.QubitError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
-    if not (len(cfg.resonators) == len(cfg.mixers) == len(cfg.qubits)):
-        raise ConfigError(
-            f"counts disagree: {len(cfg.resonators)} resonators, "
-            f"{len(cfg.mixers)} mixers, {len(cfg.qubits)} qubits"
-        )
-    if cfg.f_if_hz <= 0 or cfg.cycle_period_s <= 0:
-        raise ConfigError("IF defaults must be positive")
     return cfg
 
 
@@ -159,8 +160,11 @@ def _get_pulses(
 ) -> tuple[CalibratedPulse, CalibratedPulse]:
     """Load persisted pulses or calibrate x90/x180 on the closed-system twin."""
     if pulses_path:
-        d = json.loads(Path(pulses_path).read_text())
-        return CalibratedPulse.from_dict(d["x90"]), CalibratedPulse.from_dict(d["x180"])
+        try:
+            d = json.loads(Path(pulses_path).read_text())
+            return CalibratedPulse.from_dict(d["x90"]), CalibratedPulse.from_dict(d["x180"])
+        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise ConfigError(f"cannot read pulses {pulses_path}: {exc}") from exc
     tau = tau_s or cfg.cycle_period_s
     q = cfg.qubits[k].closed()
     f_lo = cfg.mixers[k].channel.freq_hz
@@ -422,6 +426,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"qcvz: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if not 0 <= getattr(args, "qubit", 0) < cfg.n_qubits:
+        print(f"qcvz: --qubit {args.qubit} is not in 0..{cfg.n_qubits - 1}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         COMMANDS[cmd](cfg, args)
     except ConfigError as exc:

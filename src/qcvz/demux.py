@@ -6,6 +6,7 @@ channels and sets the crosstalk floor.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +20,10 @@ class Resonator:
     q: float
 
     def __post_init__(self):
-        if self.f_r_hz <= 0:
-            raise SignalError(f"resonance frequency must be positive, got {self.f_r_hz}")
-        if self.q <= 0:
-            raise SignalError(f"quality factor must be positive, got {self.q}")
+        if not 0 < self.f_r_hz < math.inf:
+            raise SignalError(f"resonance frequency must be positive and finite, got {self.f_r_hz}")
+        if not 0 < self.q < math.inf:
+            raise SignalError(f"quality factor must be positive and finite, got {self.q}")
 
     @property
     def linewidth_hz(self) -> float:
@@ -48,40 +49,35 @@ def resonator_gain(r: Resonator, f_hz: float) -> complex:
     return 1.0 / (1.0 + 2.0j * r.q * (np.asarray(f_hz) - r.f_r_hz) / r.f_r_hz)
 
 
-def demux(
-    resonators: list[Resonator], lo: MultiToneLo
-) -> tuple[list[tuple[ChannelTone, ...]], np.ndarray]:
-    """Filter the LO line through each resonator.
-
-    Returns ``(channels, crosstalk_db)``: ``channels[k]`` holds every LO tone
-    weighted by resonator k (amplitude and phase of the complex gain applied),
-    ``crosstalk_db[k, j]`` is 20 log10 |gain of tone j through resonator k|.
+def matched_channels(resonators: list[Resonator], lo: MultiToneLo) -> list[ChannelTone]:
+    """Channel of every mixer: mixer k gets the LO tone nearest resonator k
+    (ties go to the lower tone), through resonator k's complex gain.
     """
     if not resonators:
         raise SignalError("resonator list is empty")
-    channels: list[tuple[ChannelTone, ...]] = []
-    xtalk = np.empty((len(resonators), len(lo.tones)))
-    for k, r in enumerate(resonators):
-        ch = []
-        for j, tone in enumerate(lo.tones):
-            g = resonator_gain(r, tone.freq_hz)
-            ch.append(
-                ChannelTone(
-                    freq_hz=tone.freq_hz,
-                    amp=tone.amp * abs(g),
-                    phase_rad=tone.phase_rad + float(np.angle(g)),
-                )
-            )
-            xtalk[k, j] = 20.0 * np.log10(abs(g))
-        channels.append(tuple(ch))
-    return channels, xtalk
-
-
-def matched_channel(
-    resonators: list[Resonator], lo: MultiToneLo, k: int
-) -> ChannelTone:
-    """Channel tone for mixer k: the LO tone closest to resonator k."""
-    channels, _ = demux(resonators, lo)
+    if not lo.tones:
+        raise SignalError("LO line has no tones")
     freqs = np.array([t.freq_hz for t in lo.tones])
-    j = int(np.argmin(np.abs(freqs - resonators[k].f_r_hz)))
-    return channels[k][j]
+    channels = []
+    for r in resonators:
+        tone = lo.tones[int(np.argmin(np.abs(freqs - r.f_r_hz)))]
+        g = resonator_gain(r, tone.freq_hz)
+        channels.append(
+            ChannelTone(tone.freq_hz, tone.amp * abs(g), tone.phase_rad + float(np.angle(g)))
+        )
+    return channels
+
+
+def demux(
+    resonators: list[Resonator], lo: MultiToneLo
+) -> tuple[list[ChannelTone], np.ndarray]:
+    """Filter the LO line through each resonator.
+
+    Returns ``(channels, crosstalk_db)``: ``channels`` is
+    ``matched_channels(resonators, lo)`` and ``crosstalk_db[k, j]`` is
+    20 log10 |gain of tone j through resonator k|.
+    """
+    channels = matched_channels(resonators, lo)
+    freqs = np.array([t.freq_hz for t in lo.tones])
+    gain = np.array([resonator_gain(r, freqs) for r in resonators])
+    return channels, 20.0 * np.log10(np.abs(gain))

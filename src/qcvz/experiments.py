@@ -16,7 +16,6 @@ import numpy as np
 from . import qubit as qb
 from .calibration import CalibratedPulse, pulse_drive
 from .compiler import Program, Schedule, ideal_unitary
-from .demux import ChannelTone
 from .mixer import BitTimeline, MixerConfig, baseband_output
 from .qubit import QubitParams, Trajectory
 from .signals import CycleSpec, Envelope, EnvelopeShape, make_if_program
@@ -54,7 +53,7 @@ def chevron(
     tau_grid = np.asarray(tau_grid, dtype=float)
     if f_if_grid.size == 0 or tau_grid.size == 0:
         raise ExperimentError("empty sweep grid")
-    cfg = replace(cfg, channel=ChannelTone(f_lo_hz, cfg.channel.amp, cfg.channel.phase_rad))
+    cfg = replace(cfg, channel=replace(cfg.channel, freq_hz=f_lo_hz))
     tau_max = float(tau_grid.max())
     order = np.argsort(tau_grid)
     out = np.empty((len(f_if_grid), len(tau_grid)))
@@ -171,10 +170,7 @@ def simulate_schedule(
         cycles = [CycleSpec(c.theta_if_deg, env) for c in sched.cycles]
         bits = BitTimeline(tuple(1 if k in c.fired else 0 for c in sched.cycles))
         prog = make_if_program(pulse.f_if_hz, cycle_period_s, cycles, quantized=False)
-        cfg = replace(
-            cfg_list[k],
-            channel=ChannelTone(pulse.f_lo_hz, cfg_list[k].channel.amp, cfg_list[k].channel.phase_rad),
-        )
+        cfg = replace(cfg_list[k], channel=replace(cfg_list[k].channel, freq_hz=pulse.f_lo_hz))
         drive = baseband_output(cfg, prog, bits)
         sim[k] = qb.propagate(q_list[k], drive, qb.ground_state()).p1[-1]
         u = ideal_unitary(program.gates[k])

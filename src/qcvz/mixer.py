@@ -45,12 +45,15 @@ class MixerConfig:
     bpf_stopband_db: float = 60.0
 
     def __post_init__(self):
-        object.__setattr__(self, "nonlinearity", Nonlinearity(self.nonlinearity))
-        if self.gain_hz_per_unit <= 0:
-            raise MixerError(f"gain must be positive, got {self.gain_hz_per_unit}")
-        if self.on_off_ratio_db <= 0:
+        try:
+            object.__setattr__(self, "nonlinearity", Nonlinearity(self.nonlinearity))
+        except ValueError:
+            raise MixerError(f"unknown nonlinearity {self.nonlinearity!r}") from None
+        if not 0 < self.gain_hz_per_unit < math.inf:
+            raise MixerError(f"gain must be positive and finite, got {self.gain_hz_per_unit}")
+        if not self.on_off_ratio_db > 0:
             raise MixerError(f"on/off ratio must be positive, got {self.on_off_ratio_db}")
-        if self.bpf_stopband_db < 0:
+        if not self.bpf_stopband_db >= 0:
             raise MixerError(f"stopband must be non-negative, got {self.bpf_stopband_db}")
 
     @property
@@ -100,10 +103,6 @@ class DriveEnvelope:
     def edges_s(self) -> np.ndarray:
         """Sample edges k / envelope_rate_hz for k = 0 .. len(samples)."""
         return np.arange(len(self.samples) + 1) / self.envelope_rate_hz
-
-    @property
-    def peak_hz(self) -> float:
-        return float(np.max(np.abs(self.samples))) if len(self.samples) else 0.0
 
     def value(self, t):
         """Complex envelope at time t (array-aware): the sample held at t."""

@@ -51,10 +51,12 @@ class QubitParams:
     tphi_s: float = math.inf
 
     def __post_init__(self):
-        if self.f_qubit_hz <= 0:
-            raise QubitError(f"qubit frequency must be positive, got {self.f_qubit_hz}")
-        if self.t1_s <= 0 or self.tphi_s <= 0:
-            raise QubitError("T1 and Tphi must be positive (inf allowed)")
+        if not 0 < self.f_qubit_hz < math.inf:
+            raise QubitError(f"qubit frequency must be positive and finite, got {self.f_qubit_hz}")
+        if not (self.t1_s > 0 and self.tphi_s > 0):
+            raise QubitError(
+                f"T1 and Tphi must be positive (inf allowed), got {self.t1_s}, {self.tphi_s}"
+            )
 
     @property
     def t2_s(self) -> float:
@@ -64,6 +66,8 @@ class QubitParams:
     @classmethod
     def from_t2(cls, f_qubit_hz: float, t1_s: float, t2_s: float) -> "QubitParams":
         """Build params from a (T1, T2) pair by solving for Tphi."""
+        if not (t1_s > 0 and t2_s > 0):
+            raise QubitError(f"T1 and T2 must be positive (inf allowed), got {t1_s}, {t2_s}")
         rphi = 1.0 / t2_s - 0.5 / t1_s
         if rphi < 0:
             raise QubitError(f"T2={t2_s} exceeds the 2*T1={2 * t1_s} limit")

@@ -34,10 +34,12 @@ class Tone:
     phase_rad: float = 0.0
 
     def __post_init__(self):
-        if self.freq_hz <= 0:
-            raise SignalError(f"tone frequency must be positive, got {self.freq_hz}")
+        if not 0 < self.freq_hz < math.inf:
+            raise SignalError(f"tone frequency must be positive and finite, got {self.freq_hz}")
         if not 0.0 <= self.amp <= 1.0:
             raise SignalError(f"tone amplitude must be in [0, 1] Phi_0, got {self.amp}")
+        if not math.isfinite(self.phase_rad):
+            raise SignalError(f"tone phase must be finite, got {self.phase_rad}")
         phase = self.phase_rad % TWO_PI
         # float modulo can round a tiny negative phase up to exactly 2 pi
         if phase >= TWO_PI:

@@ -16,6 +16,7 @@ from qcvz.cli import (
     load_config,
     main,
 )
+from qcvz.demux import ChannelTone, resonator_gain
 from qcvz.qubit import Trajectory
 
 
@@ -34,6 +35,8 @@ def test_help():
 
 def test_bad_flag_is_usage_error(tmp_path):
     assert main(["resources", "--no-such-flag"]) == EXIT_USAGE
+    for qubit in ("1", "3", "-1"):  # the default device has one qubit
+        assert run(tmp_path, "calibrate", "--qubit", qubit) == EXIT_USAGE
 
 
 def test_bad_config(tmp_path):
@@ -42,11 +45,46 @@ def test_bad_config(tmp_path):
     assert main(["resources", "-n", "10", "--config", str(p)]) == EXIT_CONFIG
     p.write_text(json.dumps({"qubits": []}))
     assert main(["resources", "-n", "10", "--config", str(p)]) == EXIT_CONFIG
+    base = cli.DEFAULT_CONFIG
+    for raw in (
+        dict(base, mixers=base["mixers"] * 2, qubits=base["qubits"] * 2),  # 1 resonator
+        dict(base, lo_tones=[]),
+        dict(base, resonators=[], mixers=[], qubits=[]),
+        dict(base, resonators=[{"f_r_hz": math.nan, "q": 1.0e4}]),
+        dict(base, mixers=[dict(base["mixers"][0], nonlinearity="cubic")]),
+        dict(base, if_defaults={"f_if_hz": math.inf}),
+        dict(base, if_defaults=[]),
+    ):
+        p.write_text(json.dumps(raw))
+        assert run(tmp_path, "spectrum", "--config", str(p)) == EXIT_CONFIG
 
 
 def test_default_config_loads():
     cfg = load_config(None)
     assert len(cfg.qubits) == len(cfg.mixers) == len(cfg.resonators)
+
+
+def test_cable_config_matches_tone_k_to_mixer_k(tmp_path):
+    n = 1000
+    f_r = 6.0e9 + 2.0e6 * np.arange(n)
+    raw = dict(
+        cli.DEFAULT_CONFIG,
+        # each tone sits 50 kHz above its resonance, 2 MHz from the next one
+        lo_tones=[{"freq_hz": f + 5.0e4, "amp_phi0": 0.5, "phase_rad": 0.1} for f in f_r],
+        resonators=[{"f_r_hz": f, "q": 1.0e4} for f in f_r],
+        mixers=cli.DEFAULT_CONFIG["mixers"] * n,
+        qubits=cli.DEFAULT_CONFIG["qubits"] * n,
+    )
+    p = tmp_path / "cable.json"
+    p.write_text(json.dumps(raw))
+    cfg = load_config(str(p))
+    assert len(cfg.mixers) == n
+    for tone, r, mixer in zip(cfg.lo.tones, cfg.resonators, cfg.mixers):
+        g = resonator_gain(r, tone.freq_hz)
+        assert abs(g) < 1.0
+        assert mixer.channel == ChannelTone(
+            tone.freq_hz, tone.amp * abs(g), tone.phase_rad + float(np.angle(g))
+        )
 
 
 def test_resources_outputs(tmp_path):
@@ -103,6 +141,11 @@ def test_compile_bad_gate_is_numeric_error(tmp_path):
 
 def test_compile_missing_program_is_config_error(tmp_path):
     assert run(tmp_path, "compile", "--program", str(tmp_path / "nope.json")) == EXIT_CONFIG
+    assert run(tmp_path, "t1", "--pulses", str(tmp_path / "missing.json")) == EXIT_CONFIG
+    pulses = tmp_path / "pulses.json"
+    for text in ("{not json", json.dumps({"x90": {}}), "[]"):
+        pulses.write_text(text)
+        assert run(tmp_path, "t1", "--pulses", str(pulses)) == EXIT_CONFIG
 
 
 def test_spectrum_outputs(tmp_path):

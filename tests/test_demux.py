@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcvz.demux import ChannelTone, Resonator, demux, matched_channel, resonator_gain
+from qcvz.demux import ChannelTone, Resonator, demux, matched_channels, resonator_gain
 from qcvz.signals import MultiToneLo, SignalError, Tone
 
 # Three readout-band resonators and their matched LO tones.
@@ -16,6 +18,9 @@ def test_resonator_validation():
         Resonator(-1.0, Q)
     with pytest.raises(SignalError):
         Resonator(8e9, 0.0)
+    for f_r, q in ((math.nan, Q), (math.inf, Q), (8e9, math.nan), (8e9, math.inf)):
+        with pytest.raises(SignalError):
+            Resonator(f_r, q)
     assert Resonator(8e9, 1e4).linewidth_hz == pytest.approx(0.8e6)
 
 
@@ -46,7 +51,7 @@ def test_demux_selects_matched_tones():
         for j in range(3):
             if j != k:
                 assert xtalk[k, j] < -40.0
-        ch = channels[k][k]
+        ch = channels[k]
         assert isinstance(ch, ChannelTone)
         assert ch.freq_hz == F_R[k]
         assert ch.amp == pytest.approx(0.5)
@@ -58,12 +63,57 @@ def test_demux_gain_linear_in_amp():
         lo = MultiToneLo((Tone(8.0e9 + 2e6, amp),))
         channels, _ = demux(resonators, lo)
         g = abs(resonator_gain(resonators[0], 8.0e9 + 2e6))
-        assert channels[0][0].amp == pytest.approx(amp * g, rel=1e-12)
+        assert channels[0].amp == pytest.approx(amp * g, rel=1e-12)
 
 
 def test_matched_channel():
     resonators = [Resonator(f, Q) for f in F_R]
     lo = MultiToneLo(tuple(Tone(f, 0.5) for f in F_R))
-    ch = matched_channel(resonators, lo, 1)
+    ch = matched_channels(resonators, lo)[1]
     assert ch.freq_hz == F_R[1]
     assert ch.amp == pytest.approx(0.5)
+
+
+def test_matched_channels_rejects_empty_inputs():
+    lo = MultiToneLo((Tone(8.0e9, 0.5),))
+    with pytest.raises(SignalError):
+        matched_channels([], lo)
+    with pytest.raises(SignalError):
+        matched_channels([Resonator(8.0e9, Q)], MultiToneLo(()))
+
+
+# Tones and resonances share one octave, so every f - f_r is exact and a
+# resonance at a midpoint is a true tie.
+BAND = st.floats(4.0e9, 8.0e9)
+
+
+@st.composite
+def banks(draw):
+    freqs = sorted(set(draw(st.lists(BAND, min_size=1, max_size=12))))
+    tones = tuple(
+        Tone(f, draw(st.floats(0.0, 1.0)), draw(st.floats(-10.0, 10.0))) for f in freqs
+    )
+    mids = [0.5 * (a + b) for a, b in zip(freqs, freqs[1:])]
+    f_r = st.sampled_from(mids) | BAND if mids else BAND
+    n = draw(st.integers(1, 8))
+    resonators = [Resonator(draw(f_r), draw(st.floats(1.0e2, 1.0e6))) for _ in range(n)]
+    return resonators, MultiToneLo(tones)
+
+
+@given(banks())
+@settings(max_examples=200, deadline=None)
+def test_demux_matches_closed_form_and_brute_force(bank):
+    resonators, lo = bank
+    channels, xtalk = demux(resonators, lo)
+    freqs = np.array([t.freq_hz for t in lo.tones])
+    assert xtalk.shape == (len(resonators), len(freqs))
+    assert len(channels) == len(resonators)
+    for k, r in enumerate(resonators):
+        x = 2.0 * r.q * (freqs - r.f_r_hz) / r.f_r_hz
+        np.testing.assert_allclose(xtalk[k], -10.0 * np.log10(1.0 + x**2), rtol=0, atol=1e-9)
+        j = int(np.argmin(np.abs(freqs - r.f_r_hz)))
+        tone, g = lo.tones[j], resonator_gain(r, freqs[j])
+        assert channels[k].freq_hz == tone.freq_hz
+        assert channels[k].amp == pytest.approx(tone.amp * abs(g), rel=1e-12, abs=0)
+        dphi = channels[k].phase_rad - (tone.phase_rad + np.angle(g))
+        assert abs(math.remainder(dphi, 2.0 * math.pi)) < 1e-12

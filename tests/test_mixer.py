@@ -49,6 +49,21 @@ def test_max_output_constants():
     assert 10.0 * math.log10(4.11e-12 / 1e-3) == pytest.approx(-83.9, abs=0.05)
 
 
+def test_mixer_config_validation():
+    for kw in (
+        dict(gain_hz_per_unit=math.nan),
+        dict(gain_hz_per_unit=math.inf),
+        dict(gain_hz_per_unit=0.0),
+        dict(on_off_ratio_db=math.nan),
+        dict(on_off_ratio_db=0.0),
+        dict(bpf_stopband_db=math.nan),
+        dict(bpf_stopband_db=-1.0),
+        dict(nonlinearity="cubic"),
+    ):
+        with pytest.raises(MixerError):
+            make_cfg(**kw)
+
+
 def test_off_leakage_from_ratio():
     for r in (28.5, 45.1, 39.0):
         cfg = make_cfg(on_off_ratio_db=r)

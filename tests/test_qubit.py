@@ -52,6 +52,18 @@ def test_t2_relation():
     assert math.isinf(closed.t1_s) and math.isinf(closed.tphi_s)
 
 
+def test_qubit_params_validation():
+    for args in ((math.nan,), (math.inf,), (-F_Q,), (F_Q, math.nan), (F_Q, 0.0),
+                 (F_Q, 1e-5, math.nan), (F_Q, 1e-5, -1e-5)):
+        with pytest.raises(QubitError):
+            QubitParams(*args)
+    for t1, t2 in ((math.nan, 1e-5), (1e-5, math.nan), (0.0, 1e-5), (1e-5, 0.0)):
+        with pytest.raises(QubitError):
+            QubitParams.from_t2(F_Q, t1, t2)
+    closed = QubitParams(F_Q, math.inf, math.inf)  # the closed-system sentinel
+    assert math.isinf(closed.t2_s)
+
+
 def test_validate_density_matrix():
     validate_density_matrix(ground_state())
     validate_density_matrix(excited_state())
