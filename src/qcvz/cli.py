@@ -299,9 +299,14 @@ def cmd_compile(cfg: DeviceConfig, args) -> None:
         prog_raw = json.loads(Path(args.program).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read program {args.program}: {exc}") from exc
-    program = Program(
-        tuple(tuple(Gate.parse(name) for name in gates) for gates in prog_raw["qubits"])
-    )
+    qubits = prog_raw.get("qubits") if isinstance(prog_raw, dict) else None
+    if not (isinstance(qubits, list) and all(
+            isinstance(gates, list) and all(isinstance(name, str) for name in gates)
+            for gates in qubits)):
+        raise ConfigError(
+            f'program {args.program} is not {{"qubits": [[gate name, ...], ...]}}'
+        )
+    program = Program(tuple(tuple(map(Gate.parse, gates)) for gates in qubits))
     sched = schedule(program, args.mode)
     stats = parallelism_stats(sched)
     path = out / "schedule.json"

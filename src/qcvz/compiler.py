@@ -6,9 +6,27 @@ angles; an X90 emitted at frame F is driven at theta_if = F, i.e. with
 physical pulse phase -F, so the realized rotation axis in the equatorial
 plane is phi = -F. Under this choice [X90, Z(pi/4), X90] lowers to pulse
 phases [0, 45] degrees and matches the ideal unitary.
+
+Lowering is frame arithmetic: every gate is one table row (frame += a, emit
+n X90s, frame += b), and a program is the running sum of its rows. In
+quantized mode the sum is over integers in units of pi/4, mod 8; in free
+mode it is a sequential float sum, equal bit for bit to adding the angles
+one gate at a time.
+
+Quantized scheduling is closed-form. The rolling loop fires a qubit's pulse
+j, of phase k_j * 45 degrees, in the first slot after slot_{j-1} that is
+congruent to k_j mod 8, and no other qubit affects that choice. With
+k_{-1} = -1 and slot_{-1} = -1, and since slot_{j-1} = k_{j-1} mod 8,
+
+    slot_j = slot_{j-1} + 1 + ((k_j - k_{j-1} - 1) mod 8),
+
+a cumulative sum of per-pulse deltas. Grouping the (slot, qubit) pairs by
+slot gives exactly the non-empty cycles the loop emits.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -52,6 +70,8 @@ class Gate:
     def __post_init__(self):
         object.__setattr__(self, "kind", GateKind(self.kind))
         if self.kind is GateKind.Z:
+            if not math.isfinite(self.angle_rad):
+                raise CompileError(f"Z angle must be finite, got {self.angle_rad}")
             object.__setattr__(self, "angle_rad", _norm_angle(self.angle_rad))
 
     @classmethod
@@ -62,15 +82,24 @@ class Gate:
     def parse(cls, name: str) -> "Gate":
         """Gate from its program-file name: x90, x180, h, s, sdg, t, tdg,
         z45/z90/.../z315 (degrees) or z:<radians>."""
-        name = name.strip().lower()
+        return _parse_gate(name)
+
+
+# Program files draw from a small vocabulary and Gate is immutable, so one
+# Gate per distinct name is shared by every occurrence.
+@functools.lru_cache(maxsize=4096)
+def _parse_gate(name: str) -> Gate:
+    name = name.strip().lower()
+    try:
         if name.startswith("z:"):
-            return cls.z(float(name[2:]))
-        if name.startswith("z") and name[1:].replace(".", "", 1).isdigit():
-            return cls.z(math.radians(float(name[1:])))
-        try:
-            return cls(GateKind(name))
-        except ValueError:
-            raise CompileError(f"unknown gate name {name!r}") from None
+            angle = float(name[2:])
+        elif name.startswith("z") and name[1:].replace(".", "", 1).isdigit():
+            angle = math.radians(float(name[1:]))
+        else:
+            return Gate(GateKind(name))
+    except ValueError:
+        raise CompileError(f"unknown gate name {name!r}") from None
+    return Gate.z(angle)
 
 
 @dataclass(frozen=True)
@@ -105,40 +134,69 @@ _Z_ANGLE = {
     GateKind.TDG: -QUARTER,
 }
 
+# Each gate lowers to (frame += a, emit n X90s, frame += b); Z kinds take
+# their own angle as a. H = S . X90 . S up to global phase.
+_STEPS = {
+    GateKind.X90: (0.0, 1, 0.0),
+    GateKind.X180: (0.0, 2, 0.0),
+    GateKind.H: (_Z_ANGLE[GateKind.S], 1, _Z_ANGLE[GateKind.S]),
+    **{kind: (angle, 0, 0.0) for kind, angle in _Z_ANGLE.items()},
+}
 
-def _expand(gate: Gate) -> list[Gate]:
-    if gate.kind is GateKind.H:
-        # H = S . X90 . S up to global phase.
-        return [Gate(GateKind.S), Gate(GateKind.X90), Gate(GateKind.S)]
-    if gate.kind is GateKind.X180:
-        return [Gate(GateKind.X90), Gate(GateKind.X90)]
-    return [gate]
+
+def _lower_rows(rows, quantized: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower gate rows in one padded pass.
+
+    Returns (thetas_deg, lens, final_frame_rad): row i's pulse phases are
+    thetas_deg[i, :lens[i]] and its residual frame is final_frame_rad[i].
+    """
+    n = len(rows)
+    flat = list(itertools.chain.from_iterable(rows))
+    gate_lens = np.fromiter(map(len, rows), np.intp, count=n)
+    # One table row per distinct Gate object: parsed gates are shared, so a
+    # program holds few distinct objects however long it is.
+    _, first, flat_codes = np.unique(np.fromiter(map(id, flat), np.uintp, count=len(flat)),
+                                     return_index=True, return_inverse=True)
+    table = np.array([_STEPS.get(flat[i].kind, (flat[i].angle_rad, 0, 0.0)) for i in first]
+                     + [(0.0, 0, 0.0)])  # the last row pads short rows
+    maxg = int(gate_lens.max(initial=0))
+    codes = np.full((n, maxg), len(first), dtype=np.intp)
+    codes[np.arange(maxg) < gate_lens[:, None]] = flat_codes
+    ab = table[:, [0, 2]]
+    if quantized:
+        units = ab / QUARTER
+        off = (np.abs(units - np.rint(units)) > 1e-9).any(axis=1)
+        if off.any():
+            ang = flat[np.flatnonzero(off[flat_codes])[0]].angle_rad
+            raise CompileError(f"Z angle {ang} rad is not a multiple of pi/4 in quantized mode")
+        ab = np.rint(units).astype(np.int64)
+    # Interleave [a0, b0, a1, b1, ...] per row; cumsum runs in order along a row.
+    frames = ab[codes].reshape(n, 2 * maxg)
+    np.cumsum(frames, axis=1, out=frames)
+    final = frames[:, -1] if maxg else np.zeros(n, dtype=frames.dtype)
+    n_pulses = table[:, 1].astype(np.intp)[codes]
+    lens = n_pulses.sum(axis=1)
+    pulse_frames = np.repeat(frames[:, 0::2].ravel(), n_pulses.ravel())
+    if quantized:
+        pulse_thetas = 45.0 * (pulse_frames % 8)
+        final_rad = (final % 8) * QUARTER
+    else:
+        pulse_thetas = np.degrees(pulse_frames) % 360.0
+        final_rad = final % TWO_PI
+    maxlen = int(lens.max(initial=0))
+    thetas = np.zeros((n, maxlen))
+    thetas[np.arange(maxlen) < lens[:, None]] = pulse_thetas
+    return thetas, lens, final_rad
 
 
 def lower(gates, quantized: bool = True) -> LoweredQubit:
-    """Lower a gate list to X90 pulses with frame-tracked theta_if values."""
-    frame = 0.0
-    thetas: list[float] = []
-    for gate in gates:
-        for g in _expand(gate):
-            if g.kind is GateKind.X90:
-                theta = math.degrees(frame) % 360.0
-                if quantized:
-                    snapped = round(theta / 45.0) * 45.0
-                    if abs(theta - snapped) > 1e-6:
-                        raise CompileError(
-                            f"frame {theta} deg off the 45-degree grid in quantized mode"
-                        )
-                    theta = snapped % 360.0
-                thetas.append(theta)
-            else:
-                ang = _Z_ANGLE.get(g.kind, g.angle_rad)
-                if quantized and abs(ang / QUARTER - round(ang / QUARTER)) > 1e-9:
-                    raise CompileError(
-                        f"Z angle {ang} rad is not a multiple of pi/4 in quantized mode"
-                    )
-                frame += ang
-    return LoweredQubit(tuple(thetas), frame % TWO_PI)
+    """Lower a gate list to X90 pulses with frame-tracked theta_if values.
+
+    Quantized mode requires every Z angle to be a multiple of pi/4 (within
+    1e-9 of one) and tracks the frame exactly as an integer mod 8.
+    """
+    thetas, lens, final = _lower_rows([list(gates)], quantized)
+    return LoweredQubit(tuple(thetas[0, : lens[0]].tolist()), float(final[0]))
 
 
 # Ideal gate matrices (global phase irrelevant to equivalence checks).
@@ -239,37 +297,48 @@ def schedule(program: Program, mode: ScheduleMode | str = ScheduleMode.QUANTIZED
 
     quantized45: the candidate phase rolls 0, 45, ..., 315, ...; every qubit
     whose next pulse matches the candidate fires; empty candidates are
-    skipped (their rolling slot is still counted). free: each cycle takes
-    the phase demanded by the largest set of ready pulses.
+    skipped (their rolling slot is still counted). Each qubit's slots follow
+    the closed form slot_j = slot_{j-1} + 1 + ((k_j - k_{j-1} - 1) mod 8)
+    with k_{-1} = slot_{-1} = -1 (see the module docstring), so the cycles
+    are the distinct slots, each firing its qubits in ascending order.
+    free: greedy; each cycle takes the phase demanded by the largest set of
+    ready pulses (ties to the lowest phase) and fires every ready pulse
+    within 1e-6 degrees of it.
     """
     mode = ScheduleMode(mode)
-    lowered = [lower(g, quantized=(mode is ScheduleMode.QUANTIZED45)) for g in program.gates]
-    n = len(lowered)
-    maxlen = max((len(lq.thetas_deg) for lq in lowered), default=0)
-    if maxlen == 0:
+    quantized = mode is ScheduleMode.QUANTIZED45
+    thetas, lens, _ = _lower_rows(program.gates, quantized)
+    n = program.n_qubits
+    if not lens.any():
         return Schedule((), mode, n)
-    # Pad per-qubit phase sequences into one array for vectorized matching.
-    thetas = np.full((n, maxlen), -1.0)
-    lens = np.array([len(lq.thetas_deg) for lq in lowered])
-    for i, lq in enumerate(lowered):
-        thetas[i, : lens[i]] = lq.thetas_deg
-    ptr = np.zeros(n, dtype=int)
+    valid = np.arange(thetas.shape[1]) < lens[:, None]
+    if quantized:
+        k = (thetas // 45.0).astype(np.int64)
+        slots = np.cumsum((np.diff(k, axis=1, prepend=-1) - 1) % 8 + 1, axis=1) - 1
+        slot, qubit = slots[valid], np.nonzero(valid)[0]
+        order = np.lexsort((qubit, slot))
+        slot, qubit = slot[order], qubit[order]
+        starts = np.flatnonzero(np.diff(slot)) + 1
+        cycles = tuple(
+            Cycle(float(s % 8 * 45), tuple(fired.tolist()), s)
+            for s, fired in zip(slot[np.r_[0, starts]].tolist(), np.split(qubit, starts))
+        )
+        return Schedule(cycles, mode, n)
+    # Code every phase once; np.unique sorts, so argmax over code counts
+    # breaks ties to the lowest phase.
+    vals, codes = np.unique(thetas[valid], return_inverse=True)
+    code = np.zeros(thetas.shape, dtype=np.intp)
+    code[valid] = codes
+    ptr = np.zeros(n, dtype=np.intp)
+    live = np.flatnonzero(lens)
     cycles: list[Cycle] = []
-    slot = 0
-    idx = np.arange(n)
-    while np.any(ptr < lens):
-        ready = ptr < lens
-        nxt = np.where(ready, thetas[idx, np.minimum(ptr, maxlen - 1)], np.nan)
-        if mode is ScheduleMode.QUANTIZED45:
-            phase = float((slot % 8) * 45)
-        else:
-            vals, counts = np.unique(nxt[ready], return_counts=True)
-            phase = float(vals[np.argmax(counts)])
-        fire = ready & (np.abs(nxt - phase) < 1e-6)
-        if np.any(fire):
-            cycles.append(Cycle(phase, tuple(int(i) for i in idx[fire]), slot))
-            ptr[fire] += 1
-        slot += 1
+    while live.size:
+        nxt = code[live, ptr[live]]
+        phase = vals[np.bincount(nxt).argmax()]
+        fired = live[np.abs(vals[nxt] - phase) < 1e-6]
+        cycles.append(Cycle(float(phase), tuple(fired.tolist()), len(cycles)))
+        ptr[fired] += 1
+        live = live[ptr[live] < lens[live]]
     return Schedule(tuple(cycles), mode, n)
 
 

@@ -92,8 +92,12 @@ class DriveEnvelope:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=complex))
-        if self.carrier_hz <= 0:
-            raise MixerError(f"carrier must be positive, got {self.carrier_hz}")
+        if not 0 < self.carrier_hz < math.inf:
+            raise MixerError(f"carrier must be positive and finite, got {self.carrier_hz}")
+        if not 0 < self.envelope_rate_hz < math.inf:
+            raise MixerError(
+                f"envelope rate must be positive and finite, got {self.envelope_rate_hz}"
+            )
 
     @property
     def duration_s(self) -> float:

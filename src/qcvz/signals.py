@@ -78,8 +78,10 @@ class Envelope:
 
     def __post_init__(self):
         object.__setattr__(self, "shape", EnvelopeShape(self.shape))
-        if self.duration_s <= 0:
-            raise SignalError(f"envelope duration must be positive, got {self.duration_s}")
+        if not 0 < self.duration_s < math.inf:
+            raise SignalError(
+                f"envelope duration must be positive and finite, got {self.duration_s}"
+            )
         if not 0.0 <= self.peak <= 1.0:
             raise SignalError(f"envelope peak A_if must be in [0, 1], got {self.peak}")
 
@@ -106,6 +108,10 @@ class CycleSpec:
 
     theta_if_deg: float
     envelope: Envelope | None = None
+
+    def __post_init__(self):
+        if not math.isfinite(self.theta_if_deg):
+            raise SignalError(f"cycle phase must be finite, got {self.theta_if_deg}")
 
     @property
     def idle(self) -> bool:
@@ -139,10 +145,10 @@ def make_if_program(
     In quantized mode every cycle phase must sit on the 45 degree grid.
     Cycle i starts at time i * cycle_period_s.
     """
-    if f_if_hz <= 0:
-        raise SignalError(f"IF frequency must be positive, got {f_if_hz}")
-    if cycle_period_s <= 0:
-        raise SignalError(f"cycle period must be positive, got {cycle_period_s}")
+    if not 0 < f_if_hz < math.inf:
+        raise SignalError(f"IF frequency must be positive and finite, got {f_if_hz}")
+    if not 0 < cycle_period_s < math.inf:
+        raise SignalError(f"cycle period must be positive and finite, got {cycle_period_s}")
     for i, c in enumerate(cycles):
         if quantized and abs(c.theta_if_deg % 45.0) > 1e-9 * 45.0:
             raise SignalError(

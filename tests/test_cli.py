@@ -135,12 +135,20 @@ def test_compile_example_programs(tmp_path):
 
 def test_compile_bad_gate_is_numeric_error(tmp_path):
     prog = tmp_path / "prog.json"
-    prog.write_text(json.dumps({"qubits": [["x90", "cnot"]]}))
-    assert run(tmp_path, "compile", "--program", str(prog)) == EXIT_NUMERIC
+    # a non-finite Z angle never matched a free-mode phase, so compile hung
+    for gates in (["x90", "cnot"], ["z:nan", "x90"], ["z:inf", "x90"], ["z:abc"]):
+        prog.write_text(json.dumps({"qubits": [gates]}))
+        for mode in ("quantized45", "free"):
+            assert run(tmp_path, "compile", "--program", str(prog), "--mode", mode) == EXIT_NUMERIC
 
 
 def test_compile_missing_program_is_config_error(tmp_path):
     assert run(tmp_path, "compile", "--program", str(tmp_path / "nope.json")) == EXIT_CONFIG
+    prog = tmp_path / "prog.json"
+    for bad in ({}, [], {"qubits": "x90"}, {"qubits": [[1]]}, {"qubits": [None]},
+                {"qubits": [["x90", ["x90"]]]}):
+        prog.write_text(json.dumps(bad))
+        assert run(tmp_path, "compile", "--program", str(prog)) == EXIT_CONFIG
     assert run(tmp_path, "t1", "--pulses", str(tmp_path / "missing.json")) == EXIT_CONFIG
     pulses = tmp_path / "pulses.json"
     for text in ("{not json", json.dumps({"x90": {}}), "[]"):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,8 +33,12 @@ def test_gate_parse():
     assert Gate.parse("H").kind is GateKind.H
     assert Gate.parse("z90").angle_rad == pytest.approx(math.pi / 2)
     assert Gate.parse("z:0.25").angle_rad == pytest.approx(0.25)
-    with pytest.raises(CompileError):
-        Gate.parse("cnot")
+    for bad in ("cnot", "z:abc", "z:nan", "z:inf", "z:-inf"):
+        with pytest.raises(CompileError):
+            Gate.parse(bad)
+    for angle in (math.nan, math.inf):
+        with pytest.raises(CompileError):
+            Gate.z(angle)
 
 
 def test_lower_worked_example():
@@ -178,3 +183,103 @@ def test_schedule_to_dict():
 def test_empty_program_rejected():
     with pytest.raises(CompileError):
         Program(())
+
+
+# -- reference oracle: per-gate lowering and per-slot scheduling loop -------
+
+_REF_Z_ANGLE = {
+    GateKind.S: 0.5 * math.pi,
+    GateKind.SDG: -0.5 * math.pi,
+    GateKind.T: 0.25 * math.pi,
+    GateKind.TDG: -0.25 * math.pi,
+}
+
+
+def _ref_expand(gate):
+    if gate.kind is GateKind.H:
+        return [Gate(GateKind.S), Gate(GateKind.X90), Gate(GateKind.S)]
+    if gate.kind is GateKind.X180:
+        return [Gate(GateKind.X90), Gate(GateKind.X90)]
+    return [gate]
+
+
+def _ref_lower(gates, quantized):
+    frame = 0.0
+    thetas = []
+    for gate in gates:
+        for g in _ref_expand(gate):
+            if g.kind is GateKind.X90:
+                theta = math.degrees(frame) % 360.0
+                if quantized:
+                    snapped = round(theta / 45.0) * 45.0
+                    if abs(theta - snapped) > 1e-6:
+                        raise CompileError(f"frame {theta} deg off the 45-degree grid")
+                    theta = snapped % 360.0
+                thetas.append(theta)
+            else:
+                ang = _REF_Z_ANGLE.get(g.kind, g.angle_rad)
+                if quantized and abs(ang / (0.25 * math.pi) - round(ang / (0.25 * math.pi))) > 1e-9:
+                    raise CompileError(f"Z angle {ang} rad is not a multiple of pi/4 in quantized mode")
+                frame += ang
+    return tuple(thetas), frame % (2.0 * math.pi)
+
+
+def _ref_schedule(program, mode):
+    quantized = mode == "quantized45"
+    lowered = [_ref_lower(g, quantized)[0] for g in program.gates]
+    n = len(lowered)
+    cycles = []
+    ptr = [0] * n
+    slot = 0
+    while any(ptr[i] < len(lowered[i]) for i in range(n)):
+        ready = [i for i in range(n) if ptr[i] < len(lowered[i])]
+        nxt = {i: lowered[i][ptr[i]] for i in ready}
+        if quantized:
+            phase = float((slot % 8) * 45)
+        else:
+            vals, counts = np.unique(list(nxt.values()), return_counts=True)
+            phase = float(vals[np.argmax(counts)])
+        fire = [i for i in ready if abs(nxt[i] - phase) < 1e-6]
+        if fire:
+            cycles.append({"theta_if": phase, "fired": fire, "slot": slot})
+            for i in fire:
+                ptr[i] += 1
+        slot += 1
+    return {"mode": mode, "n_qubits": n, "cycles": cycles}
+
+
+Q45_NAMES = ["x90", "x180", "h", "s", "sdg", "t", "tdg"] + [f"z{45 * k}" for k in range(1, 8)]
+# z:k pi/8 frames add in floats, so free-mode phases carry rounding noise
+FREE_NAMES = Q45_NAMES + [f"z:{k * math.pi / 8!r}" for k in range(-16, 17)]
+
+
+def _programs(names):
+    z_only = [n for n in names if n not in ("x90", "x180", "h")]
+    row = st.one_of(st.lists(st.sampled_from(names), max_size=24),
+                    st.lists(st.sampled_from(z_only), max_size=4))
+    return st.lists(row, min_size=1, max_size=12)
+
+
+def _frame_gap(a, b):
+    d = (a - b) % (2.0 * math.pi)
+    return min(d, 2.0 * math.pi - d)
+
+
+@given(_programs(Q45_NAMES), _programs(FREE_NAMES))
+@settings(max_examples=200, deadline=None)
+def test_lower_and_schedule_match_reference_loops(q45_rows, free_rows):
+    for rows, modes in ((q45_rows, ("quantized45", "free")), (free_rows, ("free", "quantized45"))):
+        prog = Program(tuple(tuple(gates(*row)) for row in rows))
+        for mode in modes:
+            quantized = mode == "quantized45"
+            try:
+                ref = [_ref_lower(g, quantized) for g in prog.gates]
+            except CompileError as exc:
+                with pytest.raises(CompileError, match=re.escape(str(exc))):
+                    schedule(prog, mode)
+                continue
+            for g, (thetas, frame) in zip(prog.gates, ref):
+                lq = lower(g, quantized=quantized)
+                assert lq.thetas_deg == thetas
+                assert _frame_gap(lq.final_frame_rad, frame) < 1e-12
+            assert schedule(prog, mode).to_dict() == _ref_schedule(prog, mode)

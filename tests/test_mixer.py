@@ -114,6 +114,15 @@ def test_drive_envelope_value_holds_final_sample():
     assert env.value(-1e-12) == 0.0
 
 
+def test_drive_envelope_validation():
+    samples = np.full(10, 2e6, dtype=complex)
+    for bad in (0.0, -5e9, math.nan, math.inf):
+        with pytest.raises(MixerError):
+            DriveEnvelope(bad, samples, 1e9)
+        with pytest.raises(MixerError):
+            DriveEnvelope(5e9, samples, bad)
+
+
 def test_baseband_output_flat_cycle():
     cfg = make_cfg(channel=ChannelTone(F_LO, 0.5, 0.2))
     prog = flat_prog([0.0], a_if=0.5)

@@ -82,6 +82,9 @@ def test_envelope_validation():
         Envelope(EnvelopeShape.FLAT, 0.0, 1.0)
     with pytest.raises(SignalError):
         Envelope(EnvelopeShape.FLAT, 1e-9, 1.5)
+    for duration in (math.nan, math.inf):
+        with pytest.raises(SignalError):
+            Envelope(EnvelopeShape.FLAT, duration, 1.0)
 
 
 def test_make_if_program_quantization():
@@ -93,6 +96,13 @@ def test_make_if_program_quantization():
     assert prog.theta_rad(0) == pytest.approx(math.pi / 4)
     with pytest.raises(SignalError):
         make_if_program(3e9, 15e-9, [CycleSpec(30.0, env)])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(SignalError):
+            CycleSpec(bad, env)
+        with pytest.raises(SignalError):
+            make_if_program(bad, 15e-9, [CycleSpec(45.0, env)])
+        with pytest.raises(SignalError):
+            make_if_program(3e9, bad, [CycleSpec(45.0, env)])
     # arbitrary phases allowed when not quantized
     make_if_program(3e9, 15e-9, [CycleSpec(30.0, env)], quantized=False)
 
