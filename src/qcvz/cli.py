@@ -363,6 +363,18 @@ COMMANDS = {
 }
 
 
+def _positive(kind):
+    """argparse type: a finite ``kind`` value above zero (counts, steps)."""
+    def parse(text: str):
+        value = kind(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its messages
+    return parse
+
+
 def _build_parser(cmd: str) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog=f"qcvz {cmd}")
     p.add_argument("--config", default=None, help="device config JSON")
@@ -373,30 +385,24 @@ def _build_parser(cmd: str) -> argparse.ArgumentParser:
         p.add_argument("--qubit", type=int, default=0)
     if cmd == "chevron":
         p.add_argument("--span-hz", type=float, default=8.0e6)
-        p.add_argument("--step-hz", type=float, default=2.0e5)
+        p.add_argument("--step-hz", type=_positive(float), default=2.0e5)
         p.add_argument("--tau-max-s", type=float, default=2.5e-6)
-        p.add_argument("--tau-points", type=int, default=26)
+        p.add_argument("--tau-points", type=_positive(int), default=26)
         p.add_argument("--a-if", type=float, default=0.05)
-        p.add_argument("--off", action="store_true")
     if cmd == "rabi":
         p.add_argument("--a-if", type=float, default=1.0)
         p.add_argument("--tau-max-s", type=float, default=5.0e-7)
+    if cmd in ("chevron", "rabi", "spectrum"):
         p.add_argument("--off", action="store_true")
+    if cmd in ("t1", "ramsey", "echo", "vz-ramsey", "calibrate"):
+        p.add_argument("--tau-s", type=float, default=None, help="pulse duration for calibration")
+    if cmd in ("t1", "ramsey", "echo", "vz-ramsey"):
+        p.add_argument("--points", type=_positive(int), default=36 if cmd == "vz-ramsey" else 41)
+        p.add_argument("--pulses", default=None, help="persisted pulses.json")
     if cmd in ("t1", "ramsey", "echo"):
         p.add_argument("--max-delay-s", type=float, default=8.0e-5)
-        p.add_argument("--points", type=int, default=41)
-        p.add_argument("--tau-s", type=float, default=None, help="pulse duration for calibration")
-        p.add_argument("--pulses", default=None, help="persisted pulses.json")
     if cmd == "ramsey":
         p.add_argument("--detuning-hz", type=float, default=3.4e5)
-    if cmd == "vz-ramsey":
-        p.add_argument("--points", type=int, default=36)
-        p.add_argument("--tau-s", type=float, default=None)
-        p.add_argument("--pulses", default=None)
-    if cmd == "calibrate":
-        p.add_argument("--tau-s", type=float, default=None)
-    if cmd == "spectrum":
-        p.add_argument("--off", action="store_true")
     if cmd == "compile":
         p.add_argument("--program", required=True)
         p.add_argument("--mode", choices=["quantized45", "free"], default="quantized45")

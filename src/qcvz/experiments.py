@@ -67,18 +67,6 @@ def chevron(
     return out
 
 
-def _apply_pulse(
-    q: QubitParams,
-    cfg: MixerConfig,
-    pulse: CalibratedPulse,
-    rho: np.ndarray,
-    theta_if_deg: float = 0.0,
-    f_if_hz: float | None = None,
-) -> np.ndarray:
-    drive = pulse_drive(cfg, pulse, theta_if_deg=theta_if_deg, f_if_hz=f_if_hz)
-    return qb.propagate(q, drive, rho).rho_final
-
-
 def run_experiment(
     kind: ExperimentKind | str,
     q: QubitParams,
@@ -97,19 +85,22 @@ def run_experiment(
     vz_ramsey: two X90 pulses with the second pulse's theta_if shifted by
     each value of ``dtheta_deg`` across a fixed short delay; returns
     (dtheta_deg, p1) arrays instead of a Trajectory.
+    Each pulse and delay map is built once and reused at every point;
+    vz_ramsey rotates one X90 map by each frame angle.
     """
     kind = ExperimentKind(kind)
+    g = qb.ground_state().reshape(4)
     if kind is ExperimentKind.VZ_RAMSEY:
         if dtheta_deg is None:
             raise ExperimentError("vz_ramsey needs a dtheta grid")
         thetas = np.asarray(dtheta_deg, dtype=float)
-        p1 = np.empty_like(thetas)
-        for i, dth in enumerate(thetas):
-            rho = _apply_pulse(q, cfg, x90, qb.ground_state(), theta_if_deg=0.0)
-            rho = qb.free_evolve(q, rho, vz_delay_s)
-            rho = _apply_pulse(q, cfg, x90, rho, theta_if_deg=float(dth))
-            p1[i] = rho[1, 1].real
-        return thetas, p1
+        s90 = qb.drive_map(q, pulse_drive(cfg, x90))
+        rho = qb.delay_maps(q, vz_delay_s)[0] @ s90 @ g
+        # A frame shift multiplies the drive by exp(-i theta): the map becomes R s90 R^H,
+        # R = diag(1, e^{i theta}, e^{-i theta}, 1), exact since l0 commutes with Z.
+        r = np.exp(1j * np.outer(np.radians(thetas), [0, 1, -1, 0]))
+        rotated = r[:, :, None] * s90 * r.conj()[:, None, :]
+        return thetas, (rotated @ rho)[:, 3].real
 
     if delays_s is None:
         raise ExperimentError(f"{kind.value} needs a delay grid")
@@ -119,30 +110,22 @@ def run_experiment(
     if kind in (ExperimentKind.T1, ExperimentKind.ECHO) and x180 is None:
         raise ExperimentError("missing calibrated pi pulse")
 
-    # Ramsey detuning is realized by shifting f_if so the carrier moves to
-    # f_qubit + detuning; delta is then constant through pulses and delays.
-    delta = TWO_PI * detuning_hz
-    f_if_det = None
-    if detuning_hz:
-        f_if_det = x90.f_lo_hz - (q.f_qubit_hz + detuning_hz)
-
-    p1 = np.empty_like(delays)
-    for i, d in enumerate(delays):
-        if kind is ExperimentKind.T1:
-            rho = _apply_pulse(q, cfg, x180, qb.ground_state())
-            rho = qb.free_evolve(q, rho, float(d))
-        elif kind is ExperimentKind.RAMSEY:
-            rho = _apply_pulse(q, cfg, x90, qb.ground_state(), f_if_hz=f_if_det)
-            rho = qb.free_evolve(q, rho, float(d), delta)
-            rho = _apply_pulse(q, cfg, x90, rho, f_if_hz=f_if_det)
-        else:  # echo
-            rho = _apply_pulse(q, cfg, x90, qb.ground_state())
-            rho = qb.free_evolve(q, rho, 0.5 * float(d))
-            rho = _apply_pulse(q, cfg, x180, rho)
-            rho = qb.free_evolve(q, rho, 0.5 * float(d))
-            rho = _apply_pulse(q, cfg, x90, rho)
-        p1[i] = rho[1, 1].real
-    return Trajectory(delays, np.clip(p1, 0.0, 1.0))
+    if kind is ExperimentKind.T1:
+        waits = qb.delay_maps(q, delays)
+        p1 = np.einsum("nj,j->n", waits[:, 3], qb.drive_map(q, pulse_drive(cfg, x180)) @ g)
+    elif kind is ExperimentKind.RAMSEY:
+        # Detuning shifts f_if so the carrier moves to f_qubit + detuning;
+        # delta is then constant through pulses and delays.
+        f_if_det = x90.f_lo_hz - (q.f_qubit_hz + detuning_hz) if detuning_hz else None
+        waits = qb.delay_maps(q, delays, TWO_PI * detuning_hz)
+        s90 = qb.drive_map(q, pulse_drive(cfg, x90, f_if_hz=f_if_det))
+        p1 = np.einsum("j,njk,k->n", s90[3], waits, s90 @ g)
+    else:  # echo
+        waits = qb.delay_maps(q, 0.5 * delays)
+        s90 = qb.drive_map(q, pulse_drive(cfg, x90))
+        s180 = qb.drive_map(q, pulse_drive(cfg, x180))
+        p1 = np.einsum("j,njk,kl,nlm,m->n", s90[3], waits, s180, waits, s90 @ g)
+    return Trajectory(delays, np.clip(p1.real, 0.0, 1.0))
 
 
 def simulate_schedule(

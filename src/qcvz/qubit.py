@@ -130,28 +130,43 @@ def rabi_analytic(omega_rad: float, delta_rad: float, t_s) -> np.ndarray | float
     return float(out) if np.isscalar(t_s) else out
 
 
-def _dissipator(lop: np.ndarray, rate: float) -> np.ndarray:
+def _dissipator(lop: np.ndarray) -> np.ndarray:
     ldl = lop.conj().T @ lop
-    return rate * (
-        np.kron(lop, lop.conj())
-        - 0.5 * (np.kron(ldl, I2) + np.kron(I2, ldl.T))
-    )
+    return np.kron(lop, lop.conj()) - 0.5 * (np.kron(ldl, I2) + np.kron(I2, ldl.T))
 
 
 def _hamiltonian_super(h: np.ndarray) -> np.ndarray:
     return -1j * (np.kron(h, I2) - np.kron(I2, h.T))
 
 
+# Liouvillian generators (vec row-major), built once at import.
+LZ = _hamiltonian_super(0.5 * SZ)
+D_DECAY = _dissipator(SM)
+D_DEPHASE = _dissipator(SZ)
+LX = _hamiltonian_super(0.5 * SX)
+LY = _hamiltonian_super(0.5 * SY)
+
+
 def liouvillian_parts(q: QubitParams, delta_rad: float):
-    """Constant part plus the two drive-quadrature generators (vec row-major)."""
-    l0 = _hamiltonian_super(0.5 * delta_rad * SZ)
-    if math.isfinite(q.t1_s):
-        l0 = l0 + _dissipator(SM, 1.0 / q.t1_s)
-    if math.isfinite(q.tphi_s):
-        l0 = l0 + _dissipator(SZ, 0.5 / q.tphi_s)
-    lx = _hamiltonian_super(0.5 * SX)
-    ly = _hamiltonian_super(0.5 * SY)
-    return l0, lx, ly
+    """l0 = delta LZ + D[sigma-]/T1 + D[sigma_z]/(2 Tphi) plus the drive generators LX, LY."""
+    l0 = delta_rad * LZ + (1.0 / q.t1_s) * D_DECAY + (0.5 / q.tphi_s) * D_DEPHASE
+    return l0, LX, LY
+
+
+def _held_steps(q: QubitParams, drive: DriveEnvelope, times: np.ndarray):
+    """Cut the drive at its sample-run starts, its end and ``times``: (cuts, steps,
+    which), where the exponential steps[which[j]] propagates cuts[j] -> cuts[j + 1]."""
+    s = drive.samples
+    starts = np.concatenate(([0], np.flatnonzero(s[1:] != s[:-1]) + 1))  # runs of equal samples
+    t_starts = starts / drive.envelope_rate_hz
+    cuts = np.union1d(np.append(t_starts, drive.duration_s), times)
+    held = s[starts[np.searchsorted(t_starts, cuts[:-1], side="right") - 1]]
+    keys, which = np.unique(
+        np.stack([held.real, held.imag, np.diff(cuts)], axis=1), axis=0, return_inverse=True
+    )
+    l0, lx, ly = liouvillian_parts(q, TWO_PI * (drive.carrier_hz - q.f_qubit_hz))
+    gen = l0 + TWO_PI * (keys[:, 0, None, None] * lx + keys[:, 1, None, None] * ly)
+    return cuts, expm(gen * keys[:, 2, None, None]), which
 
 
 def propagate(
@@ -175,18 +190,7 @@ def propagate(
         raise QubitError(f"report times must lie in [0, {duration:.6g}] s")
     if np.any(np.diff(times) < 0):
         raise QubitError("report times must be sorted")
-    s = drive.samples
-    starts = np.concatenate(([0], np.flatnonzero(s[1:] != s[:-1]) + 1))  # runs of equal samples
-    t_starts = starts / drive.envelope_rate_hz
-    cuts = np.union1d(np.append(t_starts, duration), times)
-    held = s[starts[np.searchsorted(t_starts, cuts[:-1], side="right") - 1]]
-    keys, which = np.unique(
-        np.stack([held.real, held.imag, np.diff(cuts)], axis=1), axis=0, return_inverse=True
-    )
-    l0, lx, ly = liouvillian_parts(q, TWO_PI * (drive.carrier_hz - q.f_qubit_hz))
-    gen = l0 + TWO_PI * (keys[:, 0, None, None] * lx + keys[:, 1, None, None] * ly)
-    steps = expm(gen * keys[:, 2, None, None])
-
+    cuts, steps, which = _held_steps(q, drive, times)
     states = np.empty((len(cuts), 4), dtype=complex)
     states[0] = rho0.reshape(4)
     for j, k in enumerate(which):
@@ -195,16 +199,35 @@ def propagate(
     return Trajectory(times, np.clip(p1, 0.0, 1.0), states[-1].reshape(2, 2))
 
 
+def drive_map(q: QubitParams, drive: DriveEnvelope) -> np.ndarray:
+    """Exact 4x4 superoperator of the whole drive, acting on row-major vec(rho)."""
+    _, steps, which = _held_steps(q, drive, np.zeros(0))
+    out = np.eye(4, dtype=complex)
+    for k in which:
+        out = steps[k] @ out
+    return out
+
+
+def delay_maps(q: QubitParams, t_s, delta_rad: float = 0.0) -> np.ndarray:
+    """Drive-free maps expm(l0 t), one (4, 4) per delay, from one stacked expm.
+
+    Raises QubitError for a negative or non-finite delay.
+    """
+    t = np.asarray(t_s, dtype=float).reshape(-1)
+    if not np.all((t >= 0.0) & (t < math.inf)):
+        raise QubitError("negative delay" if np.any(t < 0.0) else "delays must be finite")
+    l0 = liouvillian_parts(q, delta_rad)[0]
+    return expm(l0 * t[:, None, None])
+
+
 def free_evolve(q: QubitParams, rho: np.ndarray, t_s: float, delta_rad: float = 0.0) -> np.ndarray:
     """Exact drive-free Lindblad propagation, expm(l0 t) applied to rho.
 
     Populations relax toward the ground state at 1/T1; the coherence decays
     at 1/T2 while rotating at the detuning.
     """
-    if t_s < 0:
-        raise QubitError("negative delay")
-    l0 = liouvillian_parts(q, delta_rad)[0]
-    return (expm(l0 * t_s) @ np.asarray(rho, dtype=complex).reshape(4)).reshape(2, 2)
+    rho = np.asarray(rho, dtype=complex).reshape(4)
+    return (delay_maps(q, t_s, delta_rad)[0] @ rho).reshape(2, 2)
 
 
 class FitModel(str, Enum):
@@ -230,6 +253,13 @@ def _guess_freq(t: np.ndarray, y: np.ndarray) -> float:
     return max(freqs[k], 1.0 / (t[-1] - t[0]))
 
 
+_FIT_PARAMS = {
+    FitModel.EXP_DECAY: ("a", "tau", "c"),
+    FitModel.DAMPED_COSINE: ("a", "tau", "f", "phi", "c"),
+    FitModel.RABI_SINUSOID: ("a", "f", "phi", "c"),
+}
+
+
 def fit_curve(model: FitModel | str, times_s, values) -> FitResult:
     """Least-squares fit of a decay/oscillation model to sampled data.
 
@@ -240,34 +270,26 @@ def fit_curve(model: FitModel | str, times_s, values) -> FitResult:
     model = FitModel(model)
     t = np.asarray(times_s, dtype=float)
     y = np.asarray(values, dtype=float)
+    names = _FIT_PARAMS[model]
+    if len(t) < 4 * len(names):
+        raise FitError(f"need at least {4 * len(names)} points for {model.value}, got {len(t)}")
     if model is FitModel.EXP_DECAY:
-        names = ("a", "tau", "c")
-        n_free = 3
-
         def f(t, a, tau, c):
             return a * np.exp(-t / tau) + c
 
         span = max(t[-1] - t[0], np.finfo(float).tiny)
         p0 = (y[0] - y[-1], span / 2.0, y[-1])
     elif model is FitModel.DAMPED_COSINE:
-        names = ("a", "tau", "f", "phi", "c")
-        n_free = 5
-
         def f(t, a, tau, f0, phi, c):
             return a * np.exp(-t / tau) * np.cos(TWO_PI * f0 * t + phi) + c
 
         p0 = (0.5 * (y.max() - y.min()), (t[-1] - t[0]), _guess_freq(t, y), 0.0, y.mean())
     else:
-        names = ("a", "f", "phi", "c")
-        n_free = 4
-
         def f(t, a, f0, phi, c):
             return a * np.cos(TWO_PI * f0 * t + phi) + c
 
         p0 = (0.5 * (y.max() - y.min()), _guess_freq(t, y), 0.0, y.mean())
 
-    if len(t) < 4 * n_free:
-        raise FitError(f"need at least {4 * n_free} points for {model.value}, got {len(t)}")
     try:
         # A noise-free decay can leave the covariance singular; sigma then
         # reads inf, which callers report, so the warning is not printed.

@@ -37,6 +37,17 @@ def test_bad_flag_is_usage_error(tmp_path):
     assert main(["resources", "--no-such-flag"]) == EXIT_USAGE
     for qubit in ("1", "3", "-1"):  # the default device has one qubit
         assert run(tmp_path, "calibrate", "--qubit", qubit) == EXIT_USAGE
+    for argv in (
+        ("chevron", "--step-hz", "0"),
+        ("chevron", "--step-hz", "-2e5"),
+        ("chevron", "--step-hz", "nan"),
+        ("chevron", "--tau-points", "0"),
+        ("vz-ramsey", "--points", "0"),
+        ("t1", "--points", "0"),
+        ("echo", "--points", "-3"),
+        ("ramsey", "--points", "x"),
+    ):
+        assert run(tmp_path, *argv) == EXIT_USAGE, argv
 
 
 def test_bad_config(tmp_path):
@@ -210,6 +221,17 @@ def test_calibrate_then_t1(tmp_path):
     )
     fit = json.loads((tmp_path / "t1_fit.json").read_text())
     assert fit["params"]["tau"] == pytest.approx(25.3e-6, rel=0.02)
+
+
+def test_bad_delay_grid_is_numeric_error(tmp_path, capsys):
+    assert run(tmp_path, "calibrate") == EXIT_OK
+    pulses = str(tmp_path / "pulses.json")
+    for max_delay, message in (("-1", "negative delay"), ("nan", "finite"), ("inf", "finite")):
+        out = tmp_path / max_delay
+        capsys.readouterr()
+        assert run(out, "t1", "--pulses", pulses, "--max-delay-s", max_delay) == EXIT_NUMERIC
+        assert message in capsys.readouterr().err
+        assert not (out / "t1.csv").exists()
 
 
 def test_fit_json_is_strict_when_covariance_is_singular(tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ from qcvz.demux import ChannelTone
 from qcvz.experiments import simulate_schedule
 from qcvz.mixer import DriveEnvelope, MixerConfig
 from qcvz.qubit import (
+    SM,
     SX,
     SY,
     SZ,
@@ -19,9 +20,11 @@ from qcvz.qubit import (
     QubitError,
     QubitParams,
     excited_state,
+    delay_maps,
     fit_curve,
     free_evolve,
     ground_state,
+    liouvillian_parts,
     propagate,
     rabi_analytic,
     validate_density_matrix,
@@ -192,6 +195,48 @@ def test_free_evolve_closed_form():
     validate_density_matrix(out)
 
 
+def kron_liouvillian_parts(q, delta_rad):
+    """The per-call kron construction that the module constants replace."""
+    i2 = np.eye(2, dtype=complex)
+
+    def dissipator(lop, rate):
+        ldl = lop.conj().T @ lop
+        return rate * (np.kron(lop, lop.conj()) - 0.5 * (np.kron(ldl, i2) + np.kron(i2, ldl.T)))
+
+    def hamiltonian(h):
+        return -1j * (np.kron(h, i2) - np.kron(i2, h.T))
+
+    l0 = hamiltonian(0.5 * delta_rad * SZ)
+    if math.isfinite(q.t1_s):
+        l0 = l0 + dissipator(SM, 1.0 / q.t1_s)
+    if math.isfinite(q.tphi_s):
+        l0 = l0 + dissipator(SZ, 0.5 / q.tphi_s)
+    return l0, hamiltonian(0.5 * SX), hamiltonian(0.5 * SY)
+
+
+@given(
+    t1=st.one_of(st.just(math.inf), st.floats(1e-9, 1.0)),
+    tphi=st.one_of(st.just(math.inf), st.floats(1e-9, 1.0)),
+    # The kron construction halves delta, which rounds only for subnormal delta.
+    delta=st.floats(-1e9, 1e9, allow_subnormal=False),
+)
+@settings(max_examples=300, deadline=None)
+def test_liouvillian_parts_equal_kron_construction(t1, tphi, delta):
+    q = QubitParams(F_Q, t1_s=t1, tphi_s=tphi)
+    for got, want in zip(liouvillian_parts(q, delta), kron_liouvillian_parts(q, delta)):
+        assert np.array_equal(got, want)
+
+
+def test_delay_maps_reject_bad_delays():
+    q = QubitParams(F_Q, t1_s=20e-6)
+    assert delay_maps(q, [0.0, 1e-6]).shape == (2, 4, 4)
+    for t in (-1e-9, math.nan, math.inf, -math.inf):
+        with pytest.raises(QubitError):
+            free_evolve(q, ground_state(), t)
+        with pytest.raises(QubitError):
+            delay_maps(q, [0.0, 1e-6, t])
+
+
 def test_free_evolve_matches_evolve():
     q = QubitParams(F_Q, t1_s=12e-6, tphi_s=9e-6)
     rho = np.array([[0.75, 0.25 - 0.3j], [0.25 + 0.3j, 0.25]], dtype=complex)
@@ -229,3 +274,7 @@ def test_fit_needs_enough_points():
     t = np.linspace(0.0, 1e-6, 8)
     with pytest.raises(FitError):
         fit_curve(FitModel.EXP_DECAY, t, np.exp(-t / 1e-6))
+    for model in FitModel:  # too few points is a FitError before any guess is made
+        for n in (0, 1):
+            with pytest.raises(FitError):
+                fit_curve(model, np.zeros(n), np.zeros(n))
