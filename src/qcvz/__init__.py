@@ -34,7 +34,7 @@ from .qubit import (
     ground_state,
     excited_state,
 )
-from .calibration import CalibratedPulse, calibrate_pulse, residual_ratio
+from .calibration import CalibratedPulse, calibrate_pulse, calibrate_pulses, residual_ratio
 from .compiler import (
     Gate,
     GateKind,

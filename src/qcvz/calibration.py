@@ -1,9 +1,14 @@
 """Pulse amplitude calibration against the simulated qubit.
 
 A coarse bisection lands the single-pulse rotation near the target, then an
-error-amplification stage (3, 5 and 9 pulse repeats) refines the amplitude
+error-amplification stage (2, 4 and 8 pulse repeats) refines the amplitude
 until the per-pulse angle error drops below 1e-4 rad. Amplitude is
 calibrated at fixed duration so the search stays one-dimensional.
+
+A calibration pulse fills its cycle with one held sample, so n repeats are
+one exponential expm(L n tau). calibrate_pulses runs the search for a whole
+LO cable in lockstep: each iteration is one stacked exponential over the
+qubits still searching, and calibrate_pulse is its one-qubit case.
 """
 from __future__ import annotations
 
@@ -12,17 +17,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from scipy.linalg import expm
+
 from . import qubit as qb
 from .mixer import (
+    SAMPLES_PER_CYCLE,
     BitTimeline,
     DriveEnvelope,
     MixerConfig,
     amplitude_map,
     baseband_output,
-    inverse_amplitude_map,
+    rabi_rates,
 )
 from .qubit import FitModel, QubitParams, fit_curve
-from .signals import CycleSpec, Envelope, EnvelopeShape, make_if_program
+from .signals import CycleSpec, Envelope, EnvelopeShape, SignalError, make_if_program
 
 TWO_PI = 2.0 * math.pi
 
@@ -84,34 +92,21 @@ def pulse_drive(
     return baseband_output(cfg, prog, bits)
 
 
-def _run_pulses(
-    q: QubitParams,
-    cfg: MixerConfig,
-    pulse: CalibratedPulse,
-    a_if: float,
-    repeats: int,
-    rho0: np.ndarray,
-) -> float:
-    drive = pulse_drive(cfg, pulse, repeats=repeats, a_if=a_if)
-    return float(qb.propagate(q, drive, rho0).p1[-1])
-
-
 # State after an exact pi/2 rotation about x from ground; biases the
 # amplification signal onto the equator so it stays linear in the angle
 # error for both pi/2 and pi targets.
 _PREP_RHO = np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=complex)
 
 
-def _estimate_angle(p1: float, expected_total: float, repeats: int) -> float:
-    """Per-pulse angle from p1 = sin^2((pi/2 + n*theta)/2), branch nearest expected."""
-    c = float(np.clip(1.0 - 2.0 * p1, -1.0, 1.0))
-    base = math.acos(c)
-    best = None
+def _estimate_angles(p1: np.ndarray, expected_total: float, repeats: int) -> np.ndarray:
+    """Per-pulse angles from p1 = sin^2((pi/2 + n*theta)/2), branch nearest expected."""
+    base = np.arccos(np.clip(1.0 - 2.0 * p1, -1.0, 1.0))
     m0 = round(expected_total / TWO_PI)
-    for m in (m0 - 1, m0, m0 + 1):
-        for total in (base + TWO_PI * m, -base + TWO_PI * m):
-            if best is None or abs(total - expected_total) < abs(best - expected_total):
-                best = total
+    # Candidates in the order a strict-less scan visits them; argmin keeps the first.
+    totals = np.array(
+        [sign * base + TWO_PI * m for m in (m0 - 1, m0, m0 + 1) for sign in (1.0, -1.0)]
+    )
+    best = totals[np.argmin(np.abs(totals - expected_total), axis=0), np.arange(len(p1))]
     return (best - 0.5 * math.pi) / repeats
 
 
@@ -127,61 +122,130 @@ def calibrate_pulse(
 
     The pulse is placed on resonance (f_if = f_lo - f_qubit). Raises
     CalibrationError if the rotation is unreachable at a_if <= 1 or the
-    amplification stage fails to converge.
+    amplification stage fails to converge. The one-qubit case of
+    calibrate_pulses.
     """
+    return calibrate_pulses([q], [cfg], target_angle_rad, tau_if_s, [f_lo_hz])[0]
+
+
+def calibrate_pulses(
+    qs: list[QubitParams],
+    cfgs: list[MixerConfig],
+    target_angle_rad: float,
+    tau_if_s: float,
+    f_lo_hz_list,
+) -> list[CalibratedPulse]:
+    """calibrate_pulse for every qubit k (mixer cfgs[k], LO f_lo_hz_list[k]),
+    run in lockstep.
+
+    A calibration drive holds one sample for whole cycles, so every
+    iteration is one stacked exponential over the qubits still searching;
+    each qubit keeps its own stop rules. Raises the error the first failing
+    qubit would raise on its own.
+    """
+    n = len(qs)
+    if not len(cfgs) == len(f_lo_hz_list) == n:
+        raise CalibrationError("qubit/mixer/LO counts disagree")
     if not 0.0 <= target_angle_rad <= math.pi:
         raise CalibrationError(f"target angle must be in [0, pi], got {target_angle_rad}")
-    f_if = f_lo_hz - q.f_qubit_hz
-    if f_if <= 0:
-        raise CalibrationError(f"f_lo={f_lo_hz} below qubit frequency {q.f_qubit_hz}")
-    pulse = CalibratedPulse(f_lo_hz, f_if, 1.0, tau_if_s, target_angle_rad)
-    if target_angle_rad == 0.0:
-        return CalibratedPulse(f_lo_hz, f_if, 0.0, tau_if_s, 0.0)
-    max_angle = TWO_PI * amplitude_map(cfg, 1.0) * tau_if_s
-    if max_angle < target_angle_rad:
-        raise CalibrationError(
-            f"target {target_angle_rad:.4f} rad unreachable: max angle "
-            f"{max_angle:.4f} rad at a_if=1"
-        )
+    target, tau = target_angle_rad, tau_if_s
+    f_lo = np.array(f_lo_hz_list, dtype=float)
+    f_if = f_lo - np.array([q.f_qubit_hz for q in qs], dtype=float)
+    cfg_arr = np.empty(n, dtype=object)
+    cfg_arr[:] = cfgs
+    errors: dict[int, Exception] = {}
+
+    def fail(bad: np.ndarray, make) -> None:
+        """Record make(k) for each qubit k in ``bad`` that has no earlier error."""
+        for k in np.flatnonzero(bad).tolist():
+            errors.setdefault(k, make(k))
+
+    fail(f_if <= 0, lambda k: CalibrationError(
+        f"f_lo={f_lo_hz_list[k]} below qubit frequency {qs[k].f_qubit_hz}"))
+    a = np.zeros(n)
+    if target != 0.0:
+        with np.errstate(over="ignore"):  # an absurd duration reaches any angle
+            max_angle = TWO_PI * rabi_rates(cfgs, np.ones(n)) * tau
+        fail(max_angle < target, lambda k: CalibrationError(
+            f"target {target:.4f} rad unreachable: max angle {max_angle[k]:.4f} rad at a_if=1"))
+        # The first drive would reject a bad duration or IF frequency.
+        fail(np.full(n, not 0 < tau < math.inf), lambda k: SignalError(
+            f"envelope duration must be positive and finite, got {tau}"))
+        fail(~(f_if < math.inf), lambda k: SignalError(
+            f"IF frequency must be positive and finite, got {f_if[k]}"))
+        live = np.ones(n, dtype=bool)
+        live[list(errors)] = False
+        a, final_err = _search(qs, cfg_arr, f_lo, f_if, target, tau, live)
+        fail(final_err > 1e-4, lambda k: CalibrationError(
+            f"amplification stalled: angle error {final_err[k]:.2e} rad > 1e-4"))
+    if errors:
+        raise errors[min(errors)]
+    return [
+        CalibratedPulse(f_lo_hz_list[k], float(f_if[k]), float(a[k]), tau, target)
+        for k in range(n)
+    ]
+
+
+def _search(qs, cfg_arr, f_lo, f_if, target, tau, live) -> tuple[np.ndarray, np.ndarray]:
+    """Coarse bisection, then error amplification, over the ``live`` qubits:
+    (a_if, final per-pulse angle error), both 0 for the other qubits."""
+    a = np.zeros(len(qs))
+    final_err = np.zeros(len(qs))
+    t1 = np.array([q.t1_s for q in qs], dtype=float)
+    tphi = np.array([q.tphi_s for q in qs], dtype=float)
+    # Drives are emitted at theta_if = 0 on carrier f_lo - f_if, as pulse_drive does.
+    delta = TWO_PI * ((f_lo - f_if) - np.array([q.f_qubit_hz for q in qs], dtype=float))
+    lo_phase = np.array([c.channel.phase_rad for c in cfg_arr], dtype=float)
+    rate = SAMPLES_PER_CYCLE / tau
+
+    def run(idx, repeats, rho0):
+        """Final p1 of ``repeats`` held-sample cycles from rho0, per qubit in idx."""
+        s = rabi_rates(cfg_arr[idx], a[idx]) * np.exp(1j * lo_phase[idx])
+        gen = qb._generators(t1[idx], tphi[idx], delta[idx], s.real, s.imag)
+        steps = expm(gen * (repeats * SAMPLES_PER_CYCLE / rate))
+        return np.clip((steps[:, 3] @ rho0.reshape(4)).real, 0.0, 1.0)
 
     # Coarse: bisection of the single-pulse population toward sin^2(angle/2).
     # The rotation angle is monotone in a_if and capped at pi by the
     # reachability check, so p1 is monotone over the bracket.
-    target_p1 = math.sin(0.5 * target_angle_rad) ** 2
-    lo, hi = 0.0, 1.0
-    a = inverse_amplitude_map(cfg, target_angle_rad / (TWO_PI * tau_if_s))
+    idx = np.flatnonzero(live)
+    a[idx] = rabi_rates(cfg_arr[idx], np.full(len(idx), target / (TWO_PI * tau)), inverse=True)
+    lo, hi = np.zeros_like(a), np.ones_like(a)
     for _ in range(30):
-        p1 = _run_pulses(q, cfg, pulse, a, 1, qb.ground_state())
-        angle = 2.0 * math.asin(math.sqrt(min(p1, 1.0)))
-        if abs(angle - target_angle_rad) < 5e-3:
+        if not idx.size:
             break
-        if angle < target_angle_rad:
-            lo = a
-        else:
-            hi = a
-        a = 0.5 * (lo + hi)
+        angle = 2.0 * np.arcsin(np.sqrt(np.minimum(run(idx, 1, qb.ground_state()), 1.0)))
+        done = np.abs(angle - target) < 5e-3
+        under = angle < target
+        lo[idx[~done & under]] = a[idx[~done & under]]
+        hi[idx[~done & ~under]] = a[idx[~done & ~under]]
+        idx = idx[~done]
+        a[idx] = 0.5 * (lo[idx] + hi[idx])
 
     # Fine: error amplification with 2, 4 and 8 repeats from an
     # equator-biased start, driving the over/under-rotation to zero. Even
     # repeat counts keep the total angle pi/2 + n*theta on the steep flank
     # of p1 for both pi/2 and pi targets.
+    gain = np.array([c.gain_hz_per_unit for c in cfg_arr], dtype=float)
     for n in (2, 4, 8):
+        idx = np.flatnonzero(live)
         for _ in range(8):
-            p1 = _run_pulses(q, cfg, pulse, a, n, _PREP_RHO)
-            est = _estimate_angle(p1, 0.5 * math.pi + n * target_angle_rad, n)
-            err = est - target_angle_rad
-            if abs(err) < 1e-6:
+            if not idx.size:
                 break
-            omega = amplitude_map(cfg, a) * target_angle_rad / est
-            a = inverse_amplitude_map(cfg, min(omega, cfg.gain_hz_per_unit))
+            est = _estimate_angles(run(idx, n, _PREP_RHO), 0.5 * math.pi + n * target, n)
+            keep = ~(np.abs(est - target) < 1e-6)
+            idx, est = idx[keep], est[keep]
+            omega = rabi_rates(cfg_arr[idx], a[idx]) * target / est
+            a[idx] = rabi_rates(cfg_arr[idx], np.minimum(omega, gain[idx]), inverse=True)
 
-    p1 = _run_pulses(q, cfg, pulse, a, 8, _PREP_RHO)
-    final_err = abs(_estimate_angle(p1, 0.5 * math.pi + 8 * target_angle_rad, 8) - target_angle_rad)
-    if final_err > 1e-4:
-        raise CalibrationError(
-            f"amplification stalled: angle error {final_err:.2e} rad > 1e-4"
+    # A qubit that met the 8-repeat stop rule keeps that amplitude, and its
+    # angle error (< 1e-6) is the final one. The others changed amplitude
+    # after their last run, so they are run once more.
+    if idx.size:
+        final_err[idx] = np.abs(
+            _estimate_angles(run(idx, 8, _PREP_RHO), 0.5 * math.pi + 8 * target, 8) - target
         )
-    return CalibratedPulse(f_lo_hz, f_if, a, tau_if_s, target_angle_rad)
+    return a, final_err
 
 
 def residual_ratio(

@@ -165,7 +165,7 @@ def _get_pulses(
             return CalibratedPulse.from_dict(d["x90"]), CalibratedPulse.from_dict(d["x180"])
         except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ConfigError(f"cannot read pulses {pulses_path}: {exc}") from exc
-    tau = tau_s or cfg.cycle_period_s
+    tau = cfg.cycle_period_s if tau_s is None else tau_s
     q = cfg.qubits[k].closed()
     f_lo = cfg.mixers[k].channel.freq_hz
     x90 = calibrate_pulse(q, cfg.mixers[k], 0.5 * math.pi, tau, f_lo)
@@ -179,7 +179,14 @@ def cmd_chevron(cfg: DeviceConfig, args) -> None:
     q = cfg.qubits[k]
     f_lo = cfg.mixers[k].channel.freq_hz
     center = f_lo - q.f_qubit_hz
-    f_grid = center + np.arange(-args.span_hz / 2, args.span_hz / 2 + args.step_hz / 2, args.step_hz)
+    try:
+        f_grid = center + np.arange(
+            -args.span_hz / 2, args.span_hz / 2 + args.step_hz / 2, args.step_hz
+        )
+    except (ValueError, MemoryError) as exc:  # more columns than an array can hold
+        raise ExperimentError(
+            f"cannot sweep {args.span_hz} Hz in {args.step_hz} Hz steps: {exc}"
+        ) from exc
     tau_grid = np.linspace(args.tau_max_s / args.tau_points, args.tau_max_s, args.tau_points)
     p1 = chevron(q, cfg.mixers[k], f_lo, f_grid, tau_grid, mixer_on=not args.off, a_if=args.a_if)
     path = out / "chevron.csv"
@@ -215,6 +222,8 @@ def _coherence_cmd(kind: str, model: FitModel):
         out = _outdir(args)
         k = args.qubit
         x90, x180 = _get_pulses(cfg, k, args.tau_s, args.pulses)
+        if not math.isfinite(args.max_delay_s):
+            raise qb.QubitError("delays must be finite")
         delays = np.linspace(0.0, args.max_delay_s, args.points)
         traj = run_experiment(
             kind,
@@ -363,16 +372,24 @@ COMMANDS = {
 }
 
 
-def _positive(kind):
-    """argparse type: a finite ``kind`` value above zero (counts, steps)."""
+def _finite(kind, positive: bool = False):
+    """argparse type: a finite ``kind`` value, above zero if ``positive``."""
+    low = 0 if positive else -math.inf
+
     def parse(text: str):
         value = kind(text)
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+        if not low < value < math.inf:
+            need = "positive and finite" if positive else "finite"
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names the type in its messages
     return parse
+
+
+def _positive(kind):
+    """argparse type: a finite ``kind`` value above zero (counts, steps, durations)."""
+    return _finite(kind, positive=True)
 
 
 def _build_parser(cmd: str) -> argparse.ArgumentParser:
@@ -384,9 +401,9 @@ def _build_parser(cmd: str) -> argparse.ArgumentParser:
     if cmd in ("chevron", "rabi", "t1", "ramsey", "echo", "vz-ramsey", "calibrate", "spectrum"):
         p.add_argument("--qubit", type=int, default=0)
     if cmd == "chevron":
-        p.add_argument("--span-hz", type=float, default=8.0e6)
+        p.add_argument("--span-hz", type=_finite(float), default=8.0e6)
         p.add_argument("--step-hz", type=_positive(float), default=2.0e5)
-        p.add_argument("--tau-max-s", type=float, default=2.5e-6)
+        p.add_argument("--tau-max-s", type=_positive(float), default=2.5e-6)
         p.add_argument("--tau-points", type=_positive(int), default=26)
         p.add_argument("--a-if", type=float, default=0.05)
     if cmd == "rabi":
@@ -395,22 +412,23 @@ def _build_parser(cmd: str) -> argparse.ArgumentParser:
     if cmd in ("chevron", "rabi", "spectrum"):
         p.add_argument("--off", action="store_true")
     if cmd in ("t1", "ramsey", "echo", "vz-ramsey", "calibrate"):
-        p.add_argument("--tau-s", type=float, default=None, help="pulse duration for calibration")
+        p.add_argument("--tau-s", type=_positive(float), default=None,
+                       help="pulse duration for calibration")
     if cmd in ("t1", "ramsey", "echo", "vz-ramsey"):
         p.add_argument("--points", type=_positive(int), default=36 if cmd == "vz-ramsey" else 41)
         p.add_argument("--pulses", default=None, help="persisted pulses.json")
     if cmd in ("t1", "ramsey", "echo"):
         p.add_argument("--max-delay-s", type=float, default=8.0e-5)
     if cmd == "ramsey":
-        p.add_argument("--detuning-hz", type=float, default=3.4e5)
+        p.add_argument("--detuning-hz", type=_finite(float), default=3.4e5)
     if cmd == "compile":
         p.add_argument("--program", required=True)
         p.add_argument("--mode", choices=["quantized45", "free"], default="quantized45")
     if cmd == "resources":
         p.add_argument("-n", type=int, required=True)
-        p.add_argument("--q-factor", type=float, default=1.0e4)
-        p.add_argument("--bandwidth-hz", type=float, default=2.0e9)
-        p.add_argument("--ref-freq-hz", type=float, default=5.0e9)
+        p.add_argument("--q-factor", type=_finite(float), default=1.0e4)
+        p.add_argument("--bandwidth-hz", type=_finite(float), default=2.0e9)
+        p.add_argument("--ref-freq-hz", type=_finite(float), default=5.0e9)
     if cmd == "plot":
         p.add_argument("--csv", required=True)
         p.add_argument("--kind", choices=["line", "heatmap"], required=True)

@@ -7,18 +7,27 @@ them are propagated exactly, with no step size to choose.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import replace
 from enum import Enum
 
 import numpy as np
+from scipy.linalg import expm
 
 from . import qubit as qb
 from .calibration import CalibratedPulse, pulse_drive
 from .compiler import Program, Schedule, ideal_unitary
-from .mixer import BitTimeline, MixerConfig, baseband_output
+from .mixer import (
+    SAMPLES_PER_CYCLE,
+    BitTimeline,
+    MixerConfig,
+    MixerError,
+    baseband_output,
+    rabi_rates,
+)
 from .qubit import QubitParams, Trajectory
-from .signals import CycleSpec, Envelope, EnvelopeShape, make_if_program
+from .signals import CycleSpec, Envelope, EnvelopeShape, SignalError, make_if_program
 
 TWO_PI = 2.0 * math.pi
 
@@ -138,24 +147,104 @@ def simulate_schedule(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Execute a compiled schedule through mixer and qubit models.
 
-    The shared IF line carries a full-width flat envelope in every emitted
-    cycle; each mixer's bit timeline gates its own pulses. Returns
-    (simulated final p1 per qubit, ideal |<1|U|0>|^2 per qubit).
+    The shared IF line carries qubit k's flat x90 envelope in every emitted
+    cycle; mixer k's bit gates it, and an off cycle leaks off_leakage of the
+    drive. So every cycle of qubit k applies one of two fixed maps, S_on[k]
+    or S_off[k] (the held sample over the envelope, then a drive-free
+    remainder of the cycle), rotated by the cycle's IF phase theta:
+    R S R^H with R = diag(1, e^{i theta}, e^{-i theta}, 1). All maps come
+    from one stacked exponential and each cycle is one batched product over
+    the qubits. Returns (simulated final p1 per qubit, ideal |<1|U|0>|^2 per
+    qubit).
     """
     n = sched.n_qubits
     if not (len(q_list) == len(cfg_list) == len(x90_list) == n):
         raise ExperimentError("schedule/qubit/mixer/pulse counts disagree")
-    sim = np.empty(n)
-    ideal = np.empty(n)
-    for k in range(n):
-        pulse = x90_list[k]
-        env = Envelope(EnvelopeShape.FLAT, pulse.tau_if_s, pulse.a_if)
-        cycles = [CycleSpec(c.theta_if_deg, env) for c in sched.cycles]
-        bits = BitTimeline(tuple(1 if k in c.fired else 0 for c in sched.cycles))
-        prog = make_if_program(pulse.f_if_hz, cycle_period_s, cycles, quantized=False)
-        cfg = replace(cfg_list[k], channel=replace(cfg_list[k].channel, freq_hz=pulse.f_lo_hz))
-        drive = baseband_output(cfg, prog, bits)
-        sim[k] = qb.propagate(q_list[k], drive, qb.ground_state()).p1[-1]
-        u = ideal_unitary(program.gates[k])
-        ideal[k] = abs(u[1, 0]) ** 2
-    return sim, ideal
+    tau = np.array([p.tau_if_s for p in x90_list], dtype=float)
+    a_if = np.array([p.a_if for p in x90_list], dtype=float)
+    f_if = np.array([p.f_if_hz for p in x90_list], dtype=float)
+    carrier = np.array([p.f_lo_hz for p in x90_list], dtype=float) - f_if
+    _check_pulses(tau, a_if, f_if, carrier, cycle_period_s, bool(sched.cycles))
+    rate = SAMPLES_PER_CYCLE / cycle_period_s
+
+    # Samples inside [0, tau] hold the pulse (Envelope.value's inside test);
+    # the rest of the cycle is drive-free.
+    t_sample = np.arange(SAMPLES_PER_CYCLE) / rate
+    n_in = np.count_nonzero(t_sample <= tau[:, None], axis=1)
+    on = rabi_rates(cfg_list, a_if) * np.exp(1j * np.array([c.channel.phase_rad for c in cfg_list]))
+    off = np.array([c.off_leakage for c in cfg_list]) * on
+    delta = TWO_PI * (carrier - np.array([q.f_qubit_hz for q in q_list], dtype=float))
+    t1 = np.array([q.t1_s for q in q_list], dtype=float)
+    tphi = np.array([q.tphi_s for q in q_list], dtype=float)
+    held = np.stack([off, on, np.zeros(n)])
+    gen = qb._generators(t1, tphi, delta, held.real, held.imag)
+    dur = np.stack([n_in, n_in, SAMPLES_PER_CYCLE - n_in]) / rate
+    steps = expm(gen * dur[..., None, None])
+    maps = steps[2] @ steps[:2]  # [off, on] per qubit: envelope, then the remainder
+
+    fired = np.zeros((len(sched.cycles), n), dtype=np.intp)
+    per_cycle = [len(c.fired) for c in sched.cycles]
+    fired[
+        np.repeat(np.arange(len(per_cycle)), per_cycle),
+        np.fromiter(itertools.chain.from_iterable(c.fired for c in sched.cycles), np.intp),
+    ] = 1
+    frame = np.array([0.0, 1.0, -1.0, 0.0])
+    qubits = np.arange(n)
+    state = np.tile(qb.ground_state().reshape(4), (n, 1))
+    for bits, cyc in zip(fired, sched.cycles):
+        r = np.exp(1j * math.radians(cyc.theta_if_deg) * frame)
+        state = r * np.einsum("kij,kj->ki", maps[bits, qubits], r.conj() * state)
+    return np.clip(state[:, 3].real, 0.0, 1.0), _ideal_p1(program.gates[:n])
+
+
+def _check_pulses(tau, a_if, f_if, carrier, cycle_period_s, has_cycles) -> None:
+    """Raise the error that building qubit k's drive would, for the first bad k."""
+    checks = [
+        (~((tau > 0) & (tau < math.inf)),
+         lambda k: SignalError(f"envelope duration must be positive and finite, got {tau[k]}")),
+        (~((a_if >= 0) & (a_if <= 1)),
+         lambda k: SignalError(f"envelope peak A_if must be in [0, 1], got {a_if[k]}")),
+        (~((f_if > 0) & (f_if < math.inf)),
+         lambda k: SignalError(f"IF frequency must be positive and finite, got {f_if[k]}")),
+        (not 0 < cycle_period_s < math.inf,
+         lambda k: SignalError(f"cycle period must be positive and finite, got {cycle_period_s}")),
+        (has_cycles & (tau > cycle_period_s * (1 + 1e-12)),
+         lambda k: SignalError(
+             f"cycle 0: envelope duration {tau[k]} exceeds cycle period {cycle_period_s}")),
+        (carrier <= 0,
+         lambda k: MixerError(
+             f"difference frequency {carrier[k]} Hz is not positive (f_if >= f_lo)")),
+        (~(carrier < math.inf),
+         lambda k: MixerError(f"carrier must be positive and finite, got {carrier[k]}")),
+        (not (cycle_period_s > 0 and SAMPLES_PER_CYCLE / cycle_period_s < math.inf),
+         lambda k: MixerError(
+             f"envelope rate must be positive and finite, got {SAMPLES_PER_CYCLE / cycle_period_s}")),
+    ]
+    bad = np.array([np.broadcast_to(mask, tau.shape) for mask, _ in checks])
+    if bad.any():
+        k = int(np.argmax(bad.any(axis=0)))
+        raise checks[int(np.argmax(bad[:, k]))][1](k)
+
+
+def _ideal_p1(rows) -> np.ndarray:
+    """|<1|U|0>|^2 per gate row: each distinct gate's matrix is looked up once,
+    then U|0> is built one gate column at a time over all rows."""
+    # Parsed programs share one Gate object per name, so gates are grouped by
+    # identity first and only the distinct objects are hashed.
+    flat = list(itertools.chain.from_iterable(rows))
+    _, first, obj = np.unique(
+        np.fromiter(map(id, flat), np.intp, len(flat)), return_index=True, return_inverse=True
+    )
+    code_of: dict = {}  # distinct gate -> its row in table
+    obj_code = np.array(
+        [code_of.setdefault(flat[i], len(code_of) + 1) for i in first], dtype=np.intp
+    )
+    table = np.stack([np.eye(2, dtype=complex)] + [ideal_unitary([g]) for g in code_of])
+    lens = np.array([len(r) for r in rows], dtype=np.intp)
+    codes = np.zeros((len(rows), int(lens.max(initial=0))), dtype=np.intp)  # 0: identity
+    codes[np.arange(codes.shape[1]) < lens[:, None]] = obj_code[obj]
+    psi = np.zeros((len(rows), 2), dtype=complex)
+    psi[:, 0] = 1.0
+    for col in codes.T:
+        psi = np.einsum("kij,kj->ki", table[col], psi)
+    return np.abs(psi[:, 1]) ** 2

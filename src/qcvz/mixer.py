@@ -117,6 +117,16 @@ class DriveEnvelope:
         return np.append(self.samples, 0.0)[k.astype(int)]
 
 
+def _response(gain, saturating, x, inverse: bool = False):
+    """The two response curves, broadcast over mixers: rate = gain f(a), or
+    with ``inverse`` a = f^-1(min(rate / gain, 1)). f(a) = a (linear) or
+    sin(pi a / 2) (saturating)."""
+    if inverse:
+        x = np.minimum(x / gain, 1.0)
+        return np.where(saturating, 2.0 / math.pi * np.arcsin(x), x)
+    return np.where(saturating, gain * np.sin(0.5 * math.pi * x), gain * x)
+
+
 def amplitude_map(cfg: MixerConfig, a_if: float) -> float:
     """Peak Rabi rate (Hz) produced at IF amplitude a_if in [0, 1].
 
@@ -126,21 +136,32 @@ def amplitude_map(cfg: MixerConfig, a_if: float) -> float:
     a = np.asarray(a_if, dtype=float)
     if np.any(a < 0) or np.any(a > 1):
         raise MixerError(f"a_if must be in [0, 1], got {a_if}")
-    if cfg.nonlinearity is Nonlinearity.LINEAR:
-        out = cfg.gain_hz_per_unit * a
-    else:
-        out = cfg.gain_hz_per_unit * np.sin(0.5 * math.pi * a)
+    out = _response(cfg.gain_hz_per_unit, cfg.nonlinearity is Nonlinearity.SINE_SATURATING, a)
     return float(out) if np.isscalar(a_if) else out
 
 
 def inverse_amplitude_map(cfg: MixerConfig, rabi_hz: float) -> float:
     """Inverse of amplitude_map; raises if the rate is unreachable at a_if <= 1."""
-    if rabi_hz < 0 or rabi_hz > cfg.gain_hz_per_unit * (1 + 1e-12):
-        raise MixerError(f"Rabi rate {rabi_hz} Hz unreachable with gain {cfg.gain_hz_per_unit}")
-    x = min(rabi_hz / cfg.gain_hz_per_unit, 1.0)
-    if cfg.nonlinearity is Nonlinearity.LINEAR:
-        return x
-    return 2.0 / math.pi * math.asin(x)
+    return float(rabi_rates([cfg], [rabi_hz], inverse=True)[0])
+
+
+def rabi_rates(cfgs, values, inverse: bool = False) -> np.ndarray:
+    """amplitude_map(cfgs[k], values[k]) for every mixer k at once, or with
+    ``inverse`` inverse_amplitude_map(cfgs[k], values[k]); the same range
+    checks raise MixerError for the first bad entry."""
+    gain = np.array([c.gain_hz_per_unit for c in cfgs], dtype=float)
+    saturating = np.array([c.nonlinearity is Nonlinearity.SINE_SATURATING for c in cfgs])
+    v = np.asarray(values, dtype=float)
+    if inverse:
+        bad = (v < 0) | (v > gain * (1 + 1e-12))
+    else:
+        bad = (v < 0) | (v > 1)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        if inverse:
+            raise MixerError(f"Rabi rate {v[k]} Hz unreachable with gain {gain[k]}")
+        raise MixerError(f"a_if must be in [0, 1], got {v[k]}")
+    return _response(gain, saturating, v, inverse)
 
 
 def baseband_output(

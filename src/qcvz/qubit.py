@@ -153,6 +153,16 @@ def liouvillian_parts(q: QubitParams, delta_rad: float):
     return l0, LX, LY
 
 
+def _generators(t1_s, tphi_s, delta_rad, re, im) -> np.ndarray:
+    """Held-sample generators l0 + 2 pi (re lx + im ly), stacked over the
+    array arguments (qubit times, detuning, sample in Hz)."""
+    def col(v):
+        return np.asarray(v, dtype=float)[..., None, None]
+
+    l0 = col(delta_rad) * LZ + (1.0 / col(t1_s)) * D_DECAY + (0.5 / col(tphi_s)) * D_DEPHASE
+    return l0 + TWO_PI * (col(re) * LX + col(im) * LY)
+
+
 def _held_steps(q: QubitParams, drive: DriveEnvelope, times: np.ndarray):
     """Cut the drive at its sample-run starts, its end and ``times``: (cuts, steps,
     which), where the exponential steps[which[j]] propagates cuts[j] -> cuts[j + 1]."""
@@ -164,8 +174,8 @@ def _held_steps(q: QubitParams, drive: DriveEnvelope, times: np.ndarray):
     keys, which = np.unique(
         np.stack([held.real, held.imag, np.diff(cuts)], axis=1), axis=0, return_inverse=True
     )
-    l0, lx, ly = liouvillian_parts(q, TWO_PI * (drive.carrier_hz - q.f_qubit_hz))
-    gen = l0 + TWO_PI * (keys[:, 0, None, None] * lx + keys[:, 1, None, None] * ly)
+    delta = TWO_PI * (drive.carrier_hz - q.f_qubit_hz)
+    gen = _generators(q.t1_s, q.tphi_s, delta, keys[:, 0], keys[:, 1])
     return cuts, expm(gen * keys[:, 2, None, None]), which
 
 
@@ -273,6 +283,10 @@ def fit_curve(model: FitModel | str, times_s, values) -> FitResult:
     names = _FIT_PARAMS[model]
     if len(t) < 4 * len(names):
         raise FitError(f"need at least {4 * len(names)} points for {model.value}, got {len(t)}")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+        raise FitError(f"{model.value} fit needs finite times and values")
+    if not np.ptp(t) > 0:
+        raise FitError(f"{model.value} fit needs times spanning a nonzero interval")
     if model is FitModel.EXP_DECAY:
         def f(t, a, tau, c):
             return a * np.exp(-t / tau) + c
@@ -298,6 +312,8 @@ def fit_curve(model: FitModel | str, times_s, values) -> FitResult:
             popt, pcov = curve_fit(f, t, y, p0=p0, maxfev=20000)
     except RuntimeError as exc:
         raise FitError(f"{model.value} fit did not converge: {exc}") from exc
+    if not np.all(np.isfinite(popt)):
+        raise FitError(f"{model.value} fit did not converge: non-finite parameters")
     resid = float(np.linalg.norm(f(t, *popt) - y))
     params = dict(zip(names, (float(v) for v in popt)))
     # Report rates/frequencies as positive magnitudes.

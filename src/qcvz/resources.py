@@ -33,9 +33,12 @@ def max_tones(
     ref_freq_hz: float = DEFAULT_REF_FREQ_HZ,
 ) -> int:
     """Tones per LO cable at one-linewidth spacing: floor(W Q / f_c)."""
-    if q <= 0 or bandwidth_hz <= 0 or ref_freq_hz <= 0:
-        raise ResourceError("Q, bandwidth and reference frequency must be positive")
-    return int(math.floor(bandwidth_hz * q / ref_freq_hz))
+    if not all(0 < v < math.inf for v in (q, bandwidth_hz, ref_freq_hz)):
+        raise ResourceError("Q, bandwidth and reference frequency must be positive and finite")
+    tones = bandwidth_hz * q / ref_freq_hz
+    if tones == math.inf:
+        raise ResourceError(f"W Q / f_c = {bandwidth_hz} * {q} / {ref_freq_hz} overflows")
+    return int(math.floor(tones))
 
 
 def cable_count(n_qubits: int, tones_per_cable: int) -> int:

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import OptimizeWarning
 
 from qcvz import cli
@@ -46,6 +51,17 @@ def test_bad_flag_is_usage_error(tmp_path):
         ("t1", "--points", "0"),
         ("echo", "--points", "-3"),
         ("ramsey", "--points", "x"),
+        ("calibrate", "--tau-s", "0"),
+        ("calibrate", "--tau-s=-1e-9"),
+        ("t1", "--tau-s", "nan"),
+        ("vz-ramsey", "--tau-s", "inf"),
+        ("chevron", "--span-hz", "nan"),
+        ("chevron", "--span-hz", "inf"),
+        ("chevron", "--tau-max-s", "-inf"),
+        ("ramsey", "--detuning-hz", "-inf"),
+        ("resources", "-n", "5", "--q-factor", "nan"),
+        ("resources", "-n", "5", "--bandwidth-hz", "inf"),
+        ("resources", "-n", "5", "--ref-freq-hz", "-inf"),
     ):
         assert run(tmp_path, *argv) == EXIT_USAGE, argv
 
@@ -229,8 +245,15 @@ def test_bad_delay_grid_is_numeric_error(tmp_path, capsys):
     for max_delay, message in (("-1", "negative delay"), ("nan", "finite"), ("inf", "finite")):
         out = tmp_path / max_delay
         capsys.readouterr()
-        assert run(out, "t1", "--pulses", pulses, "--max-delay-s", max_delay) == EXIT_NUMERIC
-        assert message in capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(out, "t1", "--pulses", pulses, "--max-delay-s", max_delay)
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert message in err
+        # A warning would reach a user's terminal on stderr.
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], max_delay
         assert not (out / "t1.csv").exists()
 
 
@@ -257,3 +280,32 @@ def test_vz_ramsey_cmd(tmp_path):
     lines = (tmp_path / "vz_ramsey.csv").read_text().splitlines()
     assert lines[0] == "theta_deg,p1"
     assert len(lines) == 9
+
+
+# Numeric flags of the commands that take them, each drawn from the values
+# that have ended in tracebacks or warnings (None keeps the default).
+NUMERIC_FLAGS = {
+    "chevron": ("--span-hz", "--step-hz", "--tau-max-s", "--tau-points", "--a-if", "--qubit"),
+    "calibrate": ("--tau-s", "--qubit"),
+    "t1": ("--tau-s", "--points", "--max-delay-s", "--qubit"),
+    "ramsey": ("--tau-s", "--points", "--max-delay-s", "--detuning-hz", "--qubit"),
+    "resources": ("-n", "--q-factor", "--bandwidth-hz", "--ref-freq-hz"),
+}
+EDGE_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", None)
+
+
+@given(data=st.data(), cmd=st.sampled_from(sorted(NUMERIC_FLAGS)))
+@settings(max_examples=30, deadline=None)
+def test_numeric_flags_end_in_documented_exit_codes(data, cmd):
+    argv = [cmd]
+    for flag in NUMERIC_FLAGS[cmd]:
+        value = data.draw(st.sampled_from(EDGE_VALUES), label=flag)
+        if value is None and flag == "-n":
+            value = "10"  # required, no default
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+        code = main([*argv, "--out", out])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_USAGE), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -1,14 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcvz.calibration import CalibratedPulse, pulse_drive
+from qcvz.compiler import Gate, Program, ideal_unitary, schedule
 from qcvz.demux import ChannelTone
-from qcvz.experiments import run_experiment
-from qcvz.mixer import MixerConfig
+from qcvz.experiments import ExperimentError, run_experiment, simulate_schedule
+from qcvz.mixer import BitTimeline, MixerConfig, MixerError, Nonlinearity, baseband_output
 from qcvz.qubit import QubitParams, free_evolve, ground_state, propagate
+from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, SignalError, make_if_program
 
 F_Q = 4.53202e9
 F_LO = 8.0e9
@@ -86,3 +90,100 @@ def test_run_experiment_matches_per_point_loop(
         got = traj.p1
     assert got.shape == want.shape
     assert np.max(np.abs(got - want), initial=0.0) < 1e-12
+
+
+def reference_simulate_schedule(sched, program, q_list, cfg_list, x90_list, cycle_period_s):
+    """Per-qubit loop: an IF program, its baseband drive and a propagation per qubit."""
+    n = sched.n_qubits
+    if not (len(q_list) == len(cfg_list) == len(x90_list) == n):
+        raise ExperimentError("schedule/qubit/mixer/pulse counts disagree")
+    sim = np.empty(n)
+    ideal = np.empty(n)
+    for k in range(n):
+        pulse = x90_list[k]
+        env = Envelope(EnvelopeShape.FLAT, pulse.tau_if_s, pulse.a_if)
+        cycles = [CycleSpec(c.theta_if_deg, env) for c in sched.cycles]
+        bits = BitTimeline(tuple(1 if k in c.fired else 0 for c in sched.cycles))
+        prog = make_if_program(pulse.f_if_hz, cycle_period_s, cycles, quantized=False)
+        cfg = replace(cfg_list[k], channel=replace(cfg_list[k].channel, freq_hz=pulse.f_lo_hz))
+        drive = baseband_output(cfg, prog, bits)
+        sim[k] = propagate(q_list[k], drive, ground_state()).p1[-1]
+        ideal[k] = abs(ideal_unitary(program.gates[k])[1, 0]) ** 2
+    return sim, ideal
+
+
+CYCLE_S = 15e-9
+F_IF = 3.5e9
+GATE_NAMES = ["x90", "x180", "h", "s", "sdg", "t", "tdg", "z45", "z90", "z315"]
+
+
+@st.composite
+def cable_cases(draw):
+    mode = draw(st.sampled_from(["quantized45", "free"]))
+    n = draw(st.integers(1, 4))
+    names = st.sampled_from(GATE_NAMES)
+    if mode == "free":
+        names = st.one_of(names, st.floats(-7.0, 7.0).map(lambda a: f"z:{a!r}"))
+    rows = draw(st.lists(st.lists(names, max_size=6), min_size=n, max_size=n))
+    qubits = []
+    for k in range(n):
+        f_lo = 8.0e9 + 2.5e8 * k
+        qubits.append(dict(
+            f_lo=f_lo,
+            f_q=f_lo - F_IF + draw(st.one_of(st.just(0.0), st.floats(-5e6, 5e6))),
+            t1=draw(st.one_of(st.just(math.inf), st.floats(1e-6, 1e-4))),
+            tphi=draw(st.one_of(st.just(math.inf), st.floats(1e-6, 1e-4))),
+            gain=draw(st.floats(1e7, 8e7)),
+            nonlinearity=draw(st.sampled_from(list(Nonlinearity))),
+            ratio=draw(st.floats(10.0, 100.0)),
+            lo_phase=draw(st.floats(0.0, TWO_PI)),
+            a_if=draw(st.floats(0.0, 1.0)),
+            tau=draw(st.one_of(st.just(CYCLE_S), st.floats(1e-10, CYCLE_S))),
+        ))
+    return mode, rows, qubits
+
+
+def build_cable(mode, rows, qubits):
+    program = Program(tuple(tuple(Gate.parse(g) for g in row) for row in rows))
+    qs = [QubitParams(d["f_q"], d["t1"], d["tphi"]) for d in qubits]
+    cfgs = [
+        MixerConfig(ChannelTone(d["f_lo"], 0.5, d["lo_phase"]), d["gain"], d["ratio"],
+                    d["nonlinearity"])
+        for d in qubits
+    ]
+    x90s = [
+        CalibratedPulse(d["f_lo"], F_IF, d["a_if"], d["tau"], 0.5 * math.pi) for d in qubits
+    ]
+    return schedule(program, mode), program, qs, cfgs, x90s
+
+
+@given(case=cable_cases())
+@settings(max_examples=60, deadline=None)
+def test_simulate_schedule_matches_per_qubit_loop(case):
+    args = build_cable(*case)
+    want_sim, want_ideal = reference_simulate_schedule(*args, CYCLE_S)
+    sim, ideal = simulate_schedule(*args, CYCLE_S)
+    assert sim.shape == ideal.shape == (args[0].n_qubits,)
+    assert np.max(np.abs(sim - want_sim)) < 1e-12
+    assert np.max(np.abs(ideal - want_ideal)) < 1e-12
+
+
+def test_simulate_schedule_rejects_what_the_loop_rejects():
+    qubit = dict(f_lo=8.0e9, f_q=8.0e9 - F_IF, t1=math.inf, tphi=math.inf, gain=4e7,
+                 nonlinearity="linear", ratio=30.0, lo_phase=0.0, a_if=0.5, tau=CYCLE_S)
+    sched, program, qs, cfgs, x90s = build_cable("quantized45", [["x90"], ["h"]], [qubit] * 2)
+    too_long = replace(x90s[1], tau_if_s=2 * CYCLE_S)
+    no_carrier = replace(x90s[1], f_if_hz=9.0e9)
+    for args, exc in (
+        ((sched, program, qs[:1], cfgs, x90s), ExperimentError),
+        ((sched, program, qs, cfgs, [x90s[0], too_long]), SignalError),
+        ((sched, program, qs, cfgs, [x90s[0], no_carrier]), MixerError),
+    ):
+        for fn in (reference_simulate_schedule, simulate_schedule):
+            with pytest.raises(exc):
+                fn(*args, CYCLE_S)
+    # With no cycles no envelope is checked against the cycle period.
+    empty = build_cable("quantized45", [["z45"], []], [qubit] * 2)
+    want = reference_simulate_schedule(*empty[:4], [x90s[0], too_long], CYCLE_S)
+    got = simulate_schedule(*empty[:4], [x90s[0], too_long], CYCLE_S)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

@@ -278,3 +278,15 @@ def test_fit_needs_enough_points():
         for n in (0, 1):
             with pytest.raises(FitError):
                 fit_curve(model, np.zeros(n), np.zeros(n))
+    # Non-finite data, or times with no spread, cannot be fitted (a FitError,
+    # not a ValueError from curve_fit or non-finite parameters).
+    t = np.linspace(0.0, 1e-5, 41)
+    y = np.exp(-t / 2e-6)
+    for model in FitModel:
+        for times, values in (
+            (t, np.where(t > 5e-6, np.nan, y)),
+            (np.where(t > 5e-6, np.inf, t), y),
+            (np.zeros_like(t), y),
+        ):
+            with pytest.raises(FitError):
+                fit_curve(model, times, values)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from qcvz.resources import (
@@ -43,6 +45,9 @@ def test_invalid_inputs():
         max_tones(-1.0, 2.0e9, 5.0e9)
     with pytest.raises(ResourceError):
         cable_count(10, 0)
+    for args in ((math.nan, 2.0e9, 5.0e9), (1.0e4, math.inf, 5.0e9), (1e300, 1e300, 1.0)):
+        with pytest.raises(ResourceError):  # not a ValueError or OverflowError from int()
+            max_tones(*args)
 
 
 def test_resource_report():
