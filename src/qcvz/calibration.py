@@ -25,8 +25,10 @@ from .mixer import (
     BitTimeline,
     DriveEnvelope,
     MixerConfig,
+    MixerError,
     amplitude_map,
     baseband_output,
+    inverse_amplitude_map,
     rabi_rates,
 )
 from .qubit import FitModel, QubitParams, fit_curve
@@ -175,9 +177,9 @@ def calibrate_pulses(
             f"IF frequency must be positive and finite, got {f_if[k]}"))
         live = np.ones(n, dtype=bool)
         live[list(errors)] = False
-        a, final_err = _search(qs, cfg_arr, f_lo, f_if, target, tau, live)
-        fail(final_err > 1e-4, lambda k: CalibrationError(
-            f"amplification stalled: angle error {final_err[k]:.2e} rad > 1e-4"))
+        a, failed = _search(qs, cfg_arr, f_lo, f_if, target, tau, live)
+        for k, exc in failed.items():
+            errors.setdefault(k, exc)
     if errors:
         raise errors[min(errors)]
     return [
@@ -186,11 +188,12 @@ def calibrate_pulses(
     ]
 
 
-def _search(qs, cfg_arr, f_lo, f_if, target, tau, live) -> tuple[np.ndarray, np.ndarray]:
+def _search(qs, cfg_arr, f_lo, f_if, target, tau, live) -> tuple[np.ndarray, dict]:
     """Coarse bisection, then error amplification, over the ``live`` qubits:
-    (a_if, final per-pulse angle error), both 0 for the other qubits."""
+    (a_if, 0 for the other qubits; {qubit: the error that stopped its search})."""
     a = np.zeros(len(qs))
-    final_err = np.zeros(len(qs))
+    failed: dict[int, Exception] = {}
+    live = live.copy()
     t1 = np.array([q.t1_s for q in qs], dtype=float)
     tphi = np.array([q.tphi_s for q in qs], dtype=float)
     # Drives are emitted at theta_if = 0 on carrier f_lo - f_if, as pulse_drive does.
@@ -235,17 +238,30 @@ def _search(qs, cfg_arr, f_lo, f_if, target, tau, live) -> tuple[np.ndarray, np.
             est = _estimate_angles(run(idx, n, _PREP_RHO), 0.5 * math.pi + n * target, n)
             keep = ~(np.abs(est - target) < 1e-6)
             idx, est = idx[keep], est[keep]
-            omega = rabi_rates(cfg_arr[idx], a[idx]) * target / est
-            a[idx] = rabi_rates(cfg_arr[idx], np.minimum(omega, gain[idx]), inverse=True)
+            omega = np.minimum(rabi_rates(cfg_arr[idx], a[idx]) * target / est, gain[idx])
+            neg = omega < 0  # a negative estimate asks for a rate the map rejects
+            for k, w in zip(idx[neg].tolist(), omega[neg].tolist()):
+                try:
+                    inverse_amplitude_map(cfg_arr[k], w)
+                except MixerError as exc:
+                    failed[k] = exc
+            live[idx[neg]] = False
+            idx, omega = idx[~neg], omega[~neg]
+            a[idx] = rabi_rates(cfg_arr[idx], omega, inverse=True)
 
     # A qubit that met the 8-repeat stop rule keeps that amplitude, and its
     # angle error (< 1e-6) is the final one. The others changed amplitude
     # after their last run, so they are run once more.
     if idx.size:
-        final_err[idx] = np.abs(
+        final_err = np.abs(
             _estimate_angles(run(idx, 8, _PREP_RHO), 0.5 * math.pi + 8 * target, 8) - target
         )
-    return a, final_err
+        for k, err in zip(idx.tolist(), final_err.tolist()):
+            if err > 1e-4:
+                failed[k] = CalibrationError(
+                    f"amplification stalled: angle error {err:.2e} rad > 1e-4"
+                )
+    return a, failed
 
 
 def residual_ratio(

@@ -171,7 +171,8 @@ def simulate_schedule(
     # the rest of the cycle is drive-free.
     t_sample = np.arange(SAMPLES_PER_CYCLE) / rate
     n_in = np.count_nonzero(t_sample <= tau[:, None], axis=1)
-    on = rabi_rates(cfg_list, a_if) * np.exp(1j * np.array([c.channel.phase_rad for c in cfg_list]))
+    lo_phase = np.array([c.channel.phase_rad for c in cfg_list], dtype=float)
+    on = rabi_rates(cfg_list, a_if) * np.exp(1j * lo_phase)
     off = np.array([c.off_leakage for c in cfg_list]) * on
     delta = TWO_PI * (carrier - np.array([q.f_qubit_hz for q in q_list], dtype=float))
     t1 = np.array([q.t1_s for q in q_list], dtype=float)
@@ -217,8 +218,7 @@ def _check_pulses(tau, a_if, f_if, carrier, cycle_period_s, has_cycles) -> None:
         (~(carrier < math.inf),
          lambda k: MixerError(f"carrier must be positive and finite, got {carrier[k]}")),
         (not (cycle_period_s > 0 and SAMPLES_PER_CYCLE / cycle_period_s < math.inf),
-         lambda k: MixerError(
-             f"envelope rate must be positive and finite, got {SAMPLES_PER_CYCLE / cycle_period_s}")),
+         lambda k: MixerError("envelope rate must be positive and finite, got inf")),
     ]
     bad = np.array([np.broadcast_to(mask, tau.shape) for mask, _ in checks])
     if bad.any():
