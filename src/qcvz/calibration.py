@@ -205,7 +205,7 @@ def _search(qs, cfg_arr, f_lo, f_if, target, tau, live) -> tuple[np.ndarray, dic
         """Final p1 of ``repeats`` held-sample cycles from rho0, per qubit in idx."""
         s = rabi_rates(cfg_arr[idx], a[idx]) * np.exp(1j * lo_phase[idx])
         gen = qb._generators(t1[idx], tphi[idx], delta[idx], s.real, s.imag)
-        steps = expm(gen * (repeats * SAMPLES_PER_CYCLE / rate))
+        steps = expm(gen * (repeats * SAMPLES_PER_CYCLE / rate))  # as DriveEnvelope.duration_s
         return np.clip((steps[:, 3] @ rho0.reshape(4)).real, 0.0, 1.0)
 
     # Coarse: bisection of the single-pulse population toward sin^2(angle/2).
