@@ -28,7 +28,6 @@ from .qubit import (
     FitModel,
     FitResult,
     propagate,
-    free_evolve,
     rabi_analytic,
     fit_curve,
     ground_state,

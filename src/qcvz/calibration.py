@@ -118,7 +118,6 @@ def calibrate_pulse(
     target_angle_rad: float,
     tau_if_s: float,
     f_lo_hz: float,
-    max_iter: int = 60,
 ) -> CalibratedPulse:
     """Find the IF amplitude realizing the target rotation at fixed duration.
 

@@ -11,7 +11,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,10 +46,6 @@ class DeviceConfig:
     f_if_hz: float
     cycle_period_s: float
     raw: dict
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.qubits)
 
 
 DEFAULT_CONFIG = {
@@ -131,28 +127,58 @@ def load_config(path: str | None) -> DeviceConfig:
     return cfg
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _strict(value):
+    """``value`` with each non-finite float spelled as the JSON string
+    "Infinity", "-Infinity" or "NaN", so that strict JSON can hold it."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_strict(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return {math.inf: "Infinity", -math.inf: "-Infinity"}.get(value, "NaN")
+    return value
 
 
-def _write_sidecar(path: Path, command: str, args: argparse.Namespace, cfg: DeviceConfig) -> None:
-    meta = {
-        "command": command,
-        "seed": getattr(args, "seed", 0),
-        "args": {k: v for k, v in vars(args).items() if k != "func"},
-        "config": cfg.raw,
-    }
-    Path(str(path) + ".meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _outdir(args) -> Path:
-    out = args.out or os.environ.get("QCVZ_OUT_DIR") or "."
-    p = Path(out)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
+class _Artifacts:
+    """Writes one command's artifacts to its output directory (``--out``, else
+    ``QCVZ_OUT_DIR``, else ``.``), each with a ``.meta.json`` sidecar unless
+    ``sidecar=False``."""
+
+    def __init__(self, command: str, args: argparse.Namespace, cfg: DeviceConfig):
+        self.command, self.args, self.cfg = command, args, cfg
+
+    def path(self, name: str) -> Path:
+        out = Path(self.args.out or os.environ.get("QCVZ_OUT_DIR") or ".")
+        out.mkdir(parents=True, exist_ok=True)
+        return out / name
+
+    def _sidecar(self, path: Path) -> None:
+        meta = {"command": self.command, "seed": self.args.seed, "args": vars(self.args),
+                "config": self.cfg.raw}
+        _write_json(Path(f"{path}.meta.json"), _strict(meta))
+
+    def json(self, name: str, obj, sidecar: bool = True) -> None:
+        path = self.path(name)
+        _write_json(path, obj)
+        if sidecar:
+            self._sidecar(path)
+
+    def csv(self, name: str, header: list[str], rows, plot: str | None = None,
+            sidecar: bool = True) -> None:
+        """``<name>.csv``, and its SVG as a ``plot`` chart under ``--plot``."""
+        path = self.path(f"{name}.csv")
+        lines = [",".join(header)]
+        for row in rows:
+            lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row))
+        path.write_text("\n".join(lines) + "\n")
+        if sidecar:
+            self._sidecar(path)
+        if plot and self.args.plot:
+            emit_plot(path, plot)
 
 
 def _get_pulses(
@@ -173,8 +199,7 @@ def _get_pulses(
     return x90, x180
 
 
-def cmd_chevron(cfg: DeviceConfig, args) -> None:
-    out = _outdir(args)
+def cmd_chevron(cfg: DeviceConfig, args, out: _Artifacts) -> None:
     k = args.qubit
     q = cfg.qubits[k]
     f_lo = cfg.mixers[k].channel.freq_hz
@@ -189,20 +214,15 @@ def cmd_chevron(cfg: DeviceConfig, args) -> None:
         ) from exc
     tau_grid = np.linspace(args.tau_max_s / args.tau_points, args.tau_max_s, args.tau_points)
     p1 = chevron(q, cfg.mixers[k], f_lo, f_grid, tau_grid, mixer_on=not args.off, a_if=args.a_if)
-    path = out / "chevron.csv"
     rows = [
         (float(f), float(t), float(p1[i, j]))
         for i, f in enumerate(f_grid)
         for j, t in enumerate(tau_grid)
     ]
-    _write_csv(path, ["f_if_hz", "tau_s", "p1"], rows)
-    _write_sidecar(path, "chevron", args, cfg)
-    if args.plot:
-        emit_plot(path, "heatmap")
+    out.csv("chevron", ["f_if_hz", "tau_s", "p1"], rows, plot="heatmap")
 
 
-def cmd_rabi(cfg: DeviceConfig, args) -> None:
-    out = _outdir(args)
+def cmd_rabi(cfg: DeviceConfig, args, out: _Artifacts) -> None:
     k = args.qubit
     q = cfg.qubits[k]
     f_lo = cfg.mixers[k].channel.freq_hz
@@ -210,16 +230,11 @@ def cmd_rabi(cfg: DeviceConfig, args) -> None:
     pulse = CalibratedPulse(f_lo, f_if, args.a_if, args.tau_max_s, math.pi)
     drive = pulse_drive(cfg.mixers[k], pulse, on=not args.off)
     traj = qb.propagate(q, drive, qb.ground_state(), drive.edges_s)
-    path = out / "rabi.csv"
-    _write_csv(path, ["t_s", "p1"], zip(traj.times_s.tolist(), traj.p1.tolist()))
-    _write_sidecar(path, "rabi", args, cfg)
-    if args.plot:
-        emit_plot(path, "line")
+    out.csv("rabi", ["t_s", "p1"], zip(traj.times_s.tolist(), traj.p1.tolist()), plot="line")
 
 
 def _coherence_cmd(kind: str, model: FitModel):
-    def run(cfg: DeviceConfig, args) -> None:
-        out = _outdir(args)
+    def run(cfg: DeviceConfig, args, out: _Artifacts) -> None:
         k = args.qubit
         x90, x180 = _get_pulses(cfg, k, args.tau_s, args.pulses)
         if not math.isfinite(args.max_delay_s):
@@ -234,76 +249,48 @@ def _coherence_cmd(kind: str, model: FitModel):
             delays_s=delays,
             detuning_hz=getattr(args, "detuning_hz", 0.0),
         )
-        path = out / f"{kind}.csv"
-        _write_csv(path, ["t_s", "p1"], zip(traj.times_s.tolist(), traj.p1.tolist()))
-        _write_sidecar(path, kind, args, cfg)
         fit = fit_curve(model, traj.times_s, traj.p1)
+        out.csv(kind, ["t_s", "p1"], zip(traj.times_s.tolist(), traj.p1.tolist()), plot="line")
         # A singular covariance leaves sigma non-finite; strict JSON has null.
         sigma = {key: v if math.isfinite(v) else None for key, v in fit.sigma.items()}
-        (out / f"{kind}_fit.json").write_text(
-            json.dumps(
-                {"model": fit.model.value, "params": fit.params, "sigma": sigma,
-                 "residual": fit.residual},
-                indent=2,
-                sort_keys=True,
-                allow_nan=False,
-            )
-            + "\n"
-        )
-        if args.plot:
-            emit_plot(path, "line")
+        out.json(f"{kind}_fit.json", {"model": fit.model.value, "params": fit.params,
+                                      "sigma": sigma, "residual": fit.residual}, sidecar=False)
 
     return run
 
 
-def cmd_vz_ramsey(cfg: DeviceConfig, args) -> None:
-    out = _outdir(args)
+def cmd_vz_ramsey(cfg: DeviceConfig, args, out: _Artifacts) -> None:
     k = args.qubit
     x90, _ = _get_pulses(cfg, k, args.tau_s, args.pulses)
     thetas = np.arange(args.points) * (360.0 / args.points)
     _, p1 = run_experiment(
         "vz_ramsey", cfg.qubits[k], cfg.mixers[k], x90, dtheta_deg=thetas
     )
-    path = out / "vz_ramsey.csv"
-    _write_csv(path, ["theta_deg", "p1"], zip(thetas.tolist(), p1.tolist()))
-    _write_sidecar(path, "vz-ramsey", args, cfg)
-    if args.plot:
-        emit_plot(path, "line")
+    out.csv("vz_ramsey", ["theta_deg", "p1"], zip(thetas.tolist(), p1.tolist()), plot="line")
 
 
-def cmd_calibrate(cfg: DeviceConfig, args) -> None:
-    out = _outdir(args)
+def cmd_calibrate(cfg: DeviceConfig, args, out: _Artifacts) -> None:
     x90, x180 = _get_pulses(cfg, args.qubit, args.tau_s, None)
-    path = out / "pulses.json"
-    path.write_text(
-        json.dumps({"x90": x90.to_dict(), "x180": x180.to_dict()}, indent=2, sort_keys=True) + "\n"
-    )
-    _write_sidecar(path, "calibrate", args, cfg)
+    out.json("pulses.json", {"x90": x90.to_dict(), "x180": x180.to_dict()})
 
 
-def cmd_spectrum(cfg: DeviceConfig, args) -> None:
-    out = _outdir(args)
+def cmd_spectrum(cfg: DeviceConfig, args, out: _Artifacts) -> None:
     k = args.qubit
     mix = cfg.mixers[k]
     env = Envelope("flat", cfg.cycle_period_s, 1.0)
     prog = make_if_program(cfg.f_if_hz, cfg.cycle_period_s, [CycleSpec(0.0, env)])
     rate = 4.0 * (mix.channel.freq_hz + cfg.f_if_hz)
     tones = output_spectrum(mix, prog, BitTimeline((0 if args.off else 1,)), rate)
-    path = out / "spectrum.csv"
-    _write_csv(path, ["freq_hz", "power_db"], [(float(f), float(p)) for f, p in tones])
-    _write_sidecar(path, "spectrum", args, cfg)
+    out.csv("spectrum", ["freq_hz", "power_db"], [(float(f), float(p)) for f, p in tones])
     _, xtalk = demux(cfg.resonators, cfg.lo)
-    xpath = out / "crosstalk.csv"
-    _write_csv(
-        xpath,
+    out.csv(
+        "crosstalk",
         ["resonator"] + [f"tone{j}_db" for j in range(xtalk.shape[1])],
         [(i, *[float(v) for v in row]) for i, row in enumerate(xtalk)],
     )
-    _write_sidecar(xpath, "spectrum", args, cfg)
 
 
-def cmd_compile(cfg: DeviceConfig, args) -> None:
-    out = _outdir(args)
+def cmd_compile(cfg: DeviceConfig, args, out: _Artifacts) -> None:
     try:
         prog_raw = json.loads(Path(args.program).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -318,58 +305,26 @@ def cmd_compile(cfg: DeviceConfig, args) -> None:
     program = Program(tuple(tuple(map(Gate.parse, gates)) for gates in qubits))
     sched = schedule(program, args.mode)
     stats = parallelism_stats(sched)
-    path = out / "schedule.json"
-    path.write_text(json.dumps(sched.to_dict(), indent=2, sort_keys=True) + "\n")
-    _write_sidecar(path, "compile", args, cfg)
-    csv_path = out / "schedule.csv"
-    _write_csv(
-        csv_path,
+    out.json("schedule.json", sched.to_dict())
+    out.csv(
+        "schedule",
         ["cycle", "slot", "theta_if_deg", "n_fired"],
         [(i, c.slot, float(c.theta_if_deg), len(c.fired)) for i, c in enumerate(sched.cycles)],
+        sidecar=False,
     )
-    (out / "schedule_stats.json").write_text(
-        json.dumps(
-            {
-                "cycles": stats.cycles,
-                "mean_fired": stats.mean_fired,
-                "max_fired": stats.max_fired,
-                "min_nonzero_fired": stats.min_nonzero_fired,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    out.json("schedule_stats.json", asdict(stats), sidecar=False)
 
 
-def cmd_resources(cfg: DeviceConfig, args) -> None:
-    out = _outdir(args)
+def cmd_resources(cfg: DeviceConfig, args, out: _Artifacts) -> None:
     rep = resource_report(
         args.n, q=args.q_factor, bandwidth_hz=args.bandwidth_hz, ref_freq_hz=args.ref_freq_hz
     )
-    path = out / "resources.json"
-    path.write_text(json.dumps(rep.to_dict(), indent=2, sort_keys=True) + "\n")
-    _write_sidecar(path, "resources", args, cfg)
-    (out / "resources.txt").write_text(rep.table() + "\n")
+    out.json("resources.json", rep.to_dict())
+    out.path("resources.txt").write_text(rep.table() + "\n")
 
 
-def cmd_plot(cfg: DeviceConfig, args) -> None:
+def cmd_plot(cfg: DeviceConfig, args, out: _Artifacts) -> None:
     emit_plot(args.csv, args.kind, args.svg)
-
-
-COMMANDS = {
-    "chevron": cmd_chevron,
-    "rabi": cmd_rabi,
-    "t1": _coherence_cmd("t1", FitModel.EXP_DECAY),
-    "ramsey": _coherence_cmd("ramsey", FitModel.DAMPED_COSINE),
-    "echo": _coherence_cmd("echo", FitModel.EXP_DECAY),
-    "vz-ramsey": cmd_vz_ramsey,
-    "calibrate": cmd_calibrate,
-    "spectrum": cmd_spectrum,
-    "compile": cmd_compile,
-    "resources": cmd_resources,
-    "plot": cmd_plot,
-}
 
 
 def _finite(kind, positive: bool = False):
@@ -392,47 +347,85 @@ def _positive(kind):
     return _finite(kind, positive=True)
 
 
+# Flag rows, (name, add_argument keywords), that several commands share.
+_QUBIT = ("--qubit", dict(type=int, default=0))
+_OFF = ("--off", dict(action="store_true"))
+_TAU_S = ("--tau-s", dict(type=_positive(float), default=None,
+                         help="pulse duration for calibration"))
+_PULSES = ("--pulses", dict(default=None, help="persisted pulses.json"))
+_MAX_DELAY_S = ("--max-delay-s", dict(type=float, default=8.0e-5))
+
+
+def _points(default: int):
+    return ("--points", dict(type=_positive(int), default=default))
+
+
+_COHERENCE = (_QUBIT, _TAU_S, _points(41), _PULSES, _MAX_DELAY_S)
+
+# command -> (handler, flag rows); every command also takes --config, --out,
+# --seed and --plot.
+COMMANDS = {
+    "chevron": (cmd_chevron, (
+        _QUBIT,
+        ("--span-hz", dict(type=_finite(float), default=8.0e6)),
+        ("--step-hz", dict(type=_positive(float), default=2.0e5)),
+        ("--tau-max-s", dict(type=_positive(float), default=2.5e-6)),
+        ("--tau-points", dict(type=_positive(int), default=26)),
+        ("--a-if", dict(type=float, default=0.05)),
+        _OFF,
+    )),
+    "rabi": (cmd_rabi, (
+        _QUBIT,
+        ("--a-if", dict(type=float, default=1.0)),
+        ("--tau-max-s", dict(type=_positive(float), default=5.0e-7)),
+        _OFF,
+    )),
+    "t1": (_coherence_cmd("t1", FitModel.EXP_DECAY), _COHERENCE),
+    "ramsey": (_coherence_cmd("ramsey", FitModel.DAMPED_COSINE), (
+        *_COHERENCE, ("--detuning-hz", dict(type=_finite(float), default=3.4e5)))),
+    "echo": (_coherence_cmd("echo", FitModel.EXP_DECAY), _COHERENCE),
+    "vz-ramsey": (cmd_vz_ramsey, (_QUBIT, _TAU_S, _points(36), _PULSES)),
+    "calibrate": (cmd_calibrate, (_QUBIT, _TAU_S)),
+    "spectrum": (cmd_spectrum, (_QUBIT, _OFF)),
+    "compile": (cmd_compile, (
+        ("--program", dict(required=True)),
+        ("--mode", dict(choices=["quantized45", "free"], default="quantized45")),
+    )),
+    "resources": (cmd_resources, (
+        ("-n", dict(type=int, required=True)),
+        ("--q-factor", dict(type=_finite(float), default=1.0e4)),
+        ("--bandwidth-hz", dict(type=_finite(float), default=2.0e9)),
+        ("--ref-freq-hz", dict(type=_finite(float), default=5.0e9)),
+    )),
+    "plot": (cmd_plot, (
+        ("--csv", dict(required=True)),
+        ("--kind", dict(choices=["line", "heatmap"], required=True)),
+        ("--svg", dict(default=None)),
+    )),
+}
+
+
+class _UsageError(ValueError):
+    """A flag value the parser accepted but the device cannot take."""
+
+
+# Each error class a command may raise, and its exit code.
+_EXIT_CODES = {
+    ConfigError: EXIT_CONFIG,
+    _UsageError: EXIT_USAGE,
+    **dict.fromkeys((FitError, CalibrationError, ExperimentError, PlotError, CompileError,
+                     MixerError, SignalError, ResourceError, qb.QubitError), EXIT_NUMERIC),
+}
+
+
 def _build_parser(cmd: str) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog=f"qcvz {cmd}")
     p.add_argument("--config", default=None, help="device config JSON")
     p.add_argument("--out", default=None, help="output directory (or QCVZ_OUT_DIR)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--plot", action="store_true", help="also emit SVG plots")
-    if cmd in ("chevron", "rabi", "t1", "ramsey", "echo", "vz-ramsey", "calibrate", "spectrum"):
-        p.add_argument("--qubit", type=int, default=0)
-    if cmd == "chevron":
-        p.add_argument("--span-hz", type=_finite(float), default=8.0e6)
-        p.add_argument("--step-hz", type=_positive(float), default=2.0e5)
-        p.add_argument("--tau-max-s", type=_positive(float), default=2.5e-6)
-        p.add_argument("--tau-points", type=_positive(int), default=26)
-        p.add_argument("--a-if", type=float, default=0.05)
-    if cmd == "rabi":
-        p.add_argument("--a-if", type=float, default=1.0)
-        p.add_argument("--tau-max-s", type=float, default=5.0e-7)
-    if cmd in ("chevron", "rabi", "spectrum"):
-        p.add_argument("--off", action="store_true")
-    if cmd in ("t1", "ramsey", "echo", "vz-ramsey", "calibrate"):
-        p.add_argument("--tau-s", type=_positive(float), default=None,
-                       help="pulse duration for calibration")
-    if cmd in ("t1", "ramsey", "echo", "vz-ramsey"):
-        p.add_argument("--points", type=_positive(int), default=36 if cmd == "vz-ramsey" else 41)
-        p.add_argument("--pulses", default=None, help="persisted pulses.json")
-    if cmd in ("t1", "ramsey", "echo"):
-        p.add_argument("--max-delay-s", type=float, default=8.0e-5)
-    if cmd == "ramsey":
-        p.add_argument("--detuning-hz", type=_finite(float), default=3.4e5)
-    if cmd == "compile":
-        p.add_argument("--program", required=True)
-        p.add_argument("--mode", choices=["quantized45", "free"], default="quantized45")
-    if cmd == "resources":
-        p.add_argument("-n", type=int, required=True)
-        p.add_argument("--q-factor", type=_finite(float), default=1.0e4)
-        p.add_argument("--bandwidth-hz", type=_finite(float), default=2.0e9)
-        p.add_argument("--ref-freq-hz", type=_finite(float), default=5.0e9)
-    if cmd == "plot":
-        p.add_argument("--csv", required=True)
-        p.add_argument("--kind", choices=["line", "heatmap"], required=True)
-        p.add_argument("--svg", default=None)
+    for name, kwargs in COMMANDS[cmd][1]:
+        p.add_argument(name, **kwargs)
     return p
 
 
@@ -445,28 +438,18 @@ def main(argv: list[str] | None = None) -> int:
     if cmd not in COMMANDS:
         print(f"qcvz: unknown command {cmd!r}", file=sys.stderr)
         return EXIT_USAGE
-    parser = _build_parser(cmd)
     try:
-        args = parser.parse_args(argv[1:])
-    except SystemExit as exc:
-        return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    try:
+        args = _build_parser(cmd).parse_args(argv[1:])
         cfg = load_config(args.config)
-    except ConfigError as exc:
+        n = len(cfg.qubits)
+        if not 0 <= getattr(args, "qubit", 0) < n:
+            raise _UsageError(f"--qubit {args.qubit} is not in 0..{n - 1}")
+        COMMANDS[cmd][0](cfg, args, _Artifacts(cmd, args, cfg))
+    except SystemExit as exc:  # argparse: --help, or a flag it rejects
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
+    except tuple(_EXIT_CODES) as exc:
         print(f"qcvz: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if not 0 <= getattr(args, "qubit", 0) < cfg.n_qubits:
-        print(f"qcvz: --qubit {args.qubit} is not in 0..{cfg.n_qubits - 1}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        COMMANDS[cmd](cfg, args)
-    except ConfigError as exc:
-        print(f"qcvz: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FitError, CalibrationError, ExperimentError, PlotError,
-            CompileError, MixerError, SignalError, ResourceError, qb.QubitError) as exc:
-        print(f"qcvz: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     return EXIT_OK
 
 

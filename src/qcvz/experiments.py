@@ -109,7 +109,10 @@ def run_experiment(
         # R = diag(1, e^{i theta}, e^{-i theta}, 1), exact since l0 commutes with Z.
         r = np.exp(1j * np.outer(np.radians(thetas), [0, 1, -1, 0]))
         rotated = r[:, :, None] * s90 * r.conj()[:, None, :]
-        return thetas, (rotated @ rho)[:, 3].real
+        p1 = (rotated @ rho)[:, 3].real
+        if not np.all((p1 >= -1e-9) & (p1 <= 1.0 + 1e-9)):  # NaN fails too
+            raise ExperimentError("populations out of [0, 1]")
+        return thetas, p1
 
     if delays_s is None:
         raise ExperimentError(f"{kind.value} needs a delay grid")

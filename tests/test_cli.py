@@ -58,6 +58,7 @@ def test_bad_flag_is_usage_error(tmp_path):
         ("chevron", "--span-hz", "nan"),
         ("chevron", "--span-hz", "inf"),
         ("chevron", "--tau-max-s", "-inf"),
+        ("rabi", "--tau-max-s", "-1"),
         ("ramsey", "--detuning-hz", "-inf"),
         ("resources", "-n", "5", "--q-factor", "nan"),
         ("resources", "-n", "5", "--bandwidth-hz", "inf"),
@@ -257,6 +258,10 @@ def test_bad_delay_grid_is_numeric_error(tmp_path, capsys):
         assert not (out / "t1.csv").exists()
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 def test_fit_json_is_strict_when_covariance_is_singular(tmp_path, monkeypatch):
     # A noise-free exponential leaves curve_fit's covariance singular.
     def noise_free_t1(kind, q, cfg, x90, x180, delays_s, **kwargs):
@@ -267,10 +272,7 @@ def test_fit_json_is_strict_when_covariance_is_singular(tmp_path, monkeypatch):
         warnings.simplefilter("error", OptimizeWarning)
         assert run(tmp_path, "t1") == EXIT_OK
 
-    def reject(token):
-        raise ValueError(f"non-standard JSON constant {token}")
-
-    fit = json.loads((tmp_path / "t1_fit.json").read_text(), parse_constant=reject)
+    fit = json.loads((tmp_path / "t1_fit.json").read_text(), parse_constant=_reject_constant)
     assert fit["params"]["tau"] == pytest.approx(25.3e-6, rel=1e-6)
     assert fit["sigma"] == {"a": None, "c": None, "tau": None}
 
@@ -282,20 +284,88 @@ def test_vz_ramsey_cmd(tmp_path):
     assert len(lines) == 9
 
 
-# Numeric flags of the commands that take them, each drawn from the values
-# that have ended in tracebacks or warnings (None keeps the default).
+def test_sidecars_are_strict_json_with_infinite_config(tmp_path):
+    # The config format allows Infinity for t1_s and tphi_s (no decay).
+    raw = dict(cli.DEFAULT_CONFIG, qubits=[{"f_qubit_hz": 4.53202e9, "t1_s": math.inf,
+                                             "tphi_s": math.inf}])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert run(out, "calibrate", "--config", str(cfg)) == EXIT_OK
+    artifacts = sorted(out.glob("*.json"))
+    assert [p.name for p in artifacts] == ["pulses.json", "pulses.json.meta.json"]
+    for path in artifacts:
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+    meta = json.loads((out / "pulses.json.meta.json").read_text())
+    assert meta["config"]["qubits"][0]["t1_s"] == meta["config"]["qubits"][0]["tphi_s"] == (
+        "Infinity")
+
+
+def test_nan_populations_are_numeric_errors(tmp_path):
+    # An absurd duration leaves every population NaN; no CSV may be written.
+    for argv in (
+        ("rabi", "--tau-max-s", "1e300"),
+        ("chevron", "--tau-max-s", "1e300", "--tau-points", "2", "--step-hz", "4e6"),
+        ("vz-ramsey", "--tau-s", "1e300"),
+        ("t1", "--tau-s", "1e300"),
+    ):
+        out = tmp_path / argv[0]
+        assert run(out, *argv) == EXIT_NUMERIC, argv
+        assert not list(out.glob("*.csv")), argv
+
+
+# Each command's parsed flags with only its required flags given.
+PARSED_DEFAULTS = {
+    "calibrate": {"config": None, "out": None, "seed": 0, "plot": False, "qubit": 0,
+                  "tau_s": None},
+    "chevron": {"config": None, "out": None, "seed": 0, "plot": False, "qubit": 0,
+                "span_hz": 8000000.0, "step_hz": 200000.0, "tau_max_s": 2.5e-06,
+                "tau_points": 26, "a_if": 0.05, "off": False},
+    "compile": {"config": None, "out": None, "seed": 0, "plot": False, "program": "p.json",
+                "mode": "quantized45"},
+    "echo": {"config": None, "out": None, "seed": 0, "plot": False, "qubit": 0, "tau_s": None,
+             "points": 41, "pulses": None, "max_delay_s": 8e-05},
+    "plot": {"config": None, "out": None, "seed": 0, "plot": False, "csv": "a.csv",
+             "kind": "line", "svg": None},
+    "rabi": {"config": None, "out": None, "seed": 0, "plot": False, "qubit": 0, "a_if": 1.0,
+             "tau_max_s": 5e-07, "off": False},
+    "ramsey": {"config": None, "out": None, "seed": 0, "plot": False, "qubit": 0,
+               "tau_s": None, "points": 41, "pulses": None, "max_delay_s": 8e-05,
+               "detuning_hz": 340000.0},
+    "resources": {"config": None, "out": None, "seed": 0, "plot": False, "n": 10,
+                  "q_factor": 10000.0, "bandwidth_hz": 2000000000.0,
+                  "ref_freq_hz": 5000000000.0},
+    "spectrum": {"config": None, "out": None, "seed": 0, "plot": False, "qubit": 0,
+                 "off": False},
+    "t1": {"config": None, "out": None, "seed": 0, "plot": False, "qubit": 0, "tau_s": None,
+           "points": 41, "pulses": None, "max_delay_s": 8e-05},
+    "vz-ramsey": {"config": None, "out": None, "seed": 0, "plot": False, "qubit": 0,
+                  "tau_s": None, "points": 36, "pulses": None},
+}
+REQUIRED_FLAGS = {"compile": ["--program", "p.json"], "resources": ["-n", "10"],
+                  "plot": ["--csv", "a.csv", "--kind", "line"]}
+
+
+def test_each_command_parses_its_flags():
+    assert sorted(cli.COMMANDS) == sorted(PARSED_DEFAULTS)
+    for cmd, want in PARSED_DEFAULTS.items():
+        args = cli._build_parser(cmd).parse_args(REQUIRED_FLAGS.get(cmd, []))
+        assert vars(args) == want, cmd
+
+
+# The numeric flags of each command that takes any, from the command table,
+# each drawn from the values that have ended in tracebacks or warnings (None
+# keeps the default).
 NUMERIC_FLAGS = {
-    "chevron": ("--span-hz", "--step-hz", "--tau-max-s", "--tau-points", "--a-if", "--qubit"),
-    "calibrate": ("--tau-s", "--qubit"),
-    "t1": ("--tau-s", "--points", "--max-delay-s", "--qubit"),
-    "ramsey": ("--tau-s", "--points", "--max-delay-s", "--detuning-hz", "--qubit"),
-    "resources": ("-n", "--q-factor", "--bandwidth-hz", "--ref-freq-hz"),
+    cmd: tuple(name for name, kwargs in rows if "type" in kwargs)
+    for cmd, (_, rows) in cli.COMMANDS.items()
+    if any("type" in kwargs for _, kwargs in rows)
 }
 EDGE_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", None)
 
 
 @given(data=st.data(), cmd=st.sampled_from(sorted(NUMERIC_FLAGS)))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_numeric_flags_end_in_documented_exit_codes(data, cmd):
     argv = [cmd]
     for flag in NUMERIC_FLAGS[cmd]:
@@ -307,5 +377,13 @@ def test_numeric_flags_end_in_documented_exit_codes(data, cmd):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
         code = main([*argv, "--out", out])
+        cells = [
+            cell
+            for csv in Path(out).glob("*.csv")
+            for line in csv.read_text().splitlines()[1:]
+            for cell in line.split(",")
+        ]
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_USAGE), argv
     assert "Traceback" not in err.getvalue(), argv
+    if code == EXIT_OK:
+        assert all(math.isfinite(float(cell)) for cell in cells), argv

@@ -11,7 +11,7 @@ from qcvz.compiler import Gate, Program, ideal_unitary, schedule
 from qcvz.demux import ChannelTone
 from qcvz.experiments import ExperimentError, run_experiment, simulate_schedule
 from qcvz.mixer import BitTimeline, MixerConfig, MixerError, Nonlinearity, baseband_output
-from qcvz.qubit import QubitParams, free_evolve, ground_state, propagate
+from qcvz.qubit import QubitParams, delay_maps, ground_state, propagate
 from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, SignalError, make_if_program
 
 F_Q = 4.53202e9
@@ -24,13 +24,17 @@ def _apply_pulse(q, cfg, pulse, rho, theta_if_deg=0.0, f_if_hz=None):
     return propagate(q, drive, rho).rho_final
 
 
+def _free(q, rho, t_s, delta_rad=0.0):
+    return (delay_maps(q, t_s, delta_rad)[0] @ rho.reshape(4)).reshape(2, 2)
+
+
 def reference_experiment(kind, q, cfg, x90, x180, delays, detuning_hz, thetas, vz_delay_s):
     """Per-point loop: every pulse and delay rebuilt and propagated at each point."""
     if kind == "vz_ramsey":
         p1 = []
         for dth in thetas:
             rho = _apply_pulse(q, cfg, x90, ground_state())
-            rho = free_evolve(q, rho, vz_delay_s)
+            rho = _free(q, rho, vz_delay_s)
             rho = _apply_pulse(q, cfg, x90, rho, theta_if_deg=float(dth))
             p1.append(rho[1, 1].real)
         return np.array(p1)
@@ -40,16 +44,16 @@ def reference_experiment(kind, q, cfg, x90, x180, delays, detuning_hz, thetas, v
     for d in delays:
         if kind == "t1":
             rho = _apply_pulse(q, cfg, x180, ground_state())
-            rho = free_evolve(q, rho, float(d))
+            rho = _free(q, rho, float(d))
         elif kind == "ramsey":
             rho = _apply_pulse(q, cfg, x90, ground_state(), f_if_hz=f_if_det)
-            rho = free_evolve(q, rho, float(d), delta)
+            rho = _free(q, rho, float(d), delta)
             rho = _apply_pulse(q, cfg, x90, rho, f_if_hz=f_if_det)
         else:  # echo
             rho = _apply_pulse(q, cfg, x90, ground_state())
-            rho = free_evolve(q, rho, 0.5 * float(d))
+            rho = _free(q, rho, 0.5 * float(d))
             rho = _apply_pulse(q, cfg, x180, rho)
-            rho = free_evolve(q, rho, 0.5 * float(d))
+            rho = _free(q, rho, 0.5 * float(d))
             rho = _apply_pulse(q, cfg, x90, rho)
         p1.append(rho[1, 1].real)
     return np.clip(p1, 0.0, 1.0)

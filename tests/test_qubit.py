@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcvz.calibration import CalibratedPulse
@@ -22,7 +22,6 @@ from qcvz.qubit import (
     excited_state,
     delay_maps,
     fit_curve,
-    free_evolve,
     ground_state,
     liouvillian_parts,
     propagate,
@@ -181,17 +180,27 @@ def test_evolve_t1_decay():
     assert np.max(np.abs(traj.p1 - expect)) < 1e-7
 
 
-def test_free_evolve_closed_form():
-    q = QubitParams(F_Q, t1_s=20e-6, tphi_s=30e-6)
-    rho = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    t = 7e-6
-    delta = TWO_PI * 0.3e6
-    out = free_evolve(q, rho, t, delta)
-    assert out[1, 1].real == pytest.approx(0.5 * math.exp(-t / 20e-6), rel=1e-12)
-    coh = 0.5 * np.exp(-1j * delta * t) * math.exp(-t / q.t2_s)
-    assert out[0, 1] == pytest.approx(coh)
-    assert out[1, 0] == pytest.approx(np.conj(coh))
-    assert np.trace(out) == pytest.approx(1.0)
+@given(
+    t1=st.one_of(st.just(math.inf), st.floats(1e-7, 1e-3)),
+    tphi=st.one_of(st.just(math.inf), st.floats(1e-7, 1e-3)),
+    delta=st.one_of(st.just(0.0), st.floats(-TWO_PI * 1e7, TWO_PI * 1e7)),
+    t=st.floats(0.0, 2e-5),
+    bloch=st.tuples(*[st.floats(-0.57, 0.57)] * 3),  # inside the unit ball
+)
+@example(t1=20e-6, tphi=30e-6, delta=TWO_PI * 0.3e6, t=7e-6, bloch=(1.0, 0.0, 0.0))
+@example(t1=1e-7, tphi=math.inf, delta=1e-307, t=1.3e-5, bloch=(0.1, 0.2, 0.3))  # was NaN
+@settings(max_examples=300, deadline=None)
+def test_delay_maps_closed_form(t1, tphi, delta, t, bloch):
+    # Drive-free: p1 relaxes at 1/T1; rho01 rotates at delta and decays at 1/T2.
+    q = QubitParams(F_Q, t1_s=t1, tphi_s=tphi)
+    x, y, z = bloch
+    rho = 0.5 * (np.eye(2) + x * SX + y * SY + z * SZ)
+    out = (delay_maps(q, t, delta)[0] @ rho.reshape(4)).reshape(2, 2)
+    coh = rho[0, 1] * np.exp(-1j * delta * t) * math.exp(-t / q.t2_s)
+    assert abs(out[1, 1] - rho[1, 1] * math.exp(-t / t1)) < 1e-13
+    assert abs(out[0, 1] - coh) < 1e-13
+    assert abs(out[1, 0] - np.conj(coh)) < 1e-13
+    assert abs(np.trace(out) - 1.0) < 1e-13
     validate_density_matrix(out)
 
 
@@ -232,17 +241,17 @@ def test_delay_maps_reject_bad_delays():
     assert delay_maps(q, [0.0, 1e-6]).shape == (2, 4, 4)
     for t in (-1e-9, math.nan, math.inf, -math.inf):
         with pytest.raises(QubitError):
-            free_evolve(q, ground_state(), t)
+            delay_maps(q, t)
         with pytest.raises(QubitError):
             delay_maps(q, [0.0, 1e-6, t])
 
 
-def test_free_evolve_matches_evolve():
+def test_delay_maps_match_propagate():
     q = QubitParams(F_Q, t1_s=12e-6, tphi_s=9e-6)
     rho = np.array([[0.75, 0.25 - 0.3j], [0.25 + 0.3j, 0.25]], dtype=complex)
     t = 2e-6
     traj = propagate(q, flat_drive(0.0, t), rho)
-    direct = free_evolve(q, rho, t)
+    direct = (delay_maps(q, t)[0] @ rho.reshape(4)).reshape(2, 2)
     assert np.max(np.abs(traj.rho_final - direct)) < 1e-8
 
 
