@@ -17,8 +17,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from scipy.linalg import expm
-
 from . import qubit as qb
 from .mixer import (
     SAMPLES_PER_CYCLE,
@@ -71,27 +69,13 @@ class CalibratedPulse:
         )
 
 
-def pulse_drive(
-    cfg: MixerConfig,
-    pulse: CalibratedPulse,
-    theta_if_deg: float = 0.0,
-    repeats: int = 1,
-    on: bool = True,
-    f_if_hz: float | None = None,
-    a_if: float | None = None,
-) -> DriveEnvelope:
-    """Drive envelope for ``repeats`` back-to-back copies of a calibrated pulse."""
+def pulse_drive(cfg: MixerConfig, pulse: CalibratedPulse, on: bool = True) -> DriveEnvelope:
+    """Drive envelope of one calibrated pulse, filling its own cycle, with the
+    mixer on or off."""
     cfg = replace(cfg, channel=replace(cfg.channel, freq_hz=pulse.f_lo_hz))
-    env = Envelope(EnvelopeShape.FLAT, pulse.tau_if_s, pulse.a_if if a_if is None else a_if)
-    cycles = [CycleSpec(theta_if_deg, env) for _ in range(repeats)]
-    prog = make_if_program(
-        f_if_hz if f_if_hz is not None else pulse.f_if_hz,
-        pulse.tau_if_s,
-        cycles,
-        quantized=False,
-    )
-    bits = BitTimeline(tuple(1 if on else 0 for _ in range(repeats)))
-    return baseband_output(cfg, prog, bits)
+    env = Envelope(EnvelopeShape.FLAT, pulse.tau_if_s, pulse.a_if)
+    prog = make_if_program(pulse.f_if_hz, pulse.tau_if_s, [CycleSpec(0.0, env)], quantized=False)
+    return baseband_output(cfg, prog, BitTimeline((1 if on else 0,)))
 
 
 # State after an exact pi/2 rotation about x from ground; biases the
@@ -203,8 +187,8 @@ def _search(qs, cfg_arr, f_lo, f_if, target, tau, live) -> tuple[np.ndarray, dic
     def run(idx, repeats, rho0):
         """Final p1 of ``repeats`` held-sample cycles from rho0, per qubit in idx."""
         s = rabi_rates(cfg_arr[idx], a[idx]) * np.exp(1j * lo_phase[idx])
-        gen = qb._generators(t1[idx], tphi[idx], delta[idx], s.real, s.imag)
-        steps = expm(gen * (repeats * SAMPLES_PER_CYCLE / rate))  # as DriveEnvelope.duration_s
+        dt = repeats * SAMPLES_PER_CYCLE / rate  # as DriveEnvelope.duration_s
+        steps = qb._held_maps(t1[idx], tphi[idx], delta[idx], s, dt)
         return np.clip((steps[:, 3] @ rho0.reshape(4)).real, 0.0, 1.0)
 
     # Coarse: bisection of the single-pulse population toward sin^2(angle/2).

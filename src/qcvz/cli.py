@@ -371,12 +371,12 @@ COMMANDS = {
         ("--step-hz", dict(type=_positive(float), default=2.0e5)),
         ("--tau-max-s", dict(type=_positive(float), default=2.5e-6)),
         ("--tau-points", dict(type=_positive(int), default=26)),
-        ("--a-if", dict(type=float, default=0.05)),
+        ("--a-if", dict(type=_finite(float), default=0.05)),
         _OFF,
     )),
     "rabi": (cmd_rabi, (
         _QUBIT,
-        ("--a-if", dict(type=float, default=1.0)),
+        ("--a-if", dict(type=_finite(float), default=1.0)),
         ("--tau-max-s", dict(type=_positive(float), default=5.0e-7)),
         _OFF,
     )),

@@ -144,6 +144,22 @@ _STEPS = {
 }
 
 
+def _gate_codes(rows) -> tuple[list[Gate], np.ndarray]:
+    """(gates, codes): the distinct Gate objects of ``rows`` and a padded
+    matrix where codes[i, j] indexes row i's gate j in ``gates``; len(gates)
+    pads the short rows."""
+    flat = list(itertools.chain.from_iterable(rows))
+    lens = np.fromiter(map(len, rows), np.intp, count=len(rows))
+    # Gates are grouped by identity: parsed gates are shared, so a program
+    # holds few distinct objects however long it is.
+    _, first, flat_codes = np.unique(np.fromiter(map(id, flat), np.uintp, count=len(flat)),
+                                     return_index=True, return_inverse=True)
+    maxg = int(lens.max(initial=0))
+    codes = np.full((len(rows), maxg), len(first), dtype=np.intp)
+    codes[np.arange(maxg) < lens[:, None]] = flat_codes
+    return [flat[i] for i in first], codes
+
+
 def _lower_rows(rows, quantized: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lower gate rows in one padded pass.
 
@@ -151,23 +167,16 @@ def _lower_rows(rows, quantized: bool) -> tuple[np.ndarray, np.ndarray, np.ndarr
     thetas_deg[i, :lens[i]] and its residual frame is final_frame_rad[i].
     """
     n = len(rows)
-    flat = list(itertools.chain.from_iterable(rows))
-    gate_lens = np.fromiter(map(len, rows), np.intp, count=n)
-    # One table row per distinct Gate object: parsed gates are shared, so a
-    # program holds few distinct objects however long it is.
-    _, first, flat_codes = np.unique(np.fromiter(map(id, flat), np.uintp, count=len(flat)),
-                                     return_index=True, return_inverse=True)
-    table = np.array([_STEPS.get(flat[i].kind, (flat[i].angle_rad, 0, 0.0)) for i in first]
+    gates, codes = _gate_codes(rows)
+    maxg = codes.shape[1]
+    table = np.array([_STEPS.get(g.kind, (g.angle_rad, 0, 0.0)) for g in gates]
                      + [(0.0, 0, 0.0)])  # the last row pads short rows
-    maxg = int(gate_lens.max(initial=0))
-    codes = np.full((n, maxg), len(first), dtype=np.intp)
-    codes[np.arange(maxg) < gate_lens[:, None]] = flat_codes
     ab = table[:, [0, 2]]
     if quantized:
         units = ab / QUARTER
         off = (np.abs(units - np.rint(units)) > 1e-9).any(axis=1)
         if off.any():
-            ang = flat[np.flatnonzero(off[flat_codes])[0]].angle_rad
+            ang = gates[codes.flat[np.argmax(off[codes])]].angle_rad  # first in program order
             raise CompileError(f"Z angle {ang} rad is not a multiple of pi/4 in quantized mode")
         ab = np.rint(units).astype(np.int64)
     # Interleave [a0, b0, a1, b1, ...] per row; cumsum runs in order along a row.

@@ -13,11 +13,10 @@ from dataclasses import replace
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import qubit as qb
-from .calibration import CalibratedPulse, pulse_drive
-from .compiler import Program, Schedule, ideal_unitary
+from .calibration import CalibratedPulse
+from .compiler import Program, Schedule, _gate_codes, ideal_unitary
 from .mixer import (
     SAMPLES_PER_CYCLE,
     BitTimeline,
@@ -94,16 +93,22 @@ def run_experiment(
     vz_ramsey: two X90 pulses with the second pulse's theta_if shifted by
     each value of ``dtheta_deg`` across a fixed short delay; returns
     (dtheta_deg, p1) arrays instead of a Trajectory.
-    Each pulse and delay map is built once and reused at every point;
-    vz_ramsey rotates one X90 map by each frame angle.
+    Each pulse map is the on map of ``_cycle_maps``, the pulse filling its
+    own cycle, and each delay map comes from ``delay_maps``; every map is
+    built once and reused at every point, and vz_ramsey rotates one X90 map
+    by each frame angle.
     """
     kind = ExperimentKind(kind)
     g = qb.ground_state().reshape(4)
+
+    def on_map(pulse: CalibratedPulse) -> np.ndarray:
+        return _cycle_maps([q], [cfg], [pulse], pulse.tau_if_s)[1, 0]
+
     if kind is ExperimentKind.VZ_RAMSEY:
         if dtheta_deg is None:
             raise ExperimentError("vz_ramsey needs a dtheta grid")
         thetas = np.asarray(dtheta_deg, dtype=float)
-        s90 = qb.drive_map(q, pulse_drive(cfg, x90))
+        s90 = on_map(x90)
         rho = qb.delay_maps(q, vz_delay_s)[0] @ s90 @ g
         # A frame shift multiplies the drive by exp(-i theta): the map becomes R s90 R^H,
         # R = diag(1, e^{i theta}, e^{-i theta}, 1), exact since l0 commutes with Z.
@@ -124,18 +129,18 @@ def run_experiment(
 
     if kind is ExperimentKind.T1:
         waits = qb.delay_maps(q, delays)
-        p1 = np.einsum("nj,j->n", waits[:, 3], qb.drive_map(q, pulse_drive(cfg, x180)) @ g)
+        p1 = np.einsum("nj,j->n", waits[:, 3], on_map(x180) @ g)
     elif kind is ExperimentKind.RAMSEY:
         # Detuning shifts f_if so the carrier moves to f_qubit + detuning;
         # delta is then constant through pulses and delays.
-        f_if_det = x90.f_lo_hz - (q.f_qubit_hz + detuning_hz) if detuning_hz else None
+        if detuning_hz:
+            x90 = replace(x90, f_if_hz=x90.f_lo_hz - (q.f_qubit_hz + detuning_hz))
         waits = qb.delay_maps(q, delays, TWO_PI * detuning_hz)
-        s90 = qb.drive_map(q, pulse_drive(cfg, x90, f_if_hz=f_if_det))
+        s90 = on_map(x90)
         p1 = np.einsum("j,njk,k->n", s90[3], waits, s90 @ g)
     else:  # echo
         waits = qb.delay_maps(q, 0.5 * delays)
-        s90 = qb.drive_map(q, pulse_drive(cfg, x90))
-        s180 = qb.drive_map(q, pulse_drive(cfg, x180))
+        s90, s180 = on_map(x90), on_map(x180)
         p1 = np.einsum("j,njk,kl,nlm,m->n", s90[3], waits, s180, waits, s90 @ g)
     return Trajectory(delays, np.clip(p1.real, 0.0, 1.0))
 
@@ -155,36 +160,15 @@ def simulate_schedule(
     drive. So every cycle of qubit k applies one of two fixed maps, S_on[k]
     or S_off[k] (the held sample over the envelope, then a drive-free
     remainder of the cycle), rotated by the cycle's IF phase theta:
-    R S R^H with R = diag(1, e^{i theta}, e^{-i theta}, 1). All maps come
-    from one stacked exponential and each cycle is one batched product over
-    the qubits. Returns (simulated final p1 per qubit, ideal |<1|U|0>|^2 per
-    qubit).
+    R S R^H with R = diag(1, e^{i theta}, e^{-i theta}, 1). ``_cycle_maps``
+    builds all maps from one stacked exponential, and each cycle is one
+    batched product over the qubits. Returns (simulated final p1 per qubit,
+    ideal |<1|U|0>|^2 per qubit).
     """
     n = sched.n_qubits
     if not (len(q_list) == len(cfg_list) == len(x90_list) == n):
         raise ExperimentError("schedule/qubit/mixer/pulse counts disagree")
-    tau = np.array([p.tau_if_s for p in x90_list], dtype=float)
-    a_if = np.array([p.a_if for p in x90_list], dtype=float)
-    f_if = np.array([p.f_if_hz for p in x90_list], dtype=float)
-    carrier = np.array([p.f_lo_hz for p in x90_list], dtype=float) - f_if
-    _check_pulses(tau, a_if, f_if, carrier, cycle_period_s, bool(sched.cycles))
-    rate = SAMPLES_PER_CYCLE / cycle_period_s
-
-    # Samples inside [0, tau] hold the pulse (Envelope.value's inside test);
-    # the rest of the cycle is drive-free.
-    t_sample = np.arange(SAMPLES_PER_CYCLE) / rate
-    n_in = np.count_nonzero(t_sample <= tau[:, None], axis=1)
-    lo_phase = np.array([c.channel.phase_rad for c in cfg_list], dtype=float)
-    on = rabi_rates(cfg_list, a_if) * np.exp(1j * lo_phase)
-    off = np.array([c.off_leakage for c in cfg_list]) * on
-    delta = TWO_PI * (carrier - np.array([q.f_qubit_hz for q in q_list], dtype=float))
-    t1 = np.array([q.t1_s for q in q_list], dtype=float)
-    tphi = np.array([q.tphi_s for q in q_list], dtype=float)
-    held = np.stack([off, on, np.zeros(n)])
-    gen = qb._generators(t1, tphi, delta, held.real, held.imag)
-    dur = np.stack([n_in, n_in, SAMPLES_PER_CYCLE - n_in]) / rate
-    steps = expm(gen * dur[..., None, None])
-    maps = steps[2] @ steps[:2]  # [off, on] per qubit: envelope, then the remainder
+    maps = _cycle_maps(q_list, cfg_list, x90_list, cycle_period_s, bool(sched.cycles))
 
     fired = np.zeros((len(sched.cycles), n), dtype=np.intp)
     per_cycle = [len(c.fired) for c in sched.cycles]
@@ -199,6 +183,32 @@ def simulate_schedule(
         r = np.exp(1j * math.radians(cyc.theta_if_deg) * frame)
         state = r * np.einsum("kij,kj->ki", maps[bits, qubits], r.conj() * state)
     return np.clip(state[:, 3].real, 0.0, 1.0), _ideal_p1(program.gates[:n])
+
+
+def _cycle_maps(qs, cfgs, pulses, cycle_period_s, has_cycles=True) -> np.ndarray:
+    """[off, on] maps of one cycle per qubit k, shape (2, n, 4, 4): the flat
+    pulses[k] held over its envelope, off_leakage of it when off, then a
+    drive-free remainder of the cycle. Raises what building the drive would."""
+    tau = np.array([p.tau_if_s for p in pulses], dtype=float)
+    a_if = np.array([p.a_if for p in pulses], dtype=float)
+    f_if = np.array([p.f_if_hz for p in pulses], dtype=float)
+    carrier = np.array([p.f_lo_hz for p in pulses], dtype=float) - f_if
+    _check_pulses(tau, a_if, f_if, carrier, cycle_period_s, has_cycles)
+    rate = SAMPLES_PER_CYCLE / cycle_period_s
+    # Samples inside [0, tau] hold the pulse (Envelope.value's inside test);
+    # the rest of the cycle is drive-free.
+    t_sample = np.arange(SAMPLES_PER_CYCLE) / rate
+    n_in = np.count_nonzero(t_sample <= tau[:, None], axis=1)
+    lo_phase = np.array([c.channel.phase_rad for c in cfgs], dtype=float)
+    on = rabi_rates(cfgs, a_if) * np.exp(1j * lo_phase)
+    off = np.array([c.off_leakage for c in cfgs]) * on
+    delta = TWO_PI * (carrier - np.array([q.f_qubit_hz for q in qs], dtype=float))
+    t1 = np.array([q.t1_s for q in qs], dtype=float)
+    tphi = np.array([q.tphi_s for q in qs], dtype=float)
+    held = np.stack([off, on, np.zeros(len(qs))])
+    dur = np.stack([n_in, n_in, SAMPLES_PER_CYCLE - n_in]) / rate
+    steps = qb._held_maps(t1, tphi, delta, held, dur)
+    return steps[2] @ steps[:2]  # envelope, then the remainder
 
 
 def _check_pulses(tau, a_if, f_if, carrier, cycle_period_s, has_cycles) -> None:
@@ -232,20 +242,11 @@ def _check_pulses(tau, a_if, f_if, carrier, cycle_period_s, has_cycles) -> None:
 def _ideal_p1(rows) -> np.ndarray:
     """|<1|U|0>|^2 per gate row: each distinct gate's matrix is looked up once,
     then U|0> is built one gate column at a time over all rows."""
-    # Parsed programs share one Gate object per name, so gates are grouped by
-    # identity first and only the distinct objects are hashed.
-    flat = list(itertools.chain.from_iterable(rows))
-    _, first, obj = np.unique(
-        np.fromiter(map(id, flat), np.intp, len(flat)), return_index=True, return_inverse=True
-    )
-    code_of: dict = {}  # distinct gate -> its row in table
-    obj_code = np.array(
-        [code_of.setdefault(flat[i], len(code_of) + 1) for i in first], dtype=np.intp
-    )
-    table = np.stack([np.eye(2, dtype=complex)] + [ideal_unitary([g]) for g in code_of])
-    lens = np.array([len(r) for r in rows], dtype=np.intp)
-    codes = np.zeros((len(rows), int(lens.max(initial=0))), dtype=np.intp)  # 0: identity
-    codes[np.arange(codes.shape[1]) < lens[:, None]] = obj_code[obj]
+    gates, codes = _gate_codes(rows)
+    code_of: dict = {}  # distinct gate value -> its row in table
+    value_code = [code_of.setdefault(g, len(code_of)) for g in gates]
+    table = np.stack([ideal_unitary([g]) for g in code_of] + [np.eye(2, dtype=complex)])
+    codes = np.array(value_code + [len(code_of)], dtype=np.intp)[codes]  # pads: identity
     psi = np.zeros((len(rows), 2), dtype=complex)
     psi[:, 0] = 1.0
     for col in codes.T:

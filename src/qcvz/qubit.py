@@ -147,20 +147,25 @@ LX = _hamiltonian_super(0.5 * SX)
 LY = _hamiltonian_super(0.5 * SY)
 
 
+def _l0(t1_s, tphi_s, delta_rad):
+    return delta_rad * LZ + (1.0 / t1_s) * D_DECAY + (0.5 / tphi_s) * D_DEPHASE
+
+
 def liouvillian_parts(q: QubitParams, delta_rad: float):
     """l0 = delta LZ + D[sigma-]/T1 + D[sigma_z]/(2 Tphi) plus the drive generators LX, LY."""
-    l0 = delta_rad * LZ + (1.0 / q.t1_s) * D_DECAY + (0.5 / q.tphi_s) * D_DEPHASE
-    return l0, LX, LY
+    return _l0(q.t1_s, q.tphi_s, delta_rad), LX, LY
 
 
-def _generators(t1_s, tphi_s, delta_rad, re, im) -> np.ndarray:
-    """Held-sample generators l0 + 2 pi (re lx + im ly), stacked over the
-    array arguments (qubit times, detuning, sample in Hz)."""
+def _held_maps(t1_s, tphi_s, delta_rad, sample_hz, dt_s) -> np.ndarray:
+    """expm((l0 + 2 pi (Re s LX + Im s LY)) dt) for a sample s (Hz) held for dt,
+    stacked over the broadcast array arguments: the one exponential of the
+    drive model."""
     def col(v):
-        return np.asarray(v, dtype=float)[..., None, None]
+        return np.asarray(v)[..., None, None]
 
-    l0 = col(delta_rad) * LZ + (1.0 / col(t1_s)) * D_DECAY + (0.5 / col(tphi_s)) * D_DEPHASE
-    return l0 + TWO_PI * (col(re) * LX + col(im) * LY)
+    s = col(sample_hz)
+    gen = _l0(col(t1_s), col(tphi_s), col(delta_rad)) + TWO_PI * (s.real * LX + s.imag * LY)
+    return expm(gen * col(dt_s))
 
 
 def _held_steps(q: QubitParams, drive: DriveEnvelope, times: np.ndarray):
@@ -171,12 +176,13 @@ def _held_steps(q: QubitParams, drive: DriveEnvelope, times: np.ndarray):
     t_starts = starts / drive.envelope_rate_hz
     cuts = np.union1d(np.append(t_starts, drive.duration_s), times)
     held = s[starts[np.searchsorted(t_starts, cuts[:-1], side="right") - 1]]
-    keys, which = np.unique(
-        np.stack([held.real, held.imag, np.diff(cuts)], axis=1), axis=0, return_inverse=True
+    dt = np.diff(cuts)
+    _, first, which = np.unique(
+        np.stack([held.real, held.imag, dt], axis=1), axis=0, return_index=True,
+        return_inverse=True,
     )
     delta = TWO_PI * (drive.carrier_hz - q.f_qubit_hz)
-    gen = _generators(q.t1_s, q.tphi_s, delta, keys[:, 0], keys[:, 1])
-    return cuts, expm(gen * keys[:, 2, None, None]), which
+    return cuts, _held_maps(q.t1_s, q.tphi_s, delta, held[first], dt[first]), which
 
 
 def propagate(
@@ -209,15 +215,6 @@ def propagate(
     return Trajectory(times, np.clip(p1, 0.0, 1.0), states[-1].reshape(2, 2))
 
 
-def drive_map(q: QubitParams, drive: DriveEnvelope) -> np.ndarray:
-    """Exact 4x4 superoperator of the whole drive, acting on row-major vec(rho)."""
-    _, steps, which = _held_steps(q, drive, np.zeros(0))
-    out = np.eye(4, dtype=complex)
-    for k in which:
-        out = steps[k] @ out
-    return out
-
-
 def delay_maps(q: QubitParams, t_s, delta_rad: float = 0.0) -> np.ndarray:
     """Drive-free maps expm(l0 t), one (4, 4) per delay, from one stacked expm.
 
@@ -229,8 +226,7 @@ def delay_maps(q: QubitParams, t_s, delta_rad: float = 0.0) -> np.ndarray:
     # expm's triangular path divides by the eigenvalue gap 2 delta and returns NaN
     # when delta t underflows; a rotation below one ulp is dropped instead.
     delta = np.where(np.abs(delta_rad * t) < 2.0**-53, 0.0, delta_rad)
-    l0 = liouvillian_parts(q, delta[:, None, None])[0]
-    return expm(l0 * t[:, None, None])
+    return _held_maps(q.t1_s, q.tphi_s, delta, 0.0, t)
 
 
 class FitModel(str, Enum):

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,13 +17,16 @@ from qcvz.calibration import (
 )
 from qcvz.demux import ChannelTone
 from qcvz.mixer import (
+    BitTimeline,
     MixerConfig,
     MixerError,
     Nonlinearity,
     amplitude_map,
+    baseband_output,
     inverse_amplitude_map,
 )
 from qcvz.qubit import QubitParams, ground_state, propagate
+from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, make_if_program
 
 F_Q = 4.53202e9
 F_LO = 8.0e9
@@ -88,8 +92,7 @@ def test_calibrate_unreachable():
 def test_pulse_drive_repeats_and_gating():
     cfg = make_cfg()
     pulse = CalibratedPulse(F_LO, F_LO - F_Q, 0.5, 25e-9, math.pi / 2)
-    on = pulse_drive(cfg, pulse, repeats=3)
-    assert on.duration_s == pytest.approx(75e-9)
+    on = pulse_drive(cfg, pulse)
     off = pulse_drive(cfg, pulse, on=False)
     assert abs(off.samples[0] / on.samples[0]) == pytest.approx(
         cfg.off_leakage, rel=1e-12
@@ -116,7 +119,11 @@ PREP_RHO = np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=complex)
 
 
 def _run_pulses(q, cfg, pulse, a_if, repeats, rho0):
-    drive = pulse_drive(cfg, pulse, repeats=repeats, a_if=a_if)
+    env = Envelope(EnvelopeShape.FLAT, pulse.tau_if_s, a_if)
+    prog = make_if_program(pulse.f_if_hz, pulse.tau_if_s, [CycleSpec(0.0, env)] * repeats,
+                           quantized=False)
+    cfg = replace(cfg, channel=replace(cfg.channel, freq_hz=pulse.f_lo_hz))
+    drive = baseband_output(cfg, prog, BitTimeline((1,) * repeats))
     return float(propagate(q, drive, rho0).p1[-1])
 
 

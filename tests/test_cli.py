@@ -63,6 +63,9 @@ def test_bad_flag_is_usage_error(tmp_path):
         ("resources", "-n", "5", "--q-factor", "nan"),
         ("resources", "-n", "5", "--bandwidth-hz", "inf"),
         ("resources", "-n", "5", "--ref-freq-hz", "-inf"),
+        *((cmd, "--a-if", value) for cmd in ("chevron", "rabi") for value in ("nan", "inf")),
+        ("chevron", "--a-if=-inf"),
+        ("rabi", "--a-if=-inf"),
     ):
         assert run(tmp_path, *argv) == EXIT_USAGE, argv
 

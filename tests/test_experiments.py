@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcvz.calibration import CalibratedPulse, pulse_drive
+from qcvz.calibration import CalibratedPulse
 from qcvz.compiler import Gate, Program, ideal_unitary, schedule
 from qcvz.demux import ChannelTone
 from qcvz.experiments import ExperimentError, run_experiment, simulate_schedule
@@ -20,7 +20,11 @@ TWO_PI = 2.0 * math.pi
 
 
 def _apply_pulse(q, cfg, pulse, rho, theta_if_deg=0.0, f_if_hz=None):
-    drive = pulse_drive(cfg, pulse, theta_if_deg=theta_if_deg, f_if_hz=f_if_hz)
+    env = Envelope(EnvelopeShape.FLAT, pulse.tau_if_s, pulse.a_if)
+    prog = make_if_program(pulse.f_if_hz if f_if_hz is None else f_if_hz, pulse.tau_if_s,
+                           [CycleSpec(theta_if_deg, env)], quantized=False)
+    cfg = replace(cfg, channel=replace(cfg.channel, freq_hz=pulse.f_lo_hz))
+    drive = baseband_output(cfg, prog, BitTimeline((1,)))
     return propagate(q, drive, rho).rho_final
 
 
@@ -191,3 +195,37 @@ def test_simulate_schedule_rejects_what_the_loop_rejects():
     want = reference_simulate_schedule(*empty[:4], [x90s[0], too_long], CYCLE_S)
     got = simulate_schedule(*empty[:4], [x90s[0], too_long], CYCLE_S)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def _outcome(fn, *args, **kwargs):
+    """(exception type, message) that fn raises, or None."""
+    try:
+        fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_run_experiment_rejects_what_the_loop_rejects():
+    q = QubitParams.from_t2(F_Q, 2e-5, 1.5e-5)
+    cfg = MixerConfig(ChannelTone(F_LO, 0.5, 0.0), 4.0e7)
+    good = CalibratedPulse(F_LO, F_LO - F_Q, 0.5, 15e-9, 0.5 * math.pi)
+    bad_fields = [("a_if", 1.5), ("a_if", math.nan), ("tau_if_s", 0.0), ("tau_if_s", math.nan),
+                  ("f_if_hz", F_LO), ("f_if_hz", 9.0e9), ("f_if_hz", 0.0),
+                  ("f_if_hz", -1.0e9), ("f_if_hz", math.nan)]
+    uses = {"t1": ("x180",), "ramsey": ("x90",), "echo": ("x90", "x180"),
+            "vz_ramsey": ("x90",)}
+    delays, thetas = np.array([0.0, 1e-6]), [0.0, 90.0]
+    for kind, pulses in uses.items():
+        for which in pulses:
+            for field, value in bad_fields:
+                x90, x180 = good, replace(good, target_angle_rad=math.pi)
+                if which == "x90":
+                    x90 = replace(x90, **{field: value})
+                else:
+                    x180 = replace(x180, **{field: value})
+                want = _outcome(reference_experiment, kind, q, cfg, x90, x180, delays, 0.0,
+                                thetas, 1e-8)
+                got = _outcome(run_experiment, kind, q, cfg, x90, x180, delays_s=delays,
+                               dtheta_deg=thetas)
+                assert want is not None and got == want, (kind, which, field, value, got)
