@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 config error, 3 numerical failure, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -21,7 +22,7 @@ from .calibration import CalibratedPulse, CalibrationError, calibrate_pulse, pul
 from .compiler import CompileError, Gate, Program, schedule, parallelism_stats
 from .demux import Resonator, demux, matched_channels
 from .experiments import ExperimentError, chevron, run_experiment
-from .mixer import BitTimeline, MixerConfig, MixerError, baseband_output, output_spectrum
+from .mixer import BitTimeline, MixerConfig, MixerError, output_spectrum
 from .qubit import FitError, FitModel, QubitParams, fit_curve
 from .resources import ResourceError, resource_report
 from .signals import CycleSpec, Envelope, MultiToneLo, SignalError, Tone, make_if_program
@@ -139,8 +140,8 @@ def _strict(value):
     return value
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 class _Artifacts:
@@ -159,24 +160,25 @@ class _Artifacts:
     def _sidecar(self, path: Path) -> None:
         meta = {"command": self.command, "seed": self.args.seed, "args": vars(self.args),
                 "config": self.cfg.raw}
-        _write_json(Path(f"{path}.meta.json"), _strict(meta))
+        Path(f"{path}.meta.json").write_text(_dumps(_strict(meta)))
 
-    def json(self, name: str, obj, sidecar: bool = True) -> None:
+    def write(self, name: str, text: str, sidecar: bool = True) -> Path:
         path = self.path(name)
-        _write_json(path, obj)
+        path.write_text(text)
         if sidecar:
             self._sidecar(path)
+        return path
+
+    def json(self, name: str, obj, sidecar: bool = True) -> None:
+        self.write(name, _dumps(obj), sidecar)
 
     def csv(self, name: str, header: list[str], rows, plot: str | None = None,
             sidecar: bool = True) -> None:
         """``<name>.csv``, and its SVG as a ``plot`` chart under ``--plot``."""
-        path = self.path(f"{name}.csv")
         lines = [",".join(header)]
         for row in rows:
             lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row))
-        path.write_text("\n".join(lines) + "\n")
-        if sidecar:
-            self._sidecar(path)
+        path = self.write(f"{name}.csv", "\n".join(lines) + "\n", sidecar)
         if plot and self.args.plot:
             emit_plot(path, plot)
 
@@ -296,20 +298,26 @@ def cmd_compile(cfg: DeviceConfig, args, out: _Artifacts) -> None:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read program {args.program}: {exc}") from exc
     qubits = prog_raw.get("qubits") if isinstance(prog_raw, dict) else None
-    if not (isinstance(qubits, list) and all(
-            isinstance(gates, list) and all(isinstance(name, str) for name in gates)
-            for gates in qubits)):
+    names = None
+    if isinstance(qubits, list) and all(isinstance(gates, list) for gates in qubits):
+        try:  # distinct names in first-seen order, so the first bad one is reported
+            names = dict.fromkeys(itertools.chain.from_iterable(qubits))
+        except TypeError:  # a JSON list or object where a gate name belongs
+            pass
+    if names is None or not all(isinstance(name, str) for name in names):
         raise ConfigError(
             f'program {args.program} is not {{"qubits": [[gate name, ...], ...]}}'
         )
-    program = Program(tuple(tuple(map(Gate.parse, gates)) for gates in qubits))
+    gate = {name: Gate.parse(name) for name in names}
+    program = Program(tuple(tuple(map(gate.__getitem__, gates)) for gates in qubits))
     sched = schedule(program, args.mode)
     stats = parallelism_stats(sched)
-    out.json("schedule.json", sched.to_dict())
+    out.write("schedule.json", sched.to_json())
     out.csv(
         "schedule",
         ["cycle", "slot", "theta_if_deg", "n_fired"],
-        [(i, c.slot, float(c.theta_if_deg), len(c.fired)) for i, c in enumerate(sched.cycles)],
+        zip(itertools.count(), sched.slot.tolist(), sched.theta_if_deg.tolist(),
+            np.diff(sched.offsets).tolist()),
         sidecar=False,
     )
     out.json("schedule_stats.json", asdict(stats), sidecar=False)
@@ -320,7 +328,7 @@ def cmd_resources(cfg: DeviceConfig, args, out: _Artifacts) -> None:
         args.n, q=args.q_factor, bandwidth_hz=args.bandwidth_hz, ref_freq_hz=args.ref_freq_hz
     )
     out.json("resources.json", rep.to_dict())
-    out.path("resources.txt").write_text(rep.table() + "\n")
+    out.write("resources.txt", rep.table() + "\n", sidecar=False)
 
 
 def cmd_plot(cfg: DeviceConfig, args, out: _Artifacts) -> None:

@@ -284,21 +284,64 @@ class Cycle:
     slot: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
-    cycles: tuple[Cycle, ...]
+    """Emitted control cycles as arrays: cycle i has rolling slot ``slot[i]``
+    and IF phase ``theta_if_deg[i]`` and fires the qubits
+    ``fired[offsets[i]:offsets[i + 1]]`` (CSR layout, ``n_cycles + 1``
+    offsets), each fired index in ``range(n_qubits)``. The arrays are made
+    read-only."""
+
+    slot: np.ndarray
+    theta_if_deg: np.ndarray
+    offsets: np.ndarray
+    fired: np.ndarray
     mode: ScheduleMode
     n_qubits: int
+
+    def __post_init__(self):
+        for a in (self.slot, self.theta_if_deg, self.offsets, self.fired):
+            a.setflags(write=False)
+        if self.fired.size and not (0 <= self.fired.min() and self.fired.max() < self.n_qubits):
+            raise CompileError(f"fired qubit index out of range({self.n_qubits})")
+
+    def _rows(self):
+        """(theta_if_deg, fired list, slot) per cycle, as Python numbers."""
+        fired = self.fired.tolist()
+        return zip(self.theta_if_deg.tolist(),
+                   (fired[a:b] for a, b in itertools.pairwise(self.offsets.tolist())),
+                   self.slot.tolist())
+
+    @functools.cached_property
+    def cycles(self) -> tuple[Cycle, ...]:
+        return tuple(Cycle(theta, tuple(fired), slot) for theta, fired, slot in self._rows())
 
     def to_dict(self) -> dict:
         return {
             "mode": self.mode.value,
             "n_qubits": self.n_qubits,
             "cycles": [
-                {"theta_if": c.theta_if_deg, "fired": list(c.fired), "slot": c.slot}
-                for c in self.cycles
+                {"theta_if": theta, "fired": fired, "slot": slot}
+                for theta, fired, slot in self._rows()
             ],
         }
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True,
+        allow_nan=False) + "\\n"``, byte for byte, written from the arrays."""
+        if not np.isfinite(self.theta_if_deg).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        digits = [str(k) for k in range(self.n_qubits)]  # indexing beats str() per pulse
+        cycles = ",\n".join(
+            '    {\n      "fired": '
+            + ("[\n        " + ",\n        ".join(map(digits.__getitem__, fired)) + "\n      ]"
+               if fired else "[]")
+            + f',\n      "slot": {slot},\n      "theta_if": {theta!r}\n    }}'
+            for theta, fired, slot in self._rows()
+        )
+        cycles = f"[\n{cycles}\n  ]" if cycles else "[]"
+        return (f'{{\n  "cycles": {cycles},\n  "mode": "{self.mode.value}",\n'
+                f'  "n_qubits": {self.n_qubits}\n}}\n')
 
 
 def schedule(program: Program, mode: ScheduleMode | str = ScheduleMode.QUANTIZED45) -> Schedule:
@@ -319,7 +362,8 @@ def schedule(program: Program, mode: ScheduleMode | str = ScheduleMode.QUANTIZED
     thetas, lens, _ = _lower_rows(program.gates, quantized)
     n = program.n_qubits
     if not lens.any():
-        return Schedule((), mode, n)
+        return Schedule(np.zeros(0, np.int64), np.zeros(0), np.zeros(1, np.int64),
+                        np.zeros(0, np.int64), mode, n)
     valid = np.arange(thetas.shape[1]) < lens[:, None]
     if quantized:
         k = (thetas // 45.0).astype(np.int64)
@@ -327,12 +371,9 @@ def schedule(program: Program, mode: ScheduleMode | str = ScheduleMode.QUANTIZED
         slot, qubit = slots[valid], np.nonzero(valid)[0]
         order = np.lexsort((qubit, slot))
         slot, qubit = slot[order], qubit[order]
-        starts = np.flatnonzero(np.diff(slot)) + 1
-        cycles = tuple(
-            Cycle(float(s % 8 * 45), tuple(fired.tolist()), s)
-            for s, fired in zip(slot[np.r_[0, starts]].tolist(), np.split(qubit, starts))
-        )
-        return Schedule(cycles, mode, n)
+        offsets = np.r_[0, np.flatnonzero(np.diff(slot)) + 1, slot.size]
+        slot = slot[offsets[:-1]]
+        return Schedule(slot, (slot % 8 * 45).astype(float), offsets, qubit, mode, n)
     # Code every phase once; np.unique sorts, so argmax over code counts
     # breaks ties to the lowest phase.
     vals, codes = np.unique(thetas[valid], return_inverse=True)
@@ -340,15 +381,19 @@ def schedule(program: Program, mode: ScheduleMode | str = ScheduleMode.QUANTIZED
     code[valid] = codes
     ptr = np.zeros(n, dtype=np.intp)
     live = np.flatnonzero(lens)
-    cycles: list[Cycle] = []
+    phases: list[float] = []
+    fired: list[np.ndarray] = []
     while live.size:
         nxt = code[live, ptr[live]]
         phase = vals[np.bincount(nxt).argmax()]
-        fired = live[np.abs(vals[nxt] - phase) < 1e-6]
-        cycles.append(Cycle(float(phase), tuple(fired.tolist()), len(cycles)))
-        ptr[fired] += 1
+        fire = live[np.abs(vals[nxt] - phase) < 1e-6]
+        phases.append(phase)
+        fired.append(fire)
+        ptr[fire] += 1
         live = live[ptr[live] < lens[live]]
-    return Schedule(tuple(cycles), mode, n)
+    offsets = np.r_[0, np.cumsum([f.size for f in fired])]
+    return Schedule(np.arange(len(phases)), np.array(phases), offsets, np.concatenate(fired),
+                    mode, n)
 
 
 @dataclass(frozen=True)
@@ -360,12 +405,12 @@ class ParallelismStats:
 
 
 def parallelism_stats(s: Schedule) -> ParallelismStats:
-    counts = [len(c.fired) for c in s.cycles]
-    if not counts:
+    counts = np.diff(s.offsets)
+    if not counts.size:
         return ParallelismStats(0, 0.0, 0, 0)
     return ParallelismStats(
-        cycles=len(counts),
+        cycles=counts.size,
         mean_fired=float(np.mean(counts)),
-        max_fired=int(max(counts)),
-        min_nonzero_fired=int(min(c for c in counts if c > 0)),
+        max_fired=int(counts.max()),
+        min_nonzero_fired=int(counts[counts > 0].min()),
     )

@@ -7,7 +7,6 @@ them are propagated exactly, with no step size to choose.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import replace
 from enum import Enum
@@ -168,19 +167,16 @@ def simulate_schedule(
     n = sched.n_qubits
     if not (len(q_list) == len(cfg_list) == len(x90_list) == n):
         raise ExperimentError("schedule/qubit/mixer/pulse counts disagree")
-    maps = _cycle_maps(q_list, cfg_list, x90_list, cycle_period_s, bool(sched.cycles))
+    n_cycles = sched.slot.size
+    maps = _cycle_maps(q_list, cfg_list, x90_list, cycle_period_s, n_cycles > 0)
 
-    fired = np.zeros((len(sched.cycles), n), dtype=np.intp)
-    per_cycle = [len(c.fired) for c in sched.cycles]
-    fired[
-        np.repeat(np.arange(len(per_cycle)), per_cycle),
-        np.fromiter(itertools.chain.from_iterable(c.fired for c in sched.cycles), np.intp),
-    ] = 1
+    fired = np.zeros((n_cycles, n), dtype=np.intp)
+    fired[np.repeat(np.arange(n_cycles), np.diff(sched.offsets)), sched.fired] = 1
     frame = np.array([0.0, 1.0, -1.0, 0.0])
     qubits = np.arange(n)
     state = np.tile(qb.ground_state().reshape(4), (n, 1))
-    for bits, cyc in zip(fired, sched.cycles):
-        r = np.exp(1j * math.radians(cyc.theta_if_deg) * frame)
+    for bits, theta in zip(fired, sched.theta_if_deg.tolist()):
+        r = np.exp(1j * math.radians(theta) * frame)
         state = r * np.einsum("kij,kj->ki", maps[bits, qubits], r.conj() * state)
     return np.clip(state[:, 3].real, 0.0, 1.0), _ideal_p1(program.gates[:n])
 

@@ -1,15 +1,18 @@
+import json
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcvz.compiler import (
     CompileError,
+    Cycle,
     Gate,
     GateKind,
+    ParallelismStats,
     Program,
     Schedule,
     ScheduleMode,
@@ -283,3 +286,45 @@ def test_lower_and_schedule_match_reference_loops(q45_rows, free_rows):
                 assert lq.thetas_deg == thetas
                 assert _frame_gap(lq.final_frame_rad, frame) < 1e-12
             assert schedule(prog, mode).to_dict() == _ref_schedule(prog, mode)
+
+
+def _ref_stats(sched):
+    counts = [len(c.fired) for c in sched.cycles]
+    if not counts:
+        return ParallelismStats(0, 0.0, 0, 0)
+    return ParallelismStats(len(counts), float(np.mean(counts)), int(max(counts)),
+                            int(min(c for c in counts if c > 0)))
+
+
+# Angles just off a phase, so free-mode phases print with many digits.
+EDGE_NAMES = FREE_NAMES + ["z:1e-7", "z:-3.0000001"]
+
+
+@given(st.one_of(st.tuples(st.just("quantized45"), _programs(Q45_NAMES)),
+                 st.tuples(st.just("free"), _programs(EDGE_NAMES))))
+@example(("quantized45", [[]]))
+@example(("free", [["s"], []]))
+@example(("quantized45", [["x90"]]))
+@example(("free", [["z:1e-7", "x90"], ["z:-3.0000001", "x90", "x90"], ["x90"]]))
+@settings(max_examples=200, deadline=None)
+def test_schedule_arrays_match_json_cycles_and_stats(case):
+    mode, rows = case
+    sched = schedule(Program(tuple(tuple(gates(*row)) for row in rows)), mode)
+    d = sched.to_dict()
+    assert sched.to_json() == json.dumps(d, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert sched.cycles == tuple(Cycle(c["theta_if"], tuple(c["fired"]), c["slot"])
+                                 for c in d["cycles"])
+    assert all(type(c.theta_if_deg) is float and type(c.slot) is int
+               and all(type(k) is int for k in c.fired) for c in sched.cycles)
+    assert parallelism_stats(sched) == _ref_stats(sched)
+
+
+def test_schedule_rejects_nonfinite_theta_and_bad_qubits():
+    one = np.array([0, 1])
+    sched = Schedule(np.array([0]), np.array([math.nan]), one, np.array([0]), ScheduleMode.FREE, 1)
+    for write in (sched.to_json, lambda: json.dumps(sched.to_dict(), allow_nan=False)):
+        with pytest.raises(ValueError):
+            write()
+    for k in (-1, 1):
+        with pytest.raises(CompileError):
+            Schedule(np.array([0]), np.array([0.0]), one, np.array([k]), ScheduleMode.FREE, 1)
