@@ -240,7 +240,7 @@ def _search(qs, cfg_arr, f_lo, f_if, target, tau, live) -> tuple[np.ndarray, dic
             _estimate_angles(run(idx, 8, _PREP_RHO), 0.5 * math.pi + 8 * target, 8) - target
         )
         for k, err in zip(idx.tolist(), final_err.tolist()):
-            if err > 1e-4:
+            if not err <= 1e-4:  # NaN fails too
                 failed[k] = CalibrationError(
                     f"amplification stalled: angle error {err:.2e} rad > 1e-4"
                 )

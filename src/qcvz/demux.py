@@ -14,6 +14,11 @@ import numpy as np
 from .signals import MultiToneLo, SignalError
 
 
+# Resonators per block of the crosstalk matrix: a 4000-tone bank then needs
+# 4 MB per complex temporary instead of 256 MB.
+_BLOCK = 64
+
+
 @dataclass(frozen=True)
 class Resonator:
     f_r_hz: float
@@ -38,15 +43,44 @@ class ChannelTone:
     amp: float
     phase_rad: float
 
+    def __post_init__(self):
+        if not 0 < self.freq_hz < math.inf:
+            raise SignalError(f"channel frequency must be positive and finite, got "
+                              f"{self.freq_hz}")
+        if not 0 <= self.amp < math.inf:
+            raise SignalError(f"channel amplitude must be non-negative and finite, got "
+                              f"{self.amp}")
+        if not math.isfinite(self.phase_rad):
+            raise SignalError(f"channel phase must be finite, got {self.phase_rad}")
+
+
+def _gains(q, f_r, f):
+    """1 / (1 + i x) with x = 2 q (f - f_r) / f_r, broadcast over the arrays.
+
+    The division is Smith's, as Python's complex type does it, so one gain
+    has the same bits alone or in an array. Where x overflows the gain is
+    its limit, 0; on resonance it is 1 whatever Q is.
+    """
+    d = f - f_r
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = np.where(d == 0.0, 0.0, 2.0 * q * d / f_r)
+        small = np.abs(x) <= 1.0
+        ratio = np.where(small, x, 1.0 / x)
+        denom = np.where(small, 1.0 + x * ratio, ratio + x)
+        re = np.where(small, 1.0, ratio) / denom
+        im = np.where(small, -x, -1.0) / denom
+    return (re + 1j * im)[()]
+
 
 def resonator_gain(r: Resonator, f_hz: float) -> complex:
     """Complex transfer of the resonator at frequency f.
 
     gain = 1 / (1 + 2j Q (f - f_r) / f_r); unity on resonance, |gain| <= 1.
     """
-    if np.any(np.asarray(f_hz) <= 0):
-        raise SignalError("frequency must be positive")
-    return 1.0 / (1.0 + 2.0j * r.q * (np.asarray(f_hz) - r.f_r_hz) / r.f_r_hz)
+    f = np.asarray(f_hz, dtype=float)
+    if not np.all((f > 0) & (f < math.inf)):
+        raise SignalError("frequency must be positive and finite")
+    return _gains(r.q, r.f_r_hz, f)
 
 
 def matched_channels(resonators: list[Resonator], lo: MultiToneLo) -> list[ChannelTone]:
@@ -58,14 +92,20 @@ def matched_channels(resonators: list[Resonator], lo: MultiToneLo) -> list[Chann
     if not lo.tones:
         raise SignalError("LO line has no tones")
     freqs = np.array([t.freq_hz for t in lo.tones])
-    channels = []
-    for r in resonators:
-        tone = lo.tones[int(np.argmin(np.abs(freqs - r.f_r_hz)))]
-        g = resonator_gain(r, tone.freq_hz)
-        channels.append(
-            ChannelTone(tone.freq_hz, tone.amp * abs(g), tone.phase_rad + float(np.angle(g)))
-        )
-    return channels
+    tones = [lo.tones[int(np.argmin(np.abs(freqs - r.f_r_hz)))] for r in resonators]
+    q, f_r = _bank(resonators)
+    g = _gains(q, f_r, np.array([t.freq_hz for t in tones]))
+    # abs of each Python complex: numpy's vectorised hypot can differ in the last bit.
+    return [
+        ChannelTone(t.freq_hz, t.amp * abs(gain), t.phase_rad + phase)
+        for t, gain, phase in zip(tones, g.tolist(), np.angle(g).tolist())
+    ]
+
+
+def _bank(resonators: list[Resonator]) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, f_r) of every resonator."""
+    return (np.array([r.q for r in resonators], dtype=float),
+            np.array([r.f_r_hz for r in resonators], dtype=float))
 
 
 def demux(
@@ -78,6 +118,12 @@ def demux(
     20 log10 |gain of tone j through resonator k|.
     """
     channels = matched_channels(resonators, lo)
+    q, f_r = _bank(resonators)
     freqs = np.array([t.freq_hz for t in lo.tones])
-    gain = np.array([resonator_gain(r, freqs) for r in resonators])
-    return channels, 20.0 * np.log10(np.abs(gain))
+    crosstalk_db = np.empty((len(resonators), len(freqs)))
+    with np.errstate(divide="ignore"):  # a gain of 0 is -inf dB
+        for k in range(0, len(resonators), _BLOCK):
+            rows = slice(k, k + _BLOCK)
+            gain = _gains(q[rows, None], f_r[rows, None], freqs)
+            crosstalk_db[rows] = 20.0 * np.log10(np.abs(gain))
+    return channels, crosstalk_db

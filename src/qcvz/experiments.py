@@ -16,16 +16,9 @@ import numpy as np
 from . import qubit as qb
 from .calibration import CalibratedPulse
 from .compiler import Program, Schedule, _gate_codes, ideal_unitary
-from .mixer import (
-    SAMPLES_PER_CYCLE,
-    BitTimeline,
-    MixerConfig,
-    MixerError,
-    baseband_output,
-    rabi_rates,
-)
+from .mixer import SAMPLES_PER_CYCLE, MixerConfig, MixerError, rabi_rates
 from .qubit import QubitParams, Trajectory
-from .signals import CycleSpec, Envelope, EnvelopeShape, SignalError, make_if_program
+from .signals import SignalError
 
 TWO_PI = 2.0 * math.pi
 
@@ -52,26 +45,40 @@ def chevron(
 ) -> np.ndarray:
     """Final excited-state population over (f_if, tau).
 
-    Each f_if column runs one flat-envelope pulse of the maximum duration
-    from the ground state and reports p1 exactly at every tau (a flat pulse
-    of length tau is a prefix of the longer one).
+    Each f_if column is one flat pulse of the maximum duration from the
+    ground state: one held sample, the Rabi rate at a_if rotated by the
+    channel phase (times off_leakage with the mixer off). p1 is reported
+    exactly at every tau (a flat pulse of length tau is a prefix of the
+    longer one). Every column is cut at the same times, 0, the end of the
+    drive and each tau, so one stacked exponential gives every step and one
+    batched product per cut advances all columns. Raises what building each
+    column's drive would.
     """
-    f_if_grid = np.asarray(f_if_grid, dtype=float)
+    f_if = np.asarray(f_if_grid, dtype=float)
     tau_grid = np.asarray(tau_grid, dtype=float)
-    if f_if_grid.size == 0 or tau_grid.size == 0:
+    if f_if.size == 0 or tau_grid.size == 0:
         raise ExperimentError("empty sweep grid")
-    cfg = replace(cfg, channel=replace(cfg.channel, freq_hz=f_lo_hz))
     tau_max = float(tau_grid.max())
-    order = np.argsort(tau_grid)
-    out = np.empty((len(f_if_grid), len(tau_grid)))
-    env = Envelope(EnvelopeShape.FLAT, tau_max, a_if)
-    for i, f_if in enumerate(f_if_grid):
-        prog = make_if_program(f_if, tau_max, [CycleSpec(0.0, env)], quantized=True)
-        drive = baseband_output(cfg, prog, BitTimeline((1 if mixer_on else 0,)))
-        # The drive can end an ulp short of tau_max; a tau <= 0 reads p1(0).
-        taus = np.clip(tau_grid[order], 0.0, drive.duration_s)
-        out[i, order] = qb.propagate(q, drive, qb.ground_state(), taus).p1
-    return out
+    n = len(f_if)
+    carrier = f_lo_hz - f_if
+    _check_pulses(np.full(n, tau_max), np.full(n, a_if, dtype=float), f_if, carrier, tau_max,
+                  True)
+    rate = SAMPLES_PER_CYCLE / tau_max
+    duration = SAMPLES_PER_CYCLE / rate  # can end an ulp short of tau_max
+    taus = np.clip(tau_grid, 0.0, duration)  # a tau <= 0 reads p1(0)
+    cuts = np.union1d([0.0, duration], taus)
+    dts, which = np.unique(np.diff(cuts), return_inverse=True)
+    scale = 1.0 if mixer_on else cfg.off_leakage
+    sample = scale * rabi_rates([cfg], [a_if])[0] * np.exp(1j * cfg.channel.phase_rad)
+    delta = TWO_PI * (carrier - q.f_qubit_hz)
+    steps = qb._held_maps(q.t1_s, q.tphi_s, delta[:, None], sample, dts)
+    state = np.zeros((n, 4), dtype=complex)
+    state[:, 0] = 1.0  # ground
+    p1 = np.zeros((n, len(cuts)))
+    for j, k in enumerate(which, 1):
+        state = np.einsum("kij,kj->ki", steps[:, k], state)
+        p1[:, j] = state[:, 3].real
+    return _populations(p1[:, np.searchsorted(cuts, taus)])
 
 
 def run_experiment(
@@ -178,7 +185,7 @@ def simulate_schedule(
     for bits, theta in zip(fired, sched.theta_if_deg.tolist()):
         r = np.exp(1j * math.radians(theta) * frame)
         state = r * np.einsum("kij,kj->ki", maps[bits, qubits], r.conj() * state)
-    return np.clip(state[:, 3].real, 0.0, 1.0), _ideal_p1(program.gates[:n])
+    return _populations(state[:, 3].real), _ideal_p1(program.gates[:n])
 
 
 def _cycle_maps(qs, cfgs, pulses, cycle_period_s, has_cycles=True) -> np.ndarray:
@@ -205,6 +212,14 @@ def _cycle_maps(qs, cfgs, pulses, cycle_period_s, has_cycles=True) -> np.ndarray
     dur = np.stack([n_in, n_in, SAMPLES_PER_CYCLE - n_in]) / rate
     steps = qb._held_maps(t1, tphi, delta, held, dur)
     return steps[2] @ steps[:2]  # envelope, then the remainder
+
+
+def _populations(p1: np.ndarray) -> np.ndarray:
+    """p1 clipped to [0, 1]; a NaN raises the QubitError that a Trajectory would."""
+    p1 = np.clip(p1, 0.0, 1.0)
+    if np.isnan(p1).any():
+        raise qb.QubitError("populations out of [0, 1]")
+    return p1
 
 
 def _check_pulses(tau, a_if, f_if, carrier, cycle_period_s, has_cycles) -> None:

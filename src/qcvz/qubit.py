@@ -164,8 +164,12 @@ def _held_maps(t1_s, tphi_s, delta_rad, sample_hz, dt_s) -> np.ndarray:
         return np.asarray(v)[..., None, None]
 
     s = col(sample_hz)
-    gen = _l0(col(t1_s), col(tphi_s), col(delta_rad)) + TWO_PI * (s.real * LX + s.imag * LY)
-    return expm(gen * col(dt_s))
+    # A step too large for float64 gives a NaN map, which every caller rejects
+    # (a population or angle-error check) without a warning first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gen = _l0(col(t1_s), col(tphi_s), col(delta_rad)) + TWO_PI * (s.real * LX + s.imag * LY)
+        gen = gen * col(dt_s)
+    return expm(gen)
 
 
 def _held_steps(q: QubitParams, drive: DriveEnvelope, times: np.ndarray):
@@ -216,17 +220,21 @@ def propagate(
 
 
 def delay_maps(q: QubitParams, t_s, delta_rad: float = 0.0) -> np.ndarray:
-    """Drive-free maps expm(l0 t), one (4, 4) per delay, from one stacked expm.
+    """Drive-free maps exp(l0 t), one (4, 4) per delay, in closed form.
 
-    Raises QubitError for a negative or non-finite delay.
+    l0 couples no population to a coherence: it is diagonal apart from
+    l0[0, 3] = -l0[3, 3] = 1/T1. So p1 relaxes as p1 e^{-t/T1} into p0,
+    rho01 decays at 1/T2 and rotates at delta (its sign from LZ), and rho10
+    is its conjugate. Raises QubitError for a negative or non-finite delay.
     """
     t = np.asarray(t_s, dtype=float).reshape(-1)
     if not np.all((t >= 0.0) & (t < math.inf)):
         raise QubitError("negative delay" if np.any(t < 0.0) else "delays must be finite")
-    # expm's triangular path divides by the eigenvalue gap 2 delta and returns NaN
-    # when delta t underflows; a rotation below one ulp is dropped instead.
-    delta = np.where(np.abs(delta_rad * t) < 2.0**-53, 0.0, delta_rad)
-    return _held_maps(q.t1_s, q.tphi_s, delta, 0.0, t)
+    rates = np.diag(_l0(q.t1_s, q.tphi_s, delta_rad))
+    maps = np.zeros((t.size, 4, 4), dtype=complex)
+    maps[:, range(4), range(4)] = np.exp(np.multiply.outer(t, rates))
+    maps[:, 0, 3] = 1.0 - maps[:, 3, 3]
+    return maps
 
 
 class FitModel(str, Enum):

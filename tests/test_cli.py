@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import math
@@ -390,3 +391,48 @@ def test_numeric_flags_end_in_documented_exit_codes(data, cmd):
     assert "Traceback" not in err.getvalue(), argv
     if code == EXIT_OK:
         assert all(math.isfinite(float(cell)) for cell in cells), argv
+
+
+def _numeric_paths(raw, path=()):
+    """Key paths of every number in a config, e.g. ("mixers", 0, "gain_hz_per_unit")."""
+    if isinstance(raw, dict):
+        items = raw.items()
+    elif isinstance(raw, list):
+        items = enumerate(raw)
+    else:
+        return [path] if isinstance(raw, (int, float)) and not isinstance(raw, bool) else []
+    return [p for key, value in items for p in _numeric_paths(value, (*path, key))]
+
+
+CONFIG_NUMBERS = _numeric_paths(cli.DEFAULT_CONFIG)
+CONFIG_EDGE_VALUES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 1e308)
+
+
+def test_config_numbers_are_all_swept():
+    assert len(CONFIG_NUMBERS) == 13
+
+
+@pytest.mark.parametrize("path", CONFIG_NUMBERS, ids=lambda p: ".".join(map(str, p)))
+def test_config_numbers_end_in_documented_exit_codes(tmp_path, path):
+    # Each number of the default config set to each edge value, through every
+    # command that reads the device physics: a documented exit code, with no
+    # traceback and no warning on stderr.
+    failures = []
+    for value in CONFIG_EDGE_VALUES:
+        raw = copy.deepcopy(cli.DEFAULT_CONFIG)
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        for cmd in ("calibrate", "chevron", "rabi", "spectrum"):
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main([cmd, "--config", str(cfg), "--out", str(tmp_path / "out")])
+            text = err.getvalue() + "".join(str(w.message) for w in caught)
+            if (code not in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_USAGE)
+                    or "Traceback" in text or "Warning" in text or caught):
+                failures.append((value, cmd, code, text))
+    assert not failures

@@ -117,3 +117,49 @@ def test_demux_matches_closed_form_and_brute_force(bank):
         assert channels[k].amp == pytest.approx(tone.amp * abs(g), rel=1e-12, abs=0)
         dphi = channels[k].phase_rad - (tone.phase_rad + np.angle(g))
         assert abs(math.remainder(dphi, 2.0 * math.pi)) < 1e-12
+
+
+def test_channel_tone_validation():
+    for args in ((math.nan, 0.5, 0.0), (math.inf, 0.5, 0.0), (0.0, 0.5, 0.0), (-8e9, 0.5, 0.0),
+                 (8e9, math.nan, 0.0), (8e9, math.inf, 0.0), (8e9, -0.1, 0.0),
+                 (8e9, 0.5, math.nan), (8e9, 0.5, math.inf)):
+        with pytest.raises(SignalError):
+            ChannelTone(*args)
+    assert ChannelTone(8e9, 0.0, -1.0).amp == 0.0
+
+
+def test_gain_takes_its_limit_when_the_detuning_term_overflows():
+    # 2 Q (f - f_r) / f_r overflows: the gain is 0, or 1 on resonance, with no
+    # warning (warnings are errors in this suite).
+    for f_r, q, f in ((8e9, 1e308, 8.1e9), (1e-300, Q, 8e9), (1e308, Q, 8e9), (8e9, Q, 1e308)):
+        assert resonator_gain(Resonator(f_r, q), f) == 0.0
+    assert resonator_gain(Resonator(8e9, 1e308), 8e9) == 1.0
+    for f in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(SignalError):
+            resonator_gain(Resonator(8e9, Q), f)
+    channels, xtalk = demux([Resonator(1e-300, Q), Resonator(8e9, 1e308)],
+                            MultiToneLo((Tone(7e9, 0.5), Tone(8e9, 0.5))))
+    assert [(c.freq_hz, c.amp) for c in channels] == [(7e9, 0.0), (8e9, 0.5)]
+    assert np.array_equal(xtalk, [[-np.inf, -np.inf], [-np.inf, 0.0]])
+
+
+@given(banks())
+@settings(max_examples=100, deadline=None)
+def test_gain_has_the_same_bits_alone_or_in_an_array(bank):
+    resonators, lo = bank
+    freqs = np.array([t.freq_hz for t in lo.tones])
+    for r in resonators:
+        row = resonator_gain(r, freqs)
+        for j, f in enumerate(freqs):
+            g = resonator_gain(r, f)
+            assert (g.real, g.imag) == (row[j].real, row[j].imag)
+
+
+def test_demux_crosstalk_of_a_bank_larger_than_one_block():
+    f = 6.0e9 + 2.0e6 * np.arange(150)
+    resonators = [Resonator(fr, Q) for fr in f]
+    lo = MultiToneLo(tuple(Tone(fr + 5.0e4, 0.5) for fr in f[::3]))
+    _, xtalk = demux(resonators, lo)
+    freqs = np.array([t.freq_hz for t in lo.tones])
+    want = [20.0 * np.log10(np.abs(resonator_gain(r, freqs))) for r in resonators]
+    np.testing.assert_allclose(xtalk, want, rtol=0, atol=1e-12)

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from qcvz.calibration import CalibratedPulse
 from qcvz.compiler import Gate, Program, ideal_unitary, schedule
 from qcvz.demux import ChannelTone
-from qcvz.experiments import ExperimentError, run_experiment, simulate_schedule
+from qcvz.experiments import ExperimentError, chevron, run_experiment, simulate_schedule
 from qcvz.mixer import BitTimeline, MixerConfig, MixerError, Nonlinearity, baseband_output
-from qcvz.qubit import QubitParams, delay_maps, ground_state, propagate
+from qcvz.qubit import QubitError, QubitParams, delay_maps, ground_state, propagate
 from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, SignalError, make_if_program
 
 F_Q = 4.53202e9
@@ -229,3 +229,85 @@ def test_run_experiment_rejects_what_the_loop_rejects():
                 got = _outcome(run_experiment, kind, q, cfg, x90, x180, delays_s=delays,
                                dtheta_deg=thetas)
                 assert want is not None and got == want, (kind, which, field, value, got)
+
+
+def reference_chevron(q, cfg, f_lo_hz, f_if_grid, tau_grid, mixer_on=True, a_if=1.0):
+    """Per-column loop: an IF program, its baseband drive and a propagation per f_if."""
+    f_if_grid = np.asarray(f_if_grid, dtype=float)
+    tau_grid = np.asarray(tau_grid, dtype=float)
+    if f_if_grid.size == 0 or tau_grid.size == 0:
+        raise ExperimentError("empty sweep grid")
+    cfg = replace(cfg, channel=replace(cfg.channel, freq_hz=f_lo_hz))
+    tau_max = float(tau_grid.max())
+    order = np.argsort(tau_grid)
+    out = np.empty((len(f_if_grid), len(tau_grid)))
+    env = Envelope(EnvelopeShape.FLAT, tau_max, a_if)
+    for i, f_if in enumerate(f_if_grid):
+        prog = make_if_program(f_if, tau_max, [CycleSpec(0.0, env)], quantized=True)
+        drive = baseband_output(cfg, prog, BitTimeline((1 if mixer_on else 0,)))
+        # The drive can end an ulp short of tau_max; a tau <= 0 reads p1(0).
+        taus = np.clip(tau_grid[order], 0.0, drive.duration_s)
+        out[i, order] = propagate(q, drive, ground_state(), taus).p1
+    return out
+
+
+@given(
+    t1=st.one_of(st.just(math.inf), st.floats(1e-6, 1e-4)),
+    tphi=st.one_of(st.just(math.inf), st.floats(1e-6, 1e-4)),
+    gain=st.floats(1e7, 8e7),
+    nonlinearity=st.sampled_from(list(Nonlinearity)),
+    ratio=st.floats(10.0, 100.0),
+    lo_phase=st.floats(0.0, TWO_PI),
+    f_lo=st.floats(7.9e9, 8.1e9),
+    # unsorted, possibly repeated, one column or many
+    f_if_offsets=st.lists(st.floats(-8e6, 8e6), min_size=1, max_size=5),
+    # unsorted, with taus <= 0 that read p1(0); at least one tau is positive
+    taus=st.lists(st.floats(-2e-7, 3e-6), min_size=1, max_size=6).filter(lambda t: max(t) > 0),
+    mixer_on=st.booleans(),
+    a_if=st.floats(0.0, 1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_chevron_matches_per_column_loop(
+    t1, tphi, gain, nonlinearity, ratio, lo_phase, f_lo, f_if_offsets, taus, mixer_on, a_if,
+):
+    q = QubitParams(F_Q, t1, tphi)
+    cfg = MixerConfig(ChannelTone(F_LO, 0.5, lo_phase), gain, ratio, nonlinearity)
+    f_if = (f_lo - F_Q) + np.array(f_if_offsets)
+    want = reference_chevron(q, cfg, f_lo, f_if, taus, mixer_on, a_if)
+    got = chevron(q, cfg, f_lo, f_if, taus, mixer_on, a_if)
+    assert got.shape == want.shape == (len(f_if), len(taus))
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_chevron_rejects_what_the_loop_rejects():
+    q = QubitParams.from_t2(F_Q, 2e-5, 1.5e-5)
+    cfg = MixerConfig(ChannelTone(F_LO, 0.5, 0.3), 4.0e7)
+    center = F_LO - F_Q
+    taus = np.linspace(1e-7, 1e-6, 4)
+    cases = [
+        # (f_if grid, tau grid, a_if); the bad column is not the first one
+        ([center, 0.0], taus, 0.5),
+        ([center, center, -1.0e9], taus, 0.5),
+        ([center, math.nan], taus, 0.5),
+        ([center, math.inf], taus, 0.5),
+        ([center, F_LO], taus, 0.5),
+        ([center, 9.0e9, math.nan], taus, 0.5),
+        ([center, math.nan, 9.0e9], taus, 0.5),
+        ([center], taus, 1.5),
+        ([center], taus, -0.1),
+        ([center], taus, math.nan),
+        ([center, 0.0], taus, 1.5),
+        ([center], [-1e-7, 0.0], 0.5),
+        ([center], [1e-7, math.nan], 0.5),
+        ([center], [1e-7, math.inf], 0.5),
+        ([center], [1e-320], 0.5),
+        ([center], [1e300, 1.0], 0.5),  # every population NaN
+        ([], taus, 0.5),
+        ([center], [], 0.5),
+    ]
+    for f_if, tau_grid, a_if in cases:
+        want = _outcome(reference_chevron, q, cfg, F_LO, f_if, tau_grid, a_if=a_if)
+        got = _outcome(chevron, q, cfg, F_LO, f_if, tau_grid, a_if=a_if)
+        assert want is not None and got == want, (f_if, tau_grid, a_if, got)
+    assert got[0] is ExperimentError
+    assert _outcome(chevron, q, cfg, F_LO, [center], [1e300, 1.0])[0] is QubitError

@@ -19,6 +19,7 @@ from qcvz.qubit import (
     FitModel,
     QubitError,
     QubitParams,
+    _held_maps,
     excited_state,
     delay_maps,
     fit_curve,
@@ -177,7 +178,7 @@ def test_evolve_t1_decay():
     drive = flat_drive(0.0, 5e-6)  # idle line
     traj = propagate(q, drive, excited_state(), step_grid(drive, 5e-9))
     expect = np.exp(-traj.times_s / 10e-6)
-    assert np.max(np.abs(traj.p1 - expect)) < 1e-7
+    assert np.max(np.abs(traj.p1 - expect)) < 1e-12
 
 
 @given(
@@ -202,6 +203,31 @@ def test_delay_maps_closed_form(t1, tphi, delta, t, bloch):
     assert abs(out[1, 0] - np.conj(coh)) < 1e-13
     assert abs(np.trace(out) - 1.0) < 1e-13
     validate_density_matrix(out)
+
+
+def reference_delay_maps(q, t_s, delta_rad=0.0):
+    """The stacked expm(l0 t) that the closed form replaces."""
+    t = np.asarray(t_s, dtype=float).reshape(-1)
+    # expm's triangular path divides by the eigenvalue gap 2 delta and returns NaN
+    # when delta t underflows; a rotation below one ulp is dropped instead.
+    delta = np.where(np.abs(delta_rad * t) < 2.0**-53, 0.0, delta_rad)
+    return _held_maps(q.t1_s, q.tphi_s, delta, 0.0, t)
+
+
+@given(
+    t1=st.one_of(st.just(math.inf), st.floats(1e-7, 1e-3)),
+    tphi=st.one_of(st.just(math.inf), st.floats(1e-7, 1e-3)),
+    delta=st.one_of(st.just(0.0), st.floats(-TWO_PI * 1e7, TWO_PI * 1e7)),
+    t=st.lists(st.floats(0.0, 2e-5), min_size=1, max_size=8),
+)
+@example(t1=1e-7, tphi=math.inf, delta=1e-307, t=[0.0, 1.3e-5])
+@example(t1=20e-6, tphi=30e-6, delta=TWO_PI * 0.34e6, t=[0.0, 1e-5, 2e-5])
+@settings(max_examples=300, deadline=None)
+def test_delay_maps_match_stacked_expm(t1, tphi, delta, t):
+    q = QubitParams(F_Q, t1_s=t1, tphi_s=tphi)
+    got, want = delay_maps(q, t, delta), reference_delay_maps(q, t, delta)
+    assert got.shape == want.shape == (len(t), 4, 4)
+    assert np.max(np.abs(got - want)) < 1e-13
 
 
 def kron_liouvillian_parts(q, delta_rad):
@@ -252,7 +278,7 @@ def test_delay_maps_match_propagate():
     t = 2e-6
     traj = propagate(q, flat_drive(0.0, t), rho)
     direct = (delay_maps(q, t)[0] @ rho.reshape(4)).reshape(2, 2)
-    assert np.max(np.abs(traj.rho_final - direct)) < 1e-8
+    assert np.max(np.abs(traj.rho_final - direct)) < 1e-12
 
 
 def test_fit_exp_decay():
