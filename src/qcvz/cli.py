@@ -172,13 +172,16 @@ class _Artifacts:
     def json(self, name: str, obj, sidecar: bool = True) -> None:
         self.write(name, _dumps(obj), sidecar)
 
-    def csv(self, name: str, header: list[str], rows, plot: str | None = None,
+    def csv(self, name: str, header: list[str], columns, plot: str | None = None,
             sidecar: bool = True) -> None:
-        """``<name>.csv``, and its SVG as a ``plot`` chart under ``--plot``."""
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row))
-        path = self.write(f"{name}.csv", "\n".join(lines) + "\n", sidecar)
+        """``<name>.csv`` from equal-length columns, and its SVG as a ``plot``
+        chart under ``--plot``. A float column is written as %.12g, any other
+        as str; the whole table is one format operation."""
+        cols = [np.asarray(c) for c in columns]
+        row = ",".join("%.12g" if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
+        cells = tuple(itertools.chain.from_iterable(zip(*(c.tolist() for c in cols))))
+        text = ",".join(header) + "\n" + (row * len(cols[0])) % cells
+        path = self.write(f"{name}.csv", text, sidecar)
         if plot and self.args.plot:
             emit_plot(path, plot)
 
@@ -216,12 +219,9 @@ def cmd_chevron(cfg: DeviceConfig, args, out: _Artifacts) -> None:
         ) from exc
     tau_grid = np.linspace(args.tau_max_s / args.tau_points, args.tau_max_s, args.tau_points)
     p1 = chevron(q, cfg.mixers[k], f_lo, f_grid, tau_grid, mixer_on=not args.off, a_if=args.a_if)
-    rows = [
-        (float(f), float(t), float(p1[i, j]))
-        for i, f in enumerate(f_grid)
-        for j, t in enumerate(tau_grid)
-    ]
-    out.csv("chevron", ["f_if_hz", "tau_s", "p1"], rows, plot="heatmap")
+    out.csv("chevron", ["f_if_hz", "tau_s", "p1"],
+            [np.repeat(f_grid, len(tau_grid)), np.tile(tau_grid, len(f_grid)), p1.ravel()],
+            plot="heatmap")
 
 
 def cmd_rabi(cfg: DeviceConfig, args, out: _Artifacts) -> None:
@@ -232,7 +232,7 @@ def cmd_rabi(cfg: DeviceConfig, args, out: _Artifacts) -> None:
     pulse = CalibratedPulse(f_lo, f_if, args.a_if, args.tau_max_s, math.pi)
     drive = pulse_drive(cfg.mixers[k], pulse, on=not args.off)
     traj = qb.propagate(q, drive, qb.ground_state(), drive.edges_s)
-    out.csv("rabi", ["t_s", "p1"], zip(traj.times_s.tolist(), traj.p1.tolist()), plot="line")
+    out.csv("rabi", ["t_s", "p1"], [traj.times_s, traj.p1], plot="line")
 
 
 def _coherence_cmd(kind: str, model: FitModel):
@@ -252,7 +252,7 @@ def _coherence_cmd(kind: str, model: FitModel):
             detuning_hz=getattr(args, "detuning_hz", 0.0),
         )
         fit = fit_curve(model, traj.times_s, traj.p1)
-        out.csv(kind, ["t_s", "p1"], zip(traj.times_s.tolist(), traj.p1.tolist()), plot="line")
+        out.csv(kind, ["t_s", "p1"], [traj.times_s, traj.p1], plot="line")
         # A singular covariance leaves sigma non-finite; strict JSON has null.
         sigma = {key: v if math.isfinite(v) else None for key, v in fit.sigma.items()}
         out.json(f"{kind}_fit.json", {"model": fit.model.value, "params": fit.params,
@@ -268,7 +268,7 @@ def cmd_vz_ramsey(cfg: DeviceConfig, args, out: _Artifacts) -> None:
     _, p1 = run_experiment(
         "vz_ramsey", cfg.qubits[k], cfg.mixers[k], x90, dtheta_deg=thetas
     )
-    out.csv("vz_ramsey", ["theta_deg", "p1"], zip(thetas.tolist(), p1.tolist()), plot="line")
+    out.csv("vz_ramsey", ["theta_deg", "p1"], [thetas, p1], plot="line")
 
 
 def cmd_calibrate(cfg: DeviceConfig, args, out: _Artifacts) -> None:
@@ -283,12 +283,12 @@ def cmd_spectrum(cfg: DeviceConfig, args, out: _Artifacts) -> None:
     prog = make_if_program(cfg.f_if_hz, cfg.cycle_period_s, [CycleSpec(0.0, env)])
     rate = 4.0 * (mix.channel.freq_hz + cfg.f_if_hz)
     tones = output_spectrum(mix, prog, BitTimeline((0 if args.off else 1,)), rate)
-    out.csv("spectrum", ["freq_hz", "power_db"], [(float(f), float(p)) for f, p in tones])
+    out.csv("spectrum", ["freq_hz", "power_db"], np.array(tones, dtype=float).reshape(-1, 2).T)
     _, xtalk = demux(cfg.resonators, cfg.lo)
     out.csv(
         "crosstalk",
         ["resonator"] + [f"tone{j}_db" for j in range(xtalk.shape[1])],
-        [(i, *[float(v) for v in row]) for i, row in enumerate(xtalk)],
+        [np.arange(len(xtalk)), *np.asarray(xtalk, dtype=float).T],
     )
 
 
@@ -316,8 +316,7 @@ def cmd_compile(cfg: DeviceConfig, args, out: _Artifacts) -> None:
     out.csv(
         "schedule",
         ["cycle", "slot", "theta_if_deg", "n_fired"],
-        zip(itertools.count(), sched.slot.tolist(), sched.theta_if_deg.tolist(),
-            np.diff(sched.offsets).tolist()),
+        [np.arange(sched.slot.size), sched.slot, sched.theta_if_deg, np.diff(sched.offsets)],
         sidecar=False,
     )
     out.json("schedule_stats.json", asdict(stats), sidecar=False)

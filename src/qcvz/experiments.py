@@ -208,10 +208,17 @@ def _cycle_maps(qs, cfgs, pulses, cycle_period_s, has_cycles=True) -> np.ndarray
     delta = TWO_PI * (carrier - np.array([q.f_qubit_hz for q in qs], dtype=float))
     t1 = np.array([q.t1_s for q in qs], dtype=float)
     tphi = np.array([q.tphi_s for q in qs], dtype=float)
-    held = np.stack([off, on, np.zeros(len(qs))])
-    dur = np.stack([n_in, n_in, SAMPLES_PER_CYCLE - n_in]) / rate
-    steps = qb._held_maps(t1, tphi, delta, held, dur)
-    return steps[2] @ steps[:2]  # envelope, then the remainder
+    # One stack: off and on for every qubit, then the drive-free remainder only
+    # where the pulse leaves one (an empty remainder is the identity).
+    n = len(qs)
+    rest = np.flatnonzero(n_in < SAMPLES_PER_CYCLE)
+    k = np.concatenate([np.arange(n), np.arange(n), rest])
+    held = np.concatenate([off, on, np.zeros(rest.size)])
+    dur = np.concatenate([n_in, n_in, SAMPLES_PER_CYCLE - n_in[rest]]) / rate
+    steps = qb._held_maps(t1[k], tphi[k], delta[k], held, dur)
+    maps = steps[:2 * n].reshape(2, n, 4, 4)
+    maps[:, rest] = steps[2 * n:] @ maps[:, rest]  # envelope, then the remainder
+    return maps
 
 
 def _populations(p1: np.ndarray) -> np.ndarray:

@@ -7,6 +7,13 @@ Omega(t) = 2 pi * envelope(t) and delta = 2 pi (carrier - f_qubit).
 Drives are sample-and-hold, so propagation is exact: a product of 4x4
 superoperator exponentials, with no step size to choose. Basis: index
 0 = ground, index 1 = excited; p1 = rho[1, 1].
+
+Each exponential is taken in the real Bloch basis v = (1, x, y, z), with
+rho = (I + x sigma_x + y sigma_y + z sigma_z)/2, where the generator is real
+and, without T1 or Tphi, a pure rotation of (x, y, z). Rotations are
+exact (Rodrigues); other slices go through numpy Pade scaling and squaring
+(Higham, SIAM J. Matrix Anal. Appl. 26, 2005). Only fit_curve needs an
+optimizer, and it imports one on its first call.
 """
 from __future__ import annotations
 
@@ -16,8 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from .mixer import DriveEnvelope
 
@@ -156,20 +161,145 @@ def liouvillian_parts(q: QubitParams, delta_rad: float):
     return _l0(q.t1_s, q.tphi_s, delta_rad), LX, LY
 
 
+# The real Bloch basis: vec(rho) = _TO_VEC @ v, so a Bloch-basis map B is the
+# vec-basis map _TO_VEC @ B @ _FROM_VEC, and flattened, B.reshape(-1, 16) @ _BLOCH_TO_VEC.
+_TO_VEC = np.array([[0.5, 0, 0, 0.5], [0, 0.5, -0.5j, 0], [0, 0.5, 0.5j, 0], [0.5, 0, 0, -0.5]])
+_FROM_VEC = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
+_BLOCH_TO_VEC = np.ascontiguousarray(np.kron(_TO_VEC, _FROM_VEC.T).T)
+_EYE4 = np.eye(4)
+_HALVES = np.array([1.0, 0.5])
+
+
+def _pade_weights(m: int, b: tuple) -> np.ndarray:
+    """Rows of weights on the powers I, A^2, A^4, ... that make Pade's U/A and
+    V: for m <= 9 those two rows; for 13, Higham's U/A = A^6 c0 + c1 and
+    V = A^6 c2 + c3 from I, A^2, A^4 and A^6 only."""
+    if m < 13:
+        return np.array([b[1::2], b[0::2]])
+    return np.array([(0.0, *b[9::2]), b[1:9:2], (0.0, *b[8::2]), b[0:8:2]])
+
+
+# Pade degree m -> (largest 1-norm it takes to double precision, weights from
+# the numerator coefficients b_0..b_m), from Higham (2005).
+_PADE = {m: (theta, _pade_weights(m, b)) for m, (theta, b) in {
+    3: (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    5: (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    7: (9.504178996162932e-1,
+        (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)),
+    9: (2.097847961257068e0,
+        (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
+         110880.0, 3960.0, 90.0, 1.0)),
+    13: (5.371920351148152e0,
+         (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+          129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+          40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
+}.items()}
+# A norm past theta_13 2^52 needs over 52 squarings, after which the rounding
+# error of a rotation can reach order one: such a step, or a non-finite one,
+# gives a NaN map.
+_NORM_MAX = _PADE[13][0] * 2.0**52
+
+
+def _bloch_generator(t1_s, tphi_s, delta_rad, sample_hz, dt_s) -> np.ndarray:
+    """(l0 + 2 pi (Re s LX + Im s LY)) dt in the Bloch basis, over the broadcast
+    arguments: the Bloch equations. (x, y, z) rotates about
+    (2 pi Re s, 2 pi Im s, delta); z relaxes to 1 at 1/T1; x and y decay at 1/T2."""
+    s, dt = np.asarray(sample_hz), np.asarray(dt_s)
+    decay, dephase = dt / t1_s, dt / tphi_s
+    wx, wy, wz = TWO_PI * dt * s.real, TWO_PI * dt * s.imag, dt * delta_rad
+    gen = np.zeros(np.broadcast(decay, dephase, wx, wy, wz).shape + (4, 4))
+    gen[..., 3, 2], gen[..., 1, 3], gen[..., 2, 1] = wx, wy, wz
+    gen -= np.swapaxes(gen, -1, -2)  # the rotation is antisymmetric
+    gen[..., 3, 0] = decay
+    gen[..., 3, 3] = -decay
+    gen[..., 1, 1] = gen[..., 2, 2] = -0.5 * decay - dephase
+    return gen
+
+
+def _rotation_maps(gen: np.ndarray) -> np.ndarray:
+    """exp of each (4, 4) rotation generator in the stack, in closed form:
+    I + sin(t)/t G + (1 - cos t)/t^2 G^2, t = |(x, y, z) rotation angle|."""
+    angle = np.hypot(np.hypot(gen[:, 3, 2], gen[:, 1, 3]), gen[:, 2, 1])
+    # A zero angle takes the t -> 0 limits (a tiny t gives them exactly).
+    angle = np.where(angle <= _NORM_MAX, np.maximum(angle, 1e-300), np.nan)
+    x = angle[:, None] * _HALVES
+    sinc = np.sin(x) / x
+    maps = gen @ gen
+    maps *= 0.5 * sinc[:, 1, None, None] ** 2
+    maps += sinc[:, 0, None, None] * gen
+    maps += _EYE4
+    return maps
+
+
+def _pade_maps(gen: np.ndarray) -> np.ndarray:
+    """exp of each (4, 4) slice in the stack by Pade scaling and squaring: one
+    degree from the stack's largest 1-norm, the squarings per slice."""
+    norm = np.abs(gen).sum(axis=1).max(axis=1)
+    top, bad = norm.max(), None
+    if not top <= _NORM_MAX:
+        bad = ~(norm <= _NORM_MAX)
+        gen, norm = np.where(bad[:, None, None], 0.0, gen), np.where(bad, 0.0, norm)
+        top = norm.max()
+    m = next((m for m in (3, 5, 7, 9) if top <= _PADE[m][0]), 13)
+    theta, weights = _PADE[m]
+    squarings = None
+    if top > theta:  # degree 13 only
+        squarings = np.ceil(np.log2(np.maximum(norm, theta) / theta)).astype(int)
+        gen = gen * np.ldexp(1.0, -squarings)[:, None, None]
+    powers = np.empty((weights.shape[1],) + gen.shape)  # I, A^2, A^4, ...
+    powers[0] = _EYE4
+    powers[1] = gen @ gen
+    for j in range(2, len(powers)):
+        np.matmul(powers[j - 1], powers[1], out=powers[j])
+    c = (weights @ powers.reshape(len(powers), -1)).reshape((-1,) + gen.shape)
+    if m == 13:
+        u = gen @ (powers[3] @ c[0] + c[1])
+        v = powers[3] @ c[2] + c[3]
+    else:
+        u, v = gen @ c[0], c[1]
+    # exp is (V - U)^-1 (V + U) = I + X with X = 2 (V - U)^-1 U. X is carried
+    # and squared as X <- X X + 2 X, so an eigenvalue near 1 keeps its digits.
+    # The generator's first row is 0 (the trace is kept), so X's is exactly 0.
+    x = 2.0 * np.linalg.solve(v - u, u)
+    x[:, 0] = 0.0
+    if squarings is not None:
+        for _ in range(squarings.min()):
+            x = x @ x + 2.0 * x
+        for k in range(squarings.min(), squarings.max()):
+            live = np.flatnonzero(squarings > k)
+            x[live] = x[live] @ x[live] + 2.0 * x[live]
+    maps = x + _EYE4
+    if bad is not None:
+        maps[bad] = np.nan
+    return maps
+
+
 def _held_maps(t1_s, tphi_s, delta_rad, sample_hz, dt_s) -> np.ndarray:
     """expm((l0 + 2 pi (Re s LX + Im s LY)) dt) for a sample s (Hz) held for dt,
     stacked over the broadcast array arguments: the one exponential of the
-    drive model."""
-    def col(v):
-        return np.asarray(v)[..., None, None]
+    drive model, as complex (4, 4) maps in the vec basis.
 
-    s = col(sample_hz)
-    # A step too large for float64 gives a NaN map, which every caller rejects
-    # (a population or angle-error check) without a warning first.
+    It is taken in the real Bloch basis. A slice without dissipation (T1 =
+    Tphi = inf, or dt = 0) is a rotation, in closed form, and the others go
+    through Pade. A step whose generator norm passes _NORM_MAX or is not
+    finite gives a NaN map, which every caller rejects (a population or
+    angle-error check), without a warning.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        gen = _l0(col(t1_s), col(tphi_s), col(delta_rad)) + TWO_PI * (s.real * LX + s.imag * LY)
-        gen = gen * col(dt_s)
-    return expm(gen)
+        gen = _bloch_generator(t1_s, tphi_s, delta_rad, sample_hz, dt_s)
+        flat = gen.reshape(-1, 4, 4)
+        diag = flat.diagonal(0, 1, 2)
+        if not np.count_nonzero(diag):
+            maps = _rotation_maps(flat)
+        else:
+            dissipative = diag.any(axis=1)
+            if dissipative.all():
+                maps = _pade_maps(flat)
+            else:
+                maps = np.empty_like(flat)
+                maps[~dissipative] = _rotation_maps(flat[~dissipative])
+                maps[dissipative] = _pade_maps(flat[dissipative])
+    return (maps.reshape(-1, 16) @ _BLOCH_TO_VEC).reshape(gen.shape)
 
 
 def _held_steps(q: QubitParams, drive: DriveEnvelope, times: np.ndarray):
@@ -274,6 +404,8 @@ def fit_curve(model: FitModel | str, times_s, values) -> FitResult:
             damped_cosine  a*exp(-t/tau)*cos(2 pi f t + phi) + c
             rabi_sinusoid  a*cos(2 pi f t + phi) + c
     """
+    from scipy.optimize import OptimizeWarning, curve_fit  # loaded on the first fit
+
     model = FitModel(model)
     t = np.asarray(times_s, dtype=float)
     y = np.asarray(values, dtype=float)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -201,6 +202,39 @@ def test_spectrum_outputs(tmp_path):
     f_diff = max(on, key=on.get)  # difference tone sits at 0 dB when on
     assert on[f_diff] - off[f_diff] == pytest.approx(28.5, abs=1e-9)
     assert (tmp_path / "crosstalk.csv").exists()
+
+
+def row_csv(header, rows):
+    """The per-cell writer that the column writer replaces."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+CSV_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]),
+)
+
+
+@given(
+    floats=st.lists(st.tuples(CSV_FLOATS, CSV_FLOATS), max_size=40),
+    ints=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=40, max_size=40),
+    words=st.lists(st.text("abc_-.09", max_size=5), min_size=40, max_size=40),
+)
+@settings(max_examples=100, deadline=None)
+def test_csv_columns_match_the_row_writer(floats, ints, words):
+    n = len(floats)
+    a = [x for x, _ in floats]
+    b = np.array([y for _, y in floats])
+    rows = list(zip(ints[:n], a, words[:n], b.tolist()))
+    with tempfile.TemporaryDirectory() as tmp:
+        args = argparse.Namespace(out=tmp, plot=False)
+        cli._Artifacts("test", args, None).csv(
+            "t", ["i", "a", "w", "b"], [np.array(ints[:n], dtype=np.int64), a, words[:n], b],
+            sidecar=False)
+        assert (Path(tmp) / "t.csv").read_bytes() == row_csv(["i", "a", "w", "b"], rows).encode()
 
 
 def test_rabi_and_plot(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from qcvz.calibration import CalibratedPulse
 from qcvz.compiler import Gate, Program, schedule
@@ -19,7 +20,11 @@ from qcvz.qubit import (
     FitModel,
     QubitError,
     QubitParams,
+    _FROM_VEC,
+    _TO_VEC,
+    _bloch_generator,
     _held_maps,
+    _l0,
     excited_state,
     delay_maps,
     fit_curve,
@@ -211,7 +216,7 @@ def reference_delay_maps(q, t_s, delta_rad=0.0):
     # expm's triangular path divides by the eigenvalue gap 2 delta and returns NaN
     # when delta t underflows; a rotation below one ulp is dropped instead.
     delta = np.where(np.abs(delta_rad * t) < 2.0**-53, 0.0, delta_rad)
-    return _held_maps(q.t1_s, q.tphi_s, delta, 0.0, t)
+    return expm(_l0(q.t1_s, q.tphi_s, delta[:, None, None]) * t[:, None, None])
 
 
 @given(
@@ -228,6 +233,125 @@ def test_delay_maps_match_stacked_expm(t1, tphi, delta, t):
     got, want = delay_maps(q, t, delta), reference_delay_maps(q, t, delta)
     assert got.shape == want.shape == (len(t), 4, 4)
     assert np.max(np.abs(got - want)) < 1e-13
+
+
+def vec_generator(t1, tphi, delta, sample, dt):
+    """(l0 + 2 pi (Re s LX + Im s LY)) dt in the vec basis, from liouvillian_parts."""
+    l0, lx, ly = liouvillian_parts(QubitParams(F_Q, t1_s=t1, tphi_s=tphi), delta)
+    return (l0 + TWO_PI * (sample.real * lx + sample.imag * ly)) * dt
+
+
+def bloch_expm(t1, tphi, delta, sample, dt):
+    """scipy's expm of the generator, taken in the Bloch basis and brought back.
+
+    At 30 squarings expm in the vec basis moves the trace-keeping eigenvalue 1
+    by about 2^30 ulps (its maps are off by 1e-7 from a 60-digit reference);
+    in the Bloch basis that eigenvalue is exact, and expm there is within
+    5e-16 of the reference on DEEP.
+    """
+    bloch = _FROM_VEC @ vec_generator(t1, tphi, delta, sample, dt) @ _TO_VEC
+    assert np.max(np.abs(bloch.imag)) <= 1e-15 * np.max(np.abs(bloch))
+    return _TO_VEC @ expm(bloch.real) @ _FROM_VEC
+
+
+def squarings(t1, tphi, delta, sample, dt):
+    """Squarings that Pade-13 needs for this generator (Higham's theta_13)."""
+    norm = np.abs(_bloch_generator(t1, tphi, delta, sample, dt)).sum(axis=0).max()
+    return max(0, math.ceil(math.log2(norm / 5.371920351148152)))
+
+
+RATE_S = st.one_of(st.just(math.inf), st.floats(1e-9, 1e-3))
+SLICE = st.tuples(
+    RATE_S,  # T1
+    RATE_S,  # Tphi
+    st.floats(-TWO_PI * 15e6, TWO_PI * 15e6),  # delta
+    st.floats(0.0, 4e7),  # |s|
+    st.floats(-math.pi, math.pi),  # arg s
+    st.floats(0.0, 120e-9),  # dt
+)
+
+
+@given(stack=st.lists(SLICE, min_size=1, max_size=300))
+@example(stack=[(math.inf, math.inf, 0.0, 0.0, 0.0, 0.0)])
+@example(stack=[(math.inf, math.inf, TWO_PI * 15e6, 4e7, 0.5, 120e-9),
+                (1e-9, 1e-9, 0.0, 0.0, 0.0, 1e-7)])
+# One open slice with a 1-norm just under each lower degree's threshold.
+@example(stack=[(1e-3, math.inf, 0.0, 2.1e4, 0.0, 1e-7)])  # Pade 3
+@example(stack=[(1e-3, math.inf, 0.0, 3.6e5, 0.0, 1e-7)])  # Pade 5
+@example(stack=[(1e-3, math.inf, 0.0, 1.36e6, 0.0, 1e-7)])  # Pade 7
+@example(stack=[(1e-3, math.inf, 0.0, 3.0e6, 0.0, 1e-7)])  # Pade 9
+@settings(max_examples=60, deadline=None)
+def test_held_maps_match_expm(stack):
+    # Against scipy's expm of the vec-basis generator, the exponential it
+    # replaces. Worst case seen: 8.9e-15 over 2000 random stacks (3e5 slices).
+    t1, tphi, delta, mag, arg, dt = map(np.array, zip(*stack))
+    sample = mag * np.exp(1j * arg)
+    got = _held_maps(t1, tphi, delta, sample, dt)
+    assert got.shape == (len(stack), 4, 4)
+    want = expm(np.array([vec_generator(*args) for args in zip(t1, tphi, delta, sample, dt)]))
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+# Decay strong enough that Pade needs >= 30 squarings; the maps are still
+# well conditioned, since each relaxes onto its fixed point.
+DEEP = [
+    (1e-15, 1e-6, TWO_PI * 1.6e6, 3e7, 0.0, 1e-5),
+    (2e-16, math.inf, TWO_PI * 15e6, 4e7, 1.0, 1.2e-6),
+    (2e-16, 1e-16, -TWO_PI * 15e6, 4e7, -2.0, 1.2e-6),
+    (1e-12, 1e-6, 0.0, 0.0, 0.0, 1e-2),
+]
+
+
+def test_held_maps_with_thirty_squarings_match_expm():
+    # Worst case seen: 5.0e-16.
+    t1, tphi, delta, mag, arg, dt = map(np.array, zip(*DEEP))
+    sample = mag * np.exp(1j * arg)
+    assert min(map(squarings, t1, tphi, delta, sample, dt)) >= 30
+    want = np.array([bloch_expm(*args) for args in zip(t1, tphi, delta, sample, dt)])
+    assert np.max(np.abs(_held_maps(t1, tphi, delta, sample, dt) - want)) <= 1e-12
+
+
+@given(
+    t1=st.one_of(st.just(math.inf), st.floats(1e-16, 1e-3)),
+    tphi=st.one_of(st.just(math.inf), st.floats(1e-16, 1e-3)),
+    delta=st.floats(-TWO_PI * 15e6, TWO_PI * 15e6),
+    t=st.floats(0.0, 2e-5),
+)
+@example(t1=math.inf, tphi=1e-16, delta=-TWO_PI * 15e6, t=1.2e-6)  # 32 squarings
+@example(t1=1e-16, tphi=math.inf, delta=TWO_PI * 15e6, t=2e-5)  # 36 squarings
+@settings(max_examples=200, deadline=None)
+def test_drive_free_held_maps_match_closed_form(t1, tphi, delta, t):
+    # Without a drive the exact map is delay_maps' closed form. Under strong
+    # decay z keeps an eigenvalue of exactly 1 through 30+ squarings (a Pade
+    # step formed as (V - U)^-1 (V + U) loses 2.4e-7 there). Worst case seen:
+    # 2.0e-13 over 25,000 draws, at |delta t| near 1.8e3 rad with weak decay.
+    q = QubitParams(F_Q, t1_s=t1, tphi_s=tphi)
+    got, want = _held_maps(t1, tphi, delta, 0.0, t), delay_maps(q, t, delta)[0]
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_held_maps_give_nan_for_overflowing_steps():
+    # A step too large for float64 gives a NaN map with no warning (warnings
+    # are errors here); the other slices of the stack are unaffected.
+    # Finite norms past _NORM_MAX (the last two slices before the good one)
+    # would need more than 52 squarings.
+    t1 = np.array([math.inf, 20e-6, math.inf, 20e-6, math.inf, 20e-6, 20e-6])
+    tphi = np.array([math.inf, 30e-6, math.inf, 30e-6, math.inf, 30e-6, math.inf])
+    sample = np.array([1e7, 1e7, 1e300, 1e7, 1e7, 0.0, 1e6])
+    dt = np.array([1e300, 1e300, 1e10, math.inf, 1e12, 1e12, 1e-8])
+    maps = _held_maps(t1, tphi, 0.0, sample, dt)
+    assert np.isnan(maps[:6]).all()
+    assert np.max(np.abs(maps[6] - expm(vec_generator(20e-6, math.inf, 0.0, 1e6, 1e-8)))) < 1e-15
+
+
+@given(slice_=SLICE)
+@settings(max_examples=200, deadline=None)
+def test_bloch_generator_is_the_liouvillian_in_the_bloch_basis(slice_):
+    t1, tphi, delta, mag, arg, dt = slice_
+    sample = mag * np.exp(1j * arg)
+    want = _FROM_VEC @ vec_generator(t1, tphi, delta, sample, dt) @ _TO_VEC
+    got = _bloch_generator(t1, tphi, delta, sample, dt)
+    assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, np.max(np.abs(want)))
 
 
 def kron_liouvillian_parts(q, delta_rad):
