@@ -19,7 +19,7 @@ import numpy as np
 
 from . import qubit as qb
 from .calibration import CalibratedPulse, CalibrationError, calibrate_pulse, pulse_drive
-from .compiler import CompileError, Gate, Program, schedule, parallelism_stats
+from .compiler import CompileError, Program, schedule, parallelism_stats
 from .demux import Resonator, demux, matched_channels
 from .experiments import ExperimentError, chevron, run_experiment
 from .mixer import BitTimeline, MixerConfig, MixerError, output_spectrum
@@ -308,8 +308,7 @@ def cmd_compile(cfg: DeviceConfig, args, out: _Artifacts) -> None:
         raise ConfigError(
             f'program {args.program} is not {{"qubits": [[gate name, ...], ...]}}'
         )
-    gate = {name: Gate.parse(name) for name in names}
-    program = Program(tuple(tuple(map(gate.__getitem__, gates)) for gates in qubits))
+    program = Program.from_names(qubits, names)
     sched = schedule(program, args.mode)
     stats = parallelism_stats(sched)
     out.write("schedule.json", sched.to_json())

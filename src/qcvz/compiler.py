@@ -7,6 +7,9 @@ physical pulse phase -F, so the realized rotation axis in the equatorial
 plane is phi = -F. Under this choice [X90, Z(pi/4), X90] lowers to pulse
 phases [0, 45] degrees and matches the ideal unitary.
 
+A Program is a gate table, each distinct gate once, plus a matrix of integer
+codes into it, one row per qubit: lowering and scheduling read arrays.
+
 Lowering is frame arithmetic: every gate is one table row (frame += a, emit
 n X90s, frame += b), and a program is the running sum of its rows. In
 quantized mode the sum is over integers in units of pi/4, mod 8; in free
@@ -82,40 +85,56 @@ class Gate:
     def parse(cls, name: str) -> "Gate":
         """Gate from its program-file name: x90, x180, h, s, sdg, t, tdg,
         z45/z90/.../z315 (degrees) or z:<radians>."""
-        return _parse_gate(name)
+        name = name.strip().lower()
+        try:
+            if name.startswith("z:"):
+                angle = float(name[2:])
+            elif name.startswith("z") and name[1:].replace(".", "", 1).isdigit():
+                angle = math.radians(float(name[1:]))
+            else:
+                return cls(GateKind(name))
+        except ValueError:
+            raise CompileError(f"unknown gate name {name!r}") from None
+        return cls.z(angle)
 
 
-# Program files draw from a small vocabulary and Gate is immutable, so one
-# Gate per distinct name is shared by every occurrence.
-@functools.lru_cache(maxsize=4096)
-def _parse_gate(name: str) -> Gate:
-    name = name.strip().lower()
-    try:
-        if name.startswith("z:"):
-            angle = float(name[2:])
-        elif name.startswith("z") and name[1:].replace(".", "", 1).isdigit():
-            angle = math.radians(float(name[1:]))
-        else:
-            return Gate(GateKind(name))
-    except ValueError:
-        raise CompileError(f"unknown gate name {name!r}") from None
-    return Gate.z(angle)
-
-
-@dataclass(frozen=True)
 class Program:
-    """Per-qubit ordered gate lists."""
+    """Per-qubit ordered gate lists as integer codes: qubit i's gate j is
+    ``table[codes[i, j]]`` for j < ``lens[i]``, and ``len(table)`` pads the
+    short rows. ``table`` holds each distinct gate once, in first-seen order,
+    and the arrays are read-only. ``rows`` is a sequence of gate sequences:
+    of Gates, or of keys that ``gate_of`` maps to Gates.
+    """
 
-    gates: tuple[tuple[Gate, ...], ...]
-
-    def __post_init__(self):
-        if len(self.gates) < 1:
+    def __init__(self, rows, gate_of: dict | None = None):
+        if len(rows) < 1:
             raise CompileError("program needs at least one qubit")
-        object.__setattr__(self, "gates", tuple(tuple(g) for g in self.gates))
+        if gate_of is None:
+            gate_of = {g: g for g in itertools.chain.from_iterable(rows)}
+        code_of: dict[Gate, int] = {}  # keys with equal gates share a code
+        code = {key: code_of.setdefault(g, len(code_of)) for key, g in gate_of.items()}
+        self.table, self.n_qubits = tuple(code_of), len(rows)
+        self.lens = np.fromiter(map(len, rows), np.int64, count=self.n_qubits)
+        flat = np.fromiter(map(code.__getitem__, itertools.chain.from_iterable(rows)),
+                           np.min_scalar_type(len(code_of)), count=int(self.lens.sum()))
+        self.codes = np.full((self.n_qubits, self.lens.max()), len(code_of), flat.dtype)
+        self.codes[np.arange(self.codes.shape[1]) < self.lens[:, None]] = flat
+        self.lens.setflags(write=False)
+        self.codes.setflags(write=False)
 
-    @property
-    def n_qubits(self) -> int:
-        return len(self.gates)
+    @classmethod
+    def from_names(cls, rows, names=None) -> "Program":
+        """Program from rows of gate names; the distinct ``names`` (collected here
+        if not given) are parsed in first-seen order, so the first bad one raises."""
+        if names is None:
+            names = dict.fromkeys(itertools.chain.from_iterable(rows))
+        return cls(rows, {name: Gate.parse(name) for name in names})
+
+    @functools.cached_property
+    def gates(self) -> tuple[tuple[Gate, ...], ...]:
+        """Each qubit's gates, rebuilt from the codes."""
+        return tuple(tuple(map(self.table.__getitem__, row[:n]))
+                     for row, n in zip(self.codes.tolist(), self.lens.tolist()))
 
 
 @dataclass(frozen=True)
@@ -144,58 +163,36 @@ _STEPS = {
 }
 
 
-def _gate_codes(rows) -> tuple[list[Gate], np.ndarray]:
-    """(gates, codes): the distinct Gate objects of ``rows`` and a padded
-    matrix where codes[i, j] indexes row i's gate j in ``gates``; len(gates)
-    pads the short rows."""
-    flat = list(itertools.chain.from_iterable(rows))
-    lens = np.fromiter(map(len, rows), np.intp, count=len(rows))
-    # Gates are grouped by identity: parsed gates are shared, so a program
-    # holds few distinct objects however long it is.
-    _, first, flat_codes = np.unique(np.fromiter(map(id, flat), np.uintp, count=len(flat)),
-                                     return_index=True, return_inverse=True)
-    maxg = int(lens.max(initial=0))
-    codes = np.full((len(rows), maxg), len(first), dtype=np.intp)
-    codes[np.arange(maxg) < lens[:, None]] = flat_codes
-    return [flat[i] for i in first], codes
-
-
-def _lower_rows(rows, quantized: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lower gate rows in one padded pass.
-
-    Returns (thetas_deg, lens, final_frame_rad): row i's pulse phases are
-    thetas_deg[i, :lens[i]] and its residual frame is final_frame_rad[i].
-    """
-    n = len(rows)
-    gates, codes = _gate_codes(rows)
-    maxg = codes.shape[1]
-    table = np.array([_STEPS.get(g.kind, (g.angle_rad, 0, 0.0)) for g in gates]
+def _lower(program: Program, quantized: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(phases, lens, final_frame_rad) of every row in one padded pass: all
+    pulse phases in program order, row i owning the next lens[i], as k of
+    k * 45 degrees if ``quantized``, else in degrees; row i ends at frame
+    final_frame_rad[i]."""
+    codes = program.codes
+    n, maxg = codes.shape
+    table = np.array([_STEPS.get(g.kind, (g.angle_rad, 0, 0.0)) for g in program.table]
                      + [(0.0, 0, 0.0)])  # the last row pads short rows
     ab = table[:, [0, 2]]
     if quantized:
         units = ab / QUARTER
         off = (np.abs(units - np.rint(units)) > 1e-9).any(axis=1)
         if off.any():
-            ang = gates[codes.flat[np.argmax(off[codes])]].angle_rad  # first in program order
+            ang = program.table[codes.flat[np.argmax(off[codes])]].angle_rad  # first in order
             raise CompileError(f"Z angle {ang} rad is not a multiple of pi/4 in quantized mode")
-        ab = np.rint(units).astype(np.int64)
+        # int8 sums wrap mod 256, a multiple of 8, so frames stay right mod 8.
+        ab = np.rint(units).astype(np.int8)
     # Interleave [a0, b0, a1, b1, ...] per row; cumsum runs in order along a row.
-    frames = ab[codes].reshape(n, 2 * maxg)
+    # Each (a, b) pair is gathered as one opaque item: a 1-D gather is several
+    # times faster than ab[codes] and, unlike np.take, copies no index array.
+    pairs = np.ascontiguousarray(ab).view(np.dtype((np.void, 2 * ab.itemsize))).ravel()
+    frames = pairs[codes].view(ab.dtype).reshape(n, 2 * maxg)
     np.cumsum(frames, axis=1, out=frames)
     final = frames[:, -1] if maxg else np.zeros(n, dtype=frames.dtype)
-    n_pulses = table[:, 1].astype(np.intp)[codes]
-    lens = n_pulses.sum(axis=1)
-    pulse_frames = np.repeat(frames[:, 0::2].ravel(), n_pulses.ravel())
+    n_pulses = table[:, 1].astype(np.int8)[codes]
+    phases = np.repeat(frames[:, 0::2].ravel(), n_pulses.ravel())
     if quantized:
-        pulse_thetas = 45.0 * (pulse_frames % 8)
-        final_rad = (final % 8) * QUARTER
-    else:
-        pulse_thetas = np.degrees(pulse_frames) % 360.0
-        final_rad = final % TWO_PI
-    maxlen = int(lens.max(initial=0))
-    thetas = np.zeros((n, maxlen))
-    thetas[np.arange(maxlen) < lens[:, None]] = pulse_thetas
-    return thetas, lens, final_rad
+        return phases % 8, n_pulses.sum(axis=1), (final % 8) * QUARTER
+    return np.degrees(phases) % 360.0, n_pulses.sum(axis=1), final % TWO_PI
 
 
 def lower(gates, quantized: bool = True) -> LoweredQubit:
@@ -204,8 +201,9 @@ def lower(gates, quantized: bool = True) -> LoweredQubit:
     Quantized mode requires every Z angle to be a multiple of pi/4 (within
     1e-9 of one) and tracks the frame exactly as an integer mod 8.
     """
-    thetas, lens, final = _lower_rows([list(gates)], quantized)
-    return LoweredQubit(tuple(thetas[0, : lens[0]].tolist()), float(final[0]))
+    phases, _, final = _lower(Program((tuple(gates),)), quantized)
+    thetas = 45.0 * phases if quantized else phases
+    return LoweredQubit(tuple(thetas.tolist()), float(final[0]))
 
 
 # Ideal gate matrices (global phase irrelevant to equivalence checks).
@@ -213,16 +211,13 @@ _X90 = np.array([[1.0, -1.0j], [-1.0j, 1.0]], dtype=complex) / math.sqrt(2.0)
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
 
+_PULSE_MATRIX = {GateKind.X90: _X90, GateKind.X180: _X90 @ _X90, GateKind.H: _H}
+
+
 def _gate_matrix(g: Gate) -> np.ndarray:
-    if g.kind is GateKind.X90:
-        return _X90
-    if g.kind is GateKind.X180:
-        return _X90 @ _X90
-    if g.kind is GateKind.H:
-        return _H
-    if g.kind is GateKind.Z:
-        return np.array([[1.0, 0.0], [0.0, np.exp(1j * g.angle_rad)]], dtype=complex)
-    return np.array([[1.0, 0.0], [0.0, np.exp(1j * _Z_ANGLE[g.kind])]], dtype=complex)
+    if g.kind in _PULSE_MATRIX:
+        return _PULSE_MATRIX[g.kind]
+    return np.diag([1.0, np.exp(1j * _Z_ANGLE.get(g.kind, g.angle_rad))])
 
 
 def ideal_unitary(gates) -> np.ndarray:
@@ -353,47 +348,68 @@ def schedule(program: Program, mode: ScheduleMode | str = ScheduleMode.QUANTIZED
     the closed form slot_j = slot_{j-1} + 1 + ((k_j - k_{j-1} - 1) mod 8)
     with k_{-1} = slot_{-1} = -1 (see the module docstring), so the cycles
     are the distinct slots, each firing its qubits in ascending order.
-    free: greedy; each cycle takes the phase demanded by the largest set of
-    ready pulses (ties to the lowest phase) and fires every ready pulse
-    within 1e-6 degrees of it.
+    free: greedy; each cycle takes the phase value most ready pulses carry
+    exactly (ties to the lowest phase) and fires every ready pulse within
+    1e-6 degrees of it. Frame sums spread one physical phase over several
+    nearby floats, so the count is per exact value, not per 1e-6 cluster.
     """
     mode = ScheduleMode(mode)
     quantized = mode is ScheduleMode.QUANTIZED45
-    thetas, lens, _ = _lower_rows(program.gates, quantized)
+    phases, lens, _ = _lower(program, quantized)
     n = program.n_qubits
-    if not lens.any():
+    if not phases.size:
         return Schedule(np.zeros(0, np.int64), np.zeros(0), np.zeros(1, np.int64),
                         np.zeros(0, np.int64), mode, n)
-    valid = np.arange(thetas.shape[1]) < lens[:, None]
+    valid = np.arange(lens.max()) < lens[:, None]
     if quantized:
-        k = (thetas // 45.0).astype(np.int64)
-        slots = np.cumsum((np.diff(k, axis=1, prepend=-1) - 1) % 8 + 1, axis=1) - 1
-        slot, qubit = slots[valid], np.nonzero(valid)[0]
-        order = np.lexsort((qubit, slot))
-        slot, qubit = slot[order], qubit[order]
+        k = np.zeros(valid.shape, np.int8)
+        k[valid] = phases
+        step = (np.diff(k, axis=1, prepend=np.int8(-1)) - 1) % 8 + 1
+        slot = np.cumsum(step, axis=1, dtype=np.int64)[valid] - 1
+        # A stable sort keeps the qubits ascending within a slot; on 16 bits
+        # or fewer numpy's stable sort is a radix sort.
+        order = np.argsort(slot.astype(np.min_scalar_type(slot.max())), kind="stable")
+        slot, qubit = slot[order], valid.nonzero()[0][order]
         offsets = np.r_[0, np.flatnonzero(np.diff(slot)) + 1, slot.size]
         slot = slot[offsets[:-1]]
         return Schedule(slot, (slot % 8 * 45).astype(float), offsets, qubit, mode, n)
-    # Code every phase once; np.unique sorts, so argmax over code counts
-    # breaks ties to the lowest phase.
-    vals, codes = np.unique(thetas[valid], return_inverse=True)
-    code = np.zeros(thetas.shape, dtype=np.intp)
-    code[valid] = codes
-    ptr = np.zeros(n, dtype=np.intp)
-    live = np.flatnonzero(lens)
-    phases: list[float] = []
+    # Code every phase once; np.unique sorts, so argmax over code counts breaks
+    # ties to the lowest phase. Code s pads the rows and marks a finished
+    # qubit; its count starts below -n, so no cycle picks it.
+    vals, inv = np.unique(phases, return_inverse=True)
+    s = vals.size
+    width = valid.shape[1] + 1
+    code = np.full((n, width), s, dtype=np.intp)
+    code[:, :-1][valid] = inv
+    code = code.ravel()
+    pos = np.arange(n) * width  # each qubit's next pulse in ``code``
+    nxt = code[pos]
+    count = np.bincount(nxt, minlength=s + 1)
+    count[s] = -n - 1
+    vals_s = np.append(vals, np.nan)  # the finished code matches no phase
+    clusters: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # code -> codes it fires
+    picked: list[int] = []
     fired: list[np.ndarray] = []
-    while live.size:
-        nxt = code[live, ptr[live]]
-        phase = vals[np.bincount(nxt).argmax()]
-        fire = live[np.abs(vals[nxt] - phase) < 1e-6]
-        phases.append(phase)
+    left = phases.size
+    while left:
+        c = int(count.argmax())
+        if c not in clusters:
+            mask = np.abs(vals_s - vals[c]) < 1e-6
+            clusters[c] = mask, mask.nonzero()[0]
+        mask, members = clusters[c]
+        fire = mask[nxt].nonzero()[0]
+        # Every ready pulse in the cluster fires, so its codes have no count
+        # left; only the fired qubits' next codes are added back.
+        count[members] = 0
+        p = pos[fire] + 1
+        pos[fire] = p
+        nxt[fire] = new = code[p]
+        count += np.bincount(new, minlength=s + 1)
+        picked.append(c)
         fired.append(fire)
-        ptr[fire] += 1
-        live = live[ptr[live] < lens[live]]
+        left -= fire.size
     offsets = np.r_[0, np.cumsum([f.size for f in fired])]
-    return Schedule(np.arange(len(phases)), np.array(phases), offsets, np.concatenate(fired),
-                    mode, n)
+    return Schedule(np.arange(len(picked)), vals[picked], offsets, np.concatenate(fired), mode, n)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import qubit as qb
 from .calibration import CalibratedPulse
-from .compiler import Program, Schedule, _gate_codes, ideal_unitary
+from .compiler import Program, Schedule, ideal_unitary
 from .mixer import SAMPLES_PER_CYCLE, MixerConfig, MixerError, rabi_rates
 from .qubit import QubitParams, Trajectory
 from .signals import SignalError
@@ -185,7 +185,7 @@ def simulate_schedule(
     for bits, theta in zip(fired, sched.theta_if_deg.tolist()):
         r = np.exp(1j * math.radians(theta) * frame)
         state = r * np.einsum("kij,kj->ki", maps[bits, qubits], r.conj() * state)
-    return _populations(state[:, 3].real), _ideal_p1(program.gates[:n])
+    return _populations(state[:, 3].real), _ideal_p1(program.table, program.codes[:n])
 
 
 def _cycle_maps(qs, cfgs, pulses, cycle_period_s, has_cycles=True) -> np.ndarray:
@@ -257,16 +257,13 @@ def _check_pulses(tau, a_if, f_if, carrier, cycle_period_s, has_cycles) -> None:
         raise checks[int(np.argmax(bad[:, k]))][1](k)
 
 
-def _ideal_p1(rows) -> np.ndarray:
-    """|<1|U|0>|^2 per gate row: each distinct gate's matrix is looked up once,
-    then U|0> is built one gate column at a time over all rows."""
-    gates, codes = _gate_codes(rows)
-    code_of: dict = {}  # distinct gate value -> its row in table
-    value_code = [code_of.setdefault(g, len(code_of)) for g in gates]
-    table = np.stack([ideal_unitary([g]) for g in code_of] + [np.eye(2, dtype=complex)])
-    codes = np.array(value_code + [len(code_of)], dtype=np.intp)[codes]  # pads: identity
-    psi = np.zeros((len(rows), 2), dtype=complex)
+def _ideal_p1(table, codes) -> np.ndarray:
+    """|<1|U|0>|^2 per row of gate ``codes`` into ``table`` (``len(table)``
+    pads): each gate's matrix is built once, then U|0> is built one gate
+    column at a time over all rows."""
+    mats = np.stack([ideal_unitary([g]) for g in table] + [np.eye(2, dtype=complex)])
+    psi = np.zeros((len(codes), 2), dtype=complex)
     psi[:, 0] = 1.0
     for col in codes.T:
-        psi = np.einsum("kij,kj->ki", table[col], psi)
+        psi = np.einsum("kij,kj->ki", mats[col], psi)
     return np.abs(psi[:, 1]) ** 2

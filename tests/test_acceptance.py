@@ -193,53 +193,41 @@ def _transfer_tables():
     return a_tab, f_tab, g_tab, z_tab
 
 
-def _max_distance(u, p, f, z_tab):
-    """Vectorized phase_distance between ideal u and Z(frame) @ pulses."""
-    full = np.empty_like(p)
-    for k in range(8):
-        m = f == k
-        if np.any(m):
-            full[m] = z_tab[k] @ p[m]
-    tr = np.einsum("nij,nij->n", full.conj(), u)
-    phase = np.exp(1j * np.angle(tr))
-    diff = u - phase[:, None, None] * full
-    return float(np.sqrt(np.max(np.einsum("nij,nij->n", diff.conj(), diff).real)))
+def _mul(a, b):
+    """Products of two stacks of 2x2 matrices held as (2, 2, N), entry by entry."""
+    return np.array([[a[i, 0] * b[0, j] + a[i, 1] * b[1, j] for j in (0, 1)] for i in (0, 1)])
+
+
+def _max_distance(u, v):
+    """Largest phase_distance between stacks u and v, both (2, 2, N)."""
+    tr = (v.conj() * u).sum(axis=(0, 1))
+    diff = u - np.exp(1j * np.angle(tr)) * v
+    return float(np.sqrt(np.max((diff.real ** 2 + diff.imag ** 2).sum(axis=(0, 1)))))
 
 
 def test_criterion_4_exhaustive_equivalence():
     a_tab, f_tab, g_tab, z_tab = _transfer_tables()
-    eye = np.eye(2, dtype=complex)
-    u = eye[None]  # ideal unitaries, all programs of the current length
-    p = eye[None]  # lowered pulse products
+    # Stacks of 2x2 matrices are (2, 2, N), one contiguous array per entry;
+    # a_tab and z_tab are gathered by frame index.
+    a_tab = a_tab.transpose(0, 2, 3, 1)  # (symbol, 2, 2, frame)
+    g_tab = g_tab[..., None]
+    z_tab = z_tab.transpose(1, 2, 0)
+    u = np.eye(2, dtype=complex)[..., None]  # ideal unitaries, all programs of one length
+    p = u  # lowered pulse products
     f = np.zeros(1, dtype=np.int64)  # frame indices
     worst = 0.0
     n_programs = 0
-
-    def step(u, p, f, s):
-        u2 = g_tab[s] @ u
-        p2 = np.empty_like(p)
-        for k in range(8):
-            m = f == k
-            if np.any(m):
-                p2[m] = a_tab[s, k] @ p[m]
-        return u2, p2, f_tab[s, f]
-
     for level in range(1, 9):
-        if level < 8:
-            us, ps, fs = [], [], []
-            for s in range(len(SYMBOLS)):
-                u2, p2, f2 = step(u, p, f, s)
-                us.append(u2)
-                ps.append(p2)
-                fs.append(f2)
-            u, p, f = np.concatenate(us), np.concatenate(ps), np.concatenate(fs)
-            worst = max(worst, _max_distance(u, p, f, z_tab))
-            n_programs += len(u)
-        else:
-            for s in range(len(SYMBOLS)):
-                u2, p2, f2 = step(u, p, f, s)
-                worst = max(worst, _max_distance(u2, p2, f2, z_tab))
-                n_programs += len(u2)
+        grown = []
+        for s in range(len(SYMBOLS)):
+            u2, p2, f2 = _mul(g_tab[s], u), _mul(a_tab[s][..., f], p), f_tab[s, f]
+            worst = max(worst, _max_distance(u2, _mul(z_tab[..., f2], p2)))
+            n_programs += f2.size
+            if level < 8:  # the last level is checked and dropped one symbol at a time
+                grown.append((u2, p2, f2))
+        if grown:
+            u, p, f = (np.concatenate(x, axis=-1) for x in zip(*grown))
+    assert n_programs == 19_173_960
     assert worst < 1e-9
     print(
         f"ACCEPTANCE 4 PASS: {n_programs} programs of length <= 8, "

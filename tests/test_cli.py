@@ -175,6 +175,23 @@ def test_compile_bad_gate_is_numeric_error(tmp_path):
             assert run(tmp_path, "compile", "--program", str(prog), "--mode", mode) == EXIT_NUMERIC
 
 
+@pytest.mark.parametrize("qubits, code, message", [
+    ([["x90", "cnot"]], EXIT_NUMERIC, "unknown gate name 'cnot'"),
+    # distinct names are parsed in first-seen order: the first bad one is reported
+    ([["x90", "s"], ["t", "bogus", "x90"], ["zz"]], EXIT_NUMERIC, "unknown gate name 'bogus'"),
+    ([["x90", 3]], EXIT_CONFIG, 'is not {"qubits": [[gate name, ...], ...]}'),
+    ([["x90"], "x90"], EXIT_CONFIG, 'is not {"qubits": [[gate name, ...], ...]}'),
+    ([], EXIT_NUMERIC, "program needs at least one qubit"),
+    ([["x90", "z:nan"]], EXIT_NUMERIC, "Z angle must be finite, got nan"),
+])
+def test_compile_bad_program_exit_code_and_message(tmp_path, capsys, qubits, code, message):
+    prog = tmp_path / "prog.json"
+    prog.write_text(json.dumps({"qubits": qubits}))
+    assert run(tmp_path, "compile", "--program", str(prog)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("qcvz: ") and message in err and err.count("\n") == 1
+
+
 def test_compile_missing_program_is_config_error(tmp_path):
     assert run(tmp_path, "compile", "--program", str(tmp_path / "nope.json")) == EXIT_CONFIG
     prog = tmp_path / "prog.json"

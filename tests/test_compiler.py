@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -8,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcvz.compiler import (
+    _STEPS,
+    QUARTER,
     CompileError,
     Cycle,
     Gate,
@@ -25,6 +28,7 @@ from qcvz.compiler import (
     pulse_unitary,
     schedule,
 )
+from qcvz.experiments import _ideal_p1
 
 
 def gates(*names):
@@ -328,3 +332,150 @@ def test_schedule_rejects_nonfinite_theta_and_bad_qubits():
     for k in (-1, 1):
         with pytest.raises(CompileError):
             Schedule(np.array([0]), np.array([0.0]), one, np.array([k]), ScheduleMode.FREE, 1)
+
+
+# -- reference: the id-coded lowering and the full-scan greedy loop ---------
+# A copy of the compiler before programs held integer codes: gates were
+# grouped by object identity and every free-mode cycle re-scanned all live
+# qubits. The array-native compiler must write the same bytes.
+
+def _ref_gate_codes(rows):
+    flat = list(itertools.chain.from_iterable(rows))
+    lens = np.fromiter(map(len, rows), np.intp, count=len(rows))
+    _, first, flat_codes = np.unique(np.fromiter(map(id, flat), np.uintp, count=len(flat)),
+                                     return_index=True, return_inverse=True)
+    maxg = int(lens.max(initial=0))
+    codes = np.full((len(rows), maxg), len(first), dtype=np.intp)
+    codes[np.arange(maxg) < lens[:, None]] = flat_codes
+    return [flat[i] for i in first], codes
+
+
+def _ref_lower_rows(rows, quantized):
+    n = len(rows)
+    gates, codes = _ref_gate_codes(rows)
+    maxg = codes.shape[1]
+    table = np.array([_STEPS.get(g.kind, (g.angle_rad, 0, 0.0)) for g in gates]
+                     + [(0.0, 0, 0.0)])
+    ab = table[:, [0, 2]]
+    if quantized:
+        units = ab / QUARTER
+        off = (np.abs(units - np.rint(units)) > 1e-9).any(axis=1)
+        if off.any():
+            ang = gates[codes.flat[np.argmax(off[codes])]].angle_rad
+            raise CompileError(f"Z angle {ang} rad is not a multiple of pi/4 in quantized mode")
+        ab = np.rint(units).astype(np.int64)
+    frames = ab[codes].reshape(n, 2 * maxg)
+    np.cumsum(frames, axis=1, out=frames)
+    n_pulses = table[:, 1].astype(np.intp)[codes]
+    lens = n_pulses.sum(axis=1)
+    pulse_frames = np.repeat(frames[:, 0::2].ravel(), n_pulses.ravel())
+    if quantized:
+        pulse_thetas = 45.0 * (pulse_frames % 8)
+    else:
+        pulse_thetas = np.degrees(pulse_frames) % 360.0
+    maxlen = int(lens.max(initial=0))
+    thetas = np.zeros((n, maxlen))
+    thetas[np.arange(maxlen) < lens[:, None]] = pulse_thetas
+    return thetas, lens
+
+
+def _ref_array_schedule(rows, mode):
+    quantized = mode == "quantized45"
+    thetas, lens = _ref_lower_rows(rows, quantized)
+    n = len(rows)
+    if not lens.any():
+        return Schedule(np.zeros(0, np.int64), np.zeros(0), np.zeros(1, np.int64),
+                        np.zeros(0, np.int64), ScheduleMode(mode), n)
+    valid = np.arange(thetas.shape[1]) < lens[:, None]
+    if quantized:
+        k = (thetas // 45.0).astype(np.int64)
+        slots = np.cumsum((np.diff(k, axis=1, prepend=-1) - 1) % 8 + 1, axis=1) - 1
+        slot, qubit = slots[valid], np.nonzero(valid)[0]
+        order = np.lexsort((qubit, slot))
+        slot, qubit = slot[order], qubit[order]
+        offsets = np.r_[0, np.flatnonzero(np.diff(slot)) + 1, slot.size]
+        slot = slot[offsets[:-1]]
+        return Schedule(slot, (slot % 8 * 45).astype(float), offsets, qubit,
+                        ScheduleMode(mode), n)
+    vals, codes = np.unique(thetas[valid], return_inverse=True)
+    code = np.zeros(thetas.shape, dtype=np.intp)
+    code[valid] = codes
+    ptr = np.zeros(n, dtype=np.intp)
+    live = np.flatnonzero(lens)
+    phases, fired = [], []
+    while live.size:
+        nxt = code[live, ptr[live]]
+        phase = vals[np.bincount(nxt).argmax()]
+        fire = live[np.abs(vals[nxt] - phase) < 1e-6]
+        phases.append(phase)
+        fired.append(fire)
+        ptr[fire] += 1
+        live = live[ptr[live] < lens[live]]
+    offsets = np.r_[0, np.cumsum([f.size for f in fired])]
+    return Schedule(np.arange(len(phases)), np.array(phases), offsets, np.concatenate(fired),
+                    ScheduleMode(mode), n)
+
+
+_PULSES = {"x90": 1, "x180": 2, "h": 1}
+
+
+def _bench_rows(rng, frames, n_qubits=500, pulses=100):
+    """Rows shaped like the benchmark's compile programs: two thirds pulse
+    gates and one third ``frames``, until each row emits ``pulses`` X90s;
+    then a few rows cut short, two left empty and one with Z gates only."""
+    rows = []
+    for _ in range(n_qubits):
+        row, left = [], pulses
+        while left:
+            if rng.random() < 2.0 / 3.0:
+                g = list(_PULSES)[rng.integers(3)]
+                g = g if _PULSES[g] <= left else "x90"
+                row.append(g)
+                left -= _PULSES[g]
+            else:
+                row.append(frames[rng.integers(len(frames))])
+        rows.append(row)
+    for i in rng.choice(n_qubits, 12, replace=False):
+        rows[i] = rows[i][: rng.integers(1, 20)]
+    rows[3], rows[n_qubits - 1] = [], []
+    rows[7] = [g for g in rows[7] if g not in _PULSES]
+    return rows
+
+
+Q45_FRAMES = ["s", "sdg", "t", "tdg"] + [f"z{45 * k}" for k in range(1, 8)]
+# z:1e-10 moves a phase by 5.7e-9 degrees, inside the 1e-6-degree cluster.
+FREE_FRAMES = ["s", "sdg", "t", "tdg", "z:1e-10"] + [f"z:{k * math.pi / 8!r}" for k in range(1, 16)]
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_bench_size_schedules_match_reference_bytes(seed):
+    rng = np.random.default_rng(seed)
+    for frames, modes in ((Q45_FRAMES, ("quantized45", "free")), (FREE_FRAMES, ("free",))):
+        rows = _bench_rows(rng, frames)
+        gate = {name: Gate.parse(name) for name in set(itertools.chain.from_iterable(rows))}
+        gate_rows = [[gate[name] for name in row] for row in rows]
+        for mode in modes:
+            ref = _ref_array_schedule(gate_rows, mode).to_json()
+            assert schedule(Program.from_names(rows), mode).to_json() == ref
+            assert schedule(Program(gate_rows), mode).to_json() == ref
+
+
+@given(st.one_of(_programs(FREE_NAMES), _programs(EDGE_NAMES)))
+@settings(max_examples=150, deadline=None)
+def test_program_from_names_matches_gate_rows(rows):
+    named = Program.from_names(rows)
+    built = Program(tuple(tuple(gates(*row)) for row in rows))
+    assert named.table == built.table
+    assert np.array_equal(named.codes, built.codes) and np.array_equal(named.lens, built.lens)
+    assert named.gates == built.gates
+    assert np.array_equal(_ideal_p1(named.table, named.codes),
+                          _ideal_p1(built.table, built.codes))
+    for mode in ("quantized45", "free"):
+        outs = []
+        for prog in (named, built):
+            try:
+                outs.append(([lower(g, mode == "quantized45") for g in prog.gates],
+                             schedule(prog, mode).to_json()))
+            except CompileError as exc:
+                outs.append(str(exc))
+        assert outs[0] == outs[1]
