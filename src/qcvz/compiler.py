@@ -211,13 +211,16 @@ _X90 = np.array([[1.0, -1.0j], [-1.0j, 1.0]], dtype=complex) / math.sqrt(2.0)
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
 
-_PULSE_MATRIX = {GateKind.X90: _X90, GateKind.X180: _X90 @ _X90, GateKind.H: _H}
-
-
 def _gate_matrix(g: Gate) -> np.ndarray:
-    if g.kind in _PULSE_MATRIX:
-        return _PULSE_MATRIX[g.kind]
-    return np.diag([1.0, np.exp(1j * _Z_ANGLE.get(g.kind, g.angle_rad))])
+    if g.kind is GateKind.X90:
+        return _X90
+    if g.kind is GateKind.X180:
+        return _X90 @ _X90
+    if g.kind is GateKind.H:
+        return _H
+    if g.kind is GateKind.Z:
+        return np.array([[1.0, 0.0], [0.0, np.exp(1j * g.angle_rad)]], dtype=complex)
+    return np.array([[1.0, 0.0], [0.0, np.exp(1j * _Z_ANGLE[g.kind])]], dtype=complex)
 
 
 def ideal_unitary(gates) -> np.ndarray:
@@ -386,25 +389,20 @@ def schedule(program: Program, mode: ScheduleMode | str = ScheduleMode.QUANTIZED
     nxt = code[pos]
     count = np.bincount(nxt, minlength=s + 1)
     count[s] = -n - 1
-    vals_s = np.append(vals, np.nan)  # the finished code matches no phase
-    clusters: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # code -> codes it fires
+    vals_n = np.append(vals, np.nan)  # the finished code matches no phase
     picked: list[int] = []
     fired: list[np.ndarray] = []
     left = phases.size
     while left:
         c = int(count.argmax())
-        if c not in clusters:
-            mask = np.abs(vals_s - vals[c]) < 1e-6
-            clusters[c] = mask, mask.nonzero()[0]
-        mask, members = clusters[c]
-        fire = mask[nxt].nonzero()[0]
-        # Every ready pulse in the cluster fires, so its codes have no count
-        # left; only the fired qubits' next codes are added back.
-        count[members] = 0
+        fire = (np.abs(vals_n[nxt] - vals[c]) < 1e-6).nonzero()[0]
+        # Every ready pulse on a fired code fires, so those codes have no
+        # count left; only the fired qubits' next codes are added back.
+        count[nxt[fire]] = 0
         p = pos[fire] + 1
         pos[fire] = p
         nxt[fire] = new = code[p]
-        count += np.bincount(new, minlength=s + 1)
+        np.add.at(count, new, 1)
         picked.append(c)
         fired.append(fire)
         left -= fire.size

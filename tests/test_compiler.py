@@ -460,6 +460,24 @@ def test_bench_size_schedules_match_reference_bytes(seed):
             assert schedule(Program(gate_rows), mode).to_json() == ref
 
 
+def test_free_schedule_with_a_distinct_phase_per_pulse_matches_reference_bytes():
+    # Off-grid frames give almost every pulse its own phase value, so nearly
+    # every cycle fires one qubit. Rows 0-9 carry phases 0.5e-6 degrees
+    # apart, so a cycle's 1e-6 test takes in some neighbouring values and
+    # not others.
+    rng = np.random.default_rng(3)
+    rows = [[g for a in rng.uniform(-3.0, 3.0, 60).tolist() for g in (f"z:{a!r}", "x90")]
+            for _ in range(200)]
+    for i in range(10):
+        angles = [math.radians(0.5e-6 * (i + k)) for k in range(20)]
+        rows[i] = [g for a in angles for g in (f"z:{a!r}", "x90", f"z:{-a!r}")]
+    rows[5] = []
+    gate_rows = [[Gate.parse(name) for name in row] for row in rows]
+    ref = _ref_array_schedule(gate_rows, "free")
+    assert len(ref.slot) > 10_000
+    assert schedule(Program.from_names(rows), "free").to_json() == ref.to_json()
+
+
 @given(st.one_of(_programs(FREE_NAMES), _programs(EDGE_NAMES)))
 @settings(max_examples=150, deadline=None)
 def test_program_from_names_matches_gate_rows(rows):
