@@ -13,24 +13,22 @@ qubits still searching, and calibrate_pulse is its one-qubit case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import qubit as qb
+from .experiments import chevron
 from .mixer import (
     SAMPLES_PER_CYCLE,
-    BitTimeline,
-    DriveEnvelope,
     MixerConfig,
     MixerError,
     amplitude_map,
-    baseband_output,
     inverse_amplitude_map,
     rabi_rates,
 )
 from .qubit import FitModel, QubitParams, fit_curve
-from .signals import CycleSpec, Envelope, EnvelopeShape, SignalError, make_if_program
+from .signals import SignalError
 
 TWO_PI = 2.0 * math.pi
 
@@ -69,19 +67,10 @@ class CalibratedPulse:
         )
 
 
-def pulse_drive(cfg: MixerConfig, pulse: CalibratedPulse, on: bool = True) -> DriveEnvelope:
-    """Drive envelope of one calibrated pulse, filling its own cycle, with the
-    mixer on or off."""
-    cfg = replace(cfg, channel=replace(cfg.channel, freq_hz=pulse.f_lo_hz))
-    env = Envelope(EnvelopeShape.FLAT, pulse.tau_if_s, pulse.a_if)
-    prog = make_if_program(pulse.f_if_hz, pulse.tau_if_s, [CycleSpec(0.0, env)], quantized=False)
-    return baseband_output(cfg, prog, BitTimeline((1 if on else 0,)))
-
-
-# State after an exact pi/2 rotation about x from ground; biases the
+# Bloch vector after an exact pi/2 rotation about x from ground; biases the
 # amplification signal onto the equator so it stays linear in the angle
 # error for both pi/2 and pi targets.
-_PREP_RHO = np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=complex)
+_PREP = np.array([1.0, 0.0, -1.0, 0.0])
 
 
 def _estimate_angles(p1: np.ndarray, expected_total: float, repeats: int) -> np.ndarray:
@@ -135,7 +124,8 @@ def calibrate_pulses(
         raise CalibrationError(f"target angle must be in [0, pi], got {target_angle_rad}")
     target, tau = target_angle_rad, tau_if_s
     f_lo = np.array(f_lo_hz_list, dtype=float)
-    f_if = f_lo - np.array([q.f_qubit_hz for q in qs], dtype=float)
+    f_q = np.array([q.f_qubit_hz for q in qs], dtype=float)
+    f_if = f_lo - f_q
     cfg_arr = np.empty(n, dtype=object)
     cfg_arr[:] = cfgs
     errors: dict[int, Exception] = {}
@@ -147,6 +137,10 @@ def calibrate_pulses(
 
     fail(f_if <= 0, lambda k: CalibrationError(
         f"f_lo={f_lo_hz_list[k]} below qubit frequency {qs[k].f_qubit_hz}"))
+    # Far enough above the qubit, the carrier f_lo - f_if rounds away from it.
+    fail(np.abs((f_lo - f_if) - f_q) > 1e-9 * f_q, lambda k: CalibrationError(
+        f"carrier f_lo - f_if = {f_lo[k] - f_if[k]} Hz misses f_qubit={f_q[k]} Hz "
+        f"(f_lo={f_lo[k]}, f_if={f_if[k]}): f_lo is too far above the qubit"))
     a = np.zeros(n)
     if target != 0.0:
         with np.errstate(over="ignore"):  # an absurd duration reaches any angle
@@ -179,17 +173,17 @@ def _search(qs, cfg_arr, f_lo, f_if, target, tau, live) -> tuple[np.ndarray, dic
     live = live.copy()
     t1 = np.array([q.t1_s for q in qs], dtype=float)
     tphi = np.array([q.tphi_s for q in qs], dtype=float)
-    # Drives are emitted at theta_if = 0 on carrier f_lo - f_if, as pulse_drive does.
+    # Drives are emitted at theta_if = 0 on carrier f_lo - f_if.
     delta = TWO_PI * ((f_lo - f_if) - np.array([q.f_qubit_hz for q in qs], dtype=float))
     lo_phase = np.array([c.channel.phase_rad for c in cfg_arr], dtype=float)
     rate = SAMPLES_PER_CYCLE / tau
 
-    def run(idx, repeats, rho0):
-        """Final p1 of ``repeats`` held-sample cycles from rho0, per qubit in idx."""
+    def run(idx, repeats, v0):
+        """Final p1 of ``repeats`` held-sample cycles from Bloch vector v0, per qubit in idx."""
         s = rabi_rates(cfg_arr[idx], a[idx]) * np.exp(1j * lo_phase[idx])
         dt = repeats * SAMPLES_PER_CYCLE / rate  # as DriveEnvelope.duration_s
         steps = qb._held_maps(t1[idx], tphi[idx], delta[idx], s, dt)
-        return np.clip((steps[:, 3] @ rho0.reshape(4)).real, 0.0, 1.0)
+        return np.clip(steps @ v0 @ qb.BLOCH_P1, 0.0, 1.0)
 
     # Coarse: bisection of the single-pulse population toward sin^2(angle/2).
     # The rotation angle is monotone in a_if and capped at pi by the
@@ -200,7 +194,7 @@ def _search(qs, cfg_arr, f_lo, f_if, target, tau, live) -> tuple[np.ndarray, dic
     for _ in range(30):
         if not idx.size:
             break
-        angle = 2.0 * np.arcsin(np.sqrt(np.minimum(run(idx, 1, qb.ground_state()), 1.0)))
+        angle = 2.0 * np.arcsin(np.sqrt(np.minimum(run(idx, 1, qb.BLOCH_GROUND), 1.0)))
         done = np.abs(angle - target) < 5e-3
         under = angle < target
         lo[idx[~done & under]] = a[idx[~done & under]]
@@ -218,7 +212,7 @@ def _search(qs, cfg_arr, f_lo, f_if, target, tau, live) -> tuple[np.ndarray, dic
         for _ in range(8):
             if not idx.size:
                 break
-            est = _estimate_angles(run(idx, n, _PREP_RHO), 0.5 * math.pi + n * target, n)
+            est = _estimate_angles(run(idx, n, _PREP), 0.5 * math.pi + n * target, n)
             keep = ~(np.abs(est - target) < 1e-6)
             idx, est = idx[keep], est[keep]
             omega = np.minimum(rabi_rates(cfg_arr[idx], a[idx]) * target / est, gain[idx])
@@ -237,7 +231,7 @@ def _search(qs, cfg_arr, f_lo, f_if, target, tau, live) -> tuple[np.ndarray, dic
     # after their last run, so they are run once more.
     if idx.size:
         final_err = np.abs(
-            _estimate_angles(run(idx, 8, _PREP_RHO), 0.5 * math.pi + 8 * target, 8) - target
+            _estimate_angles(run(idx, 8, _PREP), 0.5 * math.pi + 8 * target, 8) - target
         )
         for k, err in zip(idx.tolist(), final_err.tolist()):
             if not err <= 1e-4:  # NaN fails too
@@ -257,10 +251,12 @@ def residual_ratio(
     """Off/on Rabi-frequency ratio across IF amplitudes.
 
     Each point fits a sinusoid to the resonant Rabi trace for both mixer
-    states. Points where the off-state fit fails (vanishing drive) are
-    dropped with a warning entry of NaN.
+    states: a one-column chevron read at the pulse's sample edges. Points
+    where the off-state fit fails (vanishing drive) are dropped with a
+    warning entry of NaN.
     """
     eps = cfg.off_leakage
+    f_if = f_lo_hz - q.f_qubit_hz
     out = []
     for a in np.asarray(a_if_grid, dtype=float):
         if not 0.0 <= a <= 1.0:
@@ -270,16 +266,13 @@ def residual_ratio(
             out.append((float(a), math.nan))
             continue
         freqs = {}
-        for state, f_scale in (("on", 1.0), ("off", eps)):
-            f_eff = f_scale * f_on
-            tau = periods / f_eff
-            pulse = CalibratedPulse(f_lo_hz, f_lo_hz - q.f_qubit_hz, float(a), tau, math.pi)
-            drive = pulse_drive(cfg, pulse, on=(state == "on"))
-            traj = qb.propagate(q, drive, qb.ground_state(), drive.edges_s)
+        for on, f_scale in ((True, 1.0), (False, eps)):
+            tau = periods / (f_scale * f_on)
+            t = np.arange(SAMPLES_PER_CYCLE + 1) / (SAMPLES_PER_CYCLE / tau)  # sample edges
+            p1 = chevron(q, cfg, f_lo_hz, [f_if], t, mixer_on=on, a_if=float(a))[0]
             try:
-                fit = fit_curve(FitModel.RABI_SINUSOID, traj.times_s, traj.p1)
-                freqs[state] = fit.params["f"]
+                freqs[on] = fit_curve(FitModel.RABI_SINUSOID, t, p1).params["f"]
             except qb.FitError:
-                freqs[state] = math.nan
-        out.append((float(a), freqs["off"] / freqs["on"]))
+                freqs[on] = math.nan
+        out.append((float(a), freqs[False] / freqs[True]))
     return out

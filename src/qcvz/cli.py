@@ -18,11 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import qubit as qb
-from .calibration import CalibratedPulse, CalibrationError, calibrate_pulse, pulse_drive
+from .calibration import CalibratedPulse, CalibrationError, calibrate_pulse
 from .compiler import CompileError, Program, schedule, parallelism_stats
 from .demux import Resonator, demux, matched_channels
 from .experiments import ExperimentError, chevron, run_experiment
-from .mixer import BitTimeline, MixerConfig, MixerError, output_spectrum
+from .mixer import SAMPLES_PER_CYCLE, BitTimeline, MixerConfig, MixerError, output_spectrum
 from .qubit import FitError, FitModel, QubitParams, fit_curve
 from .resources import ResourceError, resource_report
 from .signals import CycleSpec, Envelope, MultiToneLo, SignalError, Tone, make_if_program
@@ -228,11 +228,11 @@ def cmd_rabi(cfg: DeviceConfig, args, out: _Artifacts) -> None:
     k = args.qubit
     q = cfg.qubits[k]
     f_lo = cfg.mixers[k].channel.freq_hz
-    f_if = f_lo - q.f_qubit_hz
-    pulse = CalibratedPulse(f_lo, f_if, args.a_if, args.tau_max_s, math.pi)
-    drive = pulse_drive(cfg.mixers[k], pulse, on=not args.off)
-    traj = qb.propagate(q, drive, qb.ground_state(), drive.edges_s)
-    out.csv("rabi", ["t_s", "p1"], [traj.times_s, traj.p1], plot="line")
+    # One resonant chevron column, read at the sample edges of the pulse.
+    t = np.arange(SAMPLES_PER_CYCLE + 1) / (SAMPLES_PER_CYCLE / args.tau_max_s)
+    p1 = chevron(q, cfg.mixers[k], f_lo, [f_lo - q.f_qubit_hz], t, mixer_on=not args.off,
+                 a_if=args.a_if)[0]
+    out.csv("rabi", ["t_s", "p1"], [t, p1], plot="line")
 
 
 def _coherence_cmd(kind: str, model: FitModel):

@@ -10,15 +10,18 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import qubit as qb
-from .calibration import CalibratedPulse
 from .compiler import Program, Schedule, ideal_unitary
 from .mixer import SAMPLES_PER_CYCLE, MixerConfig, MixerError, rabi_rates
 from .qubit import QubitParams, Trajectory
 from .signals import SignalError
+
+if TYPE_CHECKING:  # calibration imports chevron from here
+    from .calibration import CalibratedPulse
 
 TWO_PI = 2.0 * math.pi
 
@@ -72,13 +75,11 @@ def chevron(
     sample = scale * rabi_rates([cfg], [a_if])[0] * np.exp(1j * cfg.channel.phase_rad)
     delta = TWO_PI * (carrier - q.f_qubit_hz)
     steps = qb._held_maps(q.t1_s, q.tphi_s, delta[:, None], sample, dts)
-    state = np.zeros((n, 4), dtype=complex)
-    state[:, 0] = 1.0  # ground
-    p1 = np.zeros((n, len(cuts)))
+    states = np.empty((len(cuts), n, 4))
+    states[0] = qb.BLOCH_GROUND
     for j, k in enumerate(which, 1):
-        state = np.einsum("kij,kj->ki", steps[:, k], state)
-        p1[:, j] = state[:, 3].real
-    return _populations(p1[:, np.searchsorted(cuts, taus)])
+        states[j] = np.einsum("kij,kj->ki", steps[:, k], states[j - 1])
+    return _populations((states[np.searchsorted(cuts, taus)] @ qb.BLOCH_P1).T)
 
 
 def run_experiment(
@@ -105,7 +106,7 @@ def run_experiment(
     by each frame angle.
     """
     kind = ExperimentKind(kind)
-    g = qb.ground_state().reshape(4)
+    g, p1_row = qb.BLOCH_GROUND, qb.BLOCH_P1
 
     def on_map(pulse: CalibratedPulse) -> np.ndarray:
         return _cycle_maps([q], [cfg], [pulse], pulse.tau_if_s)[1, 0]
@@ -115,12 +116,9 @@ def run_experiment(
             raise ExperimentError("vz_ramsey needs a dtheta grid")
         thetas = np.asarray(dtheta_deg, dtype=float)
         s90 = on_map(x90)
-        rho = qb.delay_maps(q, vz_delay_s)[0] @ s90 @ g
-        # A frame shift multiplies the drive by exp(-i theta): the map becomes R s90 R^H,
-        # R = diag(1, e^{i theta}, e^{-i theta}, 1), exact since l0 commutes with Z.
-        r = np.exp(1j * np.outer(np.radians(thetas), [0, 1, -1, 0]))
-        rotated = r[:, :, None] * s90 * r.conj()[:, None, :]
-        p1 = (rotated @ rho)[:, 3].real
+        state = qb.delay_maps(q, vz_delay_s)[0] @ s90 @ g
+        r = _frame_rotations(thetas)
+        p1 = r @ s90 @ np.swapaxes(r, -1, -2) @ state @ p1_row
         if not np.all((p1 >= -1e-9) & (p1 <= 1.0 + 1e-9)):  # NaN fails too
             raise ExperimentError("populations out of [0, 1]")
         return thetas, p1
@@ -134,8 +132,7 @@ def run_experiment(
         raise ExperimentError("missing calibrated pi pulse")
 
     if kind is ExperimentKind.T1:
-        waits = qb.delay_maps(q, delays)
-        p1 = np.einsum("nj,j->n", waits[:, 3], on_map(x180) @ g)
+        p1 = qb.delay_maps(q, delays) @ (on_map(x180) @ g) @ p1_row
     elif kind is ExperimentKind.RAMSEY:
         # Detuning shifts f_if so the carrier moves to f_qubit + detuning;
         # delta is then constant through pulses and delays.
@@ -143,12 +140,12 @@ def run_experiment(
             x90 = replace(x90, f_if_hz=x90.f_lo_hz - (q.f_qubit_hz + detuning_hz))
         waits = qb.delay_maps(q, delays, TWO_PI * detuning_hz)
         s90 = on_map(x90)
-        p1 = np.einsum("j,njk,k->n", s90[3], waits, s90 @ g)
+        p1 = np.einsum("j,njk,k->n", p1_row @ s90, waits, s90 @ g)
     else:  # echo
         waits = qb.delay_maps(q, 0.5 * delays)
         s90, s180 = on_map(x90), on_map(x180)
-        p1 = np.einsum("j,njk,kl,nlm,m->n", s90[3], waits, s180, waits, s90 @ g)
-    return Trajectory(delays, np.clip(p1.real, 0.0, 1.0))
+        p1 = np.einsum("j,njk,kl,nlm,m->n", p1_row @ s90, waits, s180, waits, s90 @ g)
+    return Trajectory(delays, np.clip(p1, 0.0, 1.0))
 
 
 def simulate_schedule(
@@ -166,7 +163,7 @@ def simulate_schedule(
     drive. So every cycle of qubit k applies one of two fixed maps, S_on[k]
     or S_off[k] (the held sample over the envelope, then a drive-free
     remainder of the cycle), rotated by the cycle's IF phase theta:
-    R S R^H with R = diag(1, e^{i theta}, e^{-i theta}, 1). ``_cycle_maps``
+    R S R^T with R from ``_frame_rotations``. ``_cycle_maps``
     builds all maps from one stacked exponential, and each cycle is one
     batched product over the qubits. Returns (simulated final p1 per qubit,
     ideal |<1|U|0>|^2 per qubit).
@@ -179,13 +176,25 @@ def simulate_schedule(
 
     fired = np.zeros((n_cycles, n), dtype=np.intp)
     fired[np.repeat(np.arange(n_cycles), np.diff(sched.offsets)), sched.fired] = 1
-    frame = np.array([0.0, 1.0, -1.0, 0.0])
     qubits = np.arange(n)
-    state = np.tile(qb.ground_state().reshape(4), (n, 1))
-    for bits, theta in zip(fired, sched.theta_if_deg.tolist()):
-        r = np.exp(1j * math.radians(theta) * frame)
-        state = r * np.einsum("kij,kj->ki", maps[bits, qubits], r.conj() * state)
-    return _populations(state[:, 3].real), _ideal_p1(program.table, program.codes[:n])
+    state = np.tile(qb.BLOCH_GROUND, (n, 1))
+    for bits, r in zip(fired, _frame_rotations(sched.theta_if_deg)):
+        state = np.einsum("kij,kj->ki", maps[bits, qubits], state @ r) @ r.T
+    return _populations(state @ qb.BLOCH_P1), _ideal_p1(program.table, program.codes[:n])
+
+
+def _frame_rotations(theta_deg) -> np.ndarray:
+    """R per frame angle theta (deg), shape (..., 4, 4). A frame shift
+    multiplies the drive by exp(-i theta), so a map S in the shifted frame
+    is R S R^T, with R the rotation of (x, y) by -theta; it is exact since
+    the drive-free generator commutes with that rotation."""
+    theta = np.radians(theta_deg)
+    cos, sin = np.cos(theta), np.sin(theta)
+    r = np.zeros(theta.shape + (4, 4))
+    r[..., 0, 0] = r[..., 3, 3] = 1.0
+    r[..., 1, 1] = r[..., 2, 2] = cos
+    r[..., 1, 2], r[..., 2, 1] = sin, -sin
+    return r
 
 
 def _cycle_maps(qs, cfgs, pulses, cycle_period_s, has_cycles=True) -> np.ndarray:

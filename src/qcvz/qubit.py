@@ -5,14 +5,15 @@ The density matrix evolves under
 with H = (delta/2) sigma_z + (Omega_re sigma_x + Omega_im sigma_y)/2,
 Omega(t) = 2 pi * envelope(t) and delta = 2 pi (carrier - f_qubit).
 Drives are sample-and-hold, so propagation is exact: a product of 4x4
-superoperator exponentials, with no step size to choose. Basis: index
-0 = ground, index 1 = excited; p1 = rho[1, 1].
+exponentials, with no step size to choose. Basis: index 0 = ground, index
+1 = excited; p1 = rho[1, 1].
 
-Each exponential is taken in the real Bloch basis v = (1, x, y, z), with
-rho = (I + x sigma_x + y sigma_y + z sigma_z)/2, where the generator is real
-and, without T1 or Tphi, a pure rotation of (x, y, z). Rotations are
-exact (Rodrigues); other slices go through numpy Pade scaling and squaring
-(Higham, SIAM J. Matrix Anal. Appl. 26, 2005). Only fit_curve needs an
+States are real Bloch vectors v = (1, x, y, z), with rho = (I + x sigma_x +
+y sigma_y + z sigma_z)/2, and maps are real 4x4: there the Lindblad
+generator is the Bloch equations and, without T1 or Tphi, a pure rotation
+of (x, y, z). Rotations are exact (Rodrigues); other slices go through numpy
+Pade scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
+Only propagate takes and returns density matrices. Only fit_curve needs an
 optimizer, and it imports one on its first call.
 """
 from __future__ import annotations
@@ -28,11 +29,10 @@ from .mixer import DriveEnvelope
 
 TWO_PI = 2.0 * math.pi
 
-SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|, decay operator
-I2 = np.eye(2, dtype=complex)
+# The Bloch vector (1, x, y, z) of the ground state, and the readout row that
+# takes a Bloch vector to its excited-state population p1 = (1 - z)/2.
+BLOCH_GROUND = np.array([1.0, 0.0, 0.0, 1.0])
+BLOCH_P1 = np.array([0.5, 0.0, 0.0, -0.5])
 
 
 class QubitError(ValueError):
@@ -135,37 +135,6 @@ def rabi_analytic(omega_rad: float, delta_rad: float, t_s) -> np.ndarray | float
     return float(out) if np.isscalar(t_s) else out
 
 
-def _dissipator(lop: np.ndarray) -> np.ndarray:
-    ldl = lop.conj().T @ lop
-    return np.kron(lop, lop.conj()) - 0.5 * (np.kron(ldl, I2) + np.kron(I2, ldl.T))
-
-
-def _hamiltonian_super(h: np.ndarray) -> np.ndarray:
-    return -1j * (np.kron(h, I2) - np.kron(I2, h.T))
-
-
-# Liouvillian generators (vec row-major), built once at import.
-LZ = _hamiltonian_super(0.5 * SZ)
-D_DECAY = _dissipator(SM)
-D_DEPHASE = _dissipator(SZ)
-LX = _hamiltonian_super(0.5 * SX)
-LY = _hamiltonian_super(0.5 * SY)
-
-
-def _l0(t1_s, tphi_s, delta_rad):
-    return delta_rad * LZ + (1.0 / t1_s) * D_DECAY + (0.5 / tphi_s) * D_DEPHASE
-
-
-def liouvillian_parts(q: QubitParams, delta_rad: float):
-    """l0 = delta LZ + D[sigma-]/T1 + D[sigma_z]/(2 Tphi) plus the drive generators LX, LY."""
-    return _l0(q.t1_s, q.tphi_s, delta_rad), LX, LY
-
-
-# The real Bloch basis: vec(rho) = _TO_VEC @ v, so a Bloch-basis map B is the
-# vec-basis map _TO_VEC @ B @ _FROM_VEC, and flattened, B.reshape(-1, 16) @ _BLOCH_TO_VEC.
-_TO_VEC = np.array([[0.5, 0, 0, 0.5], [0, 0.5, -0.5j, 0], [0, 0.5, 0.5j, 0], [0.5, 0, 0, -0.5]])
-_FROM_VEC = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
-_BLOCH_TO_VEC = np.ascontiguousarray(np.kron(_TO_VEC, _FROM_VEC.T).T)
 _EYE4 = np.eye(4)
 _HALVES = np.array([1.0, 0.5])
 
@@ -201,7 +170,7 @@ _NORM_MAX = _PADE[13][0] * 2.0**52
 
 
 def _bloch_generator(t1_s, tphi_s, delta_rad, sample_hz, dt_s) -> np.ndarray:
-    """(l0 + 2 pi (Re s LX + Im s LY)) dt in the Bloch basis, over the broadcast
+    """The Lindblad generator times dt in the Bloch basis, over the broadcast
     arguments: the Bloch equations. (x, y, z) rotates about
     (2 pi Re s, 2 pi Im s, delta); z relaxes to 1 at 1/T1; x and y decay at 1/T2."""
     s, dt = np.asarray(sample_hz), np.asarray(dt_s)
@@ -275,15 +244,14 @@ def _pade_maps(gen: np.ndarray) -> np.ndarray:
 
 
 def _held_maps(t1_s, tphi_s, delta_rad, sample_hz, dt_s) -> np.ndarray:
-    """expm((l0 + 2 pi (Re s LX + Im s LY)) dt) for a sample s (Hz) held for dt,
-    stacked over the broadcast array arguments: the one exponential of the
-    drive model, as complex (4, 4) maps in the vec basis.
+    """The Bloch map (4, 4) of a sample s (Hz) held for dt, the exponential of
+    _bloch_generator, stacked over the broadcast array arguments: the one
+    exponential of the drive model.
 
-    It is taken in the real Bloch basis. A slice without dissipation (T1 =
-    Tphi = inf, or dt = 0) is a rotation, in closed form, and the others go
-    through Pade. A step whose generator norm passes _NORM_MAX or is not
-    finite gives a NaN map, which every caller rejects (a population or
-    angle-error check), without a warning.
+    A slice without dissipation (T1 = Tphi = inf, or dt = 0) is a rotation,
+    in closed form, and the others go through Pade. A step whose generator
+    norm passes _NORM_MAX or is not finite gives a NaN map, which every
+    caller rejects (a population or angle-error check), without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         gen = _bloch_generator(t1_s, tphi_s, delta_rad, sample_hz, dt_s)
@@ -299,7 +267,7 @@ def _held_maps(t1_s, tphi_s, delta_rad, sample_hz, dt_s) -> np.ndarray:
                 maps = np.empty_like(flat)
                 maps[~dissipative] = _rotation_maps(flat[~dissipative])
                 maps[dissipative] = _pade_maps(flat[dissipative])
-    return (maps.reshape(-1, 16) @ _BLOCH_TO_VEC).reshape(gen.shape)
+    return maps.reshape(gen.shape)
 
 
 def _held_steps(q: QubitParams, drive: DriveEnvelope, times: np.ndarray):
@@ -327,11 +295,12 @@ def propagate(
 ) -> Trajectory:
     """Exact Lindblad propagation of a sample-and-hold drive.
 
-    Each maximal run of equal samples between report times is one
-    exponential expm(L t) with L = l0 + 2 pi (Re s lx + Im s ly); equal
-    (sample, duration) pairs share one exponential. p1 is reported at
-    ``times_s`` (sorted, inside [0, duration]; default: start and end of
-    the drive) and ``rho_final`` is the state at the end of the drive.
+    Each maximal run of equal samples between report times is one held
+    map of ``_held_maps``; equal (sample, duration) pairs share one
+    exponential. p1 is reported at ``times_s`` (sorted, inside [0,
+    duration]; default: start and end of the drive) and ``rho_final`` is the
+    state at the end of the drive (``rho0`` itself if the drive is empty).
+    rho0 becomes a Bloch vector on entry, and back on exit.
     """
     rho0 = validate_density_matrix(rho0)
     duration = drive.duration_s
@@ -341,29 +310,35 @@ def propagate(
     if np.any(np.diff(times) < 0):
         raise QubitError("report times must be sorted")
     cuts, steps, which = _held_steps(q, drive, times)
-    states = np.empty((len(cuts), 4), dtype=complex)
-    states[0] = rho0.reshape(4)
+    (r00, r01), (r10, r11) = rho0
+    states = np.empty((len(cuts), 4))
+    states[0] = np.array([r00 + r11, r01 + r10, 1j * (r01 - r10), r00 - r11]).real
     for j, k in enumerate(which):
         states[j + 1] = steps[k] @ states[j]
-    p1 = states[np.searchsorted(cuts, times), 3].real
-    return Trajectory(times, np.clip(p1, 0.0, 1.0), states[-1].reshape(2, 2))
+    p1 = states[np.searchsorted(cuts, times)] @ BLOCH_P1
+    if len(which):
+        v, x, y, z = states[-1]
+        rho0 = 0.5 * np.array([[v + z, x - 1j * y], [x + 1j * y, v - z]])
+    return Trajectory(times, np.clip(p1, 0.0, 1.0), rho0)
 
 
 def delay_maps(q: QubitParams, t_s, delta_rad: float = 0.0) -> np.ndarray:
-    """Drive-free maps exp(l0 t), one (4, 4) per delay, in closed form.
-
-    l0 couples no population to a coherence: it is diagonal apart from
-    l0[0, 3] = -l0[3, 3] = 1/T1. So p1 relaxes as p1 e^{-t/T1} into p0,
-    rho01 decays at 1/T2 and rotates at delta (its sign from LZ), and rho10
-    is its conjugate. Raises QubitError for a negative or non-finite delay.
+    """Drive-free Bloch maps, one (4, 4) per delay, in closed form: z relaxes
+    to 1 at 1/T1, and (x, y) decays at 1/T2 while it rotates by delta t.
+    Raises QubitError for a negative or non-finite delay.
     """
     t = np.asarray(t_s, dtype=float).reshape(-1)
     if not np.all((t >= 0.0) & (t < math.inf)):
         raise QubitError("negative delay" if np.any(t < 0.0) else "delays must be finite")
-    rates = np.diag(_l0(q.t1_s, q.tphi_s, delta_rad))
-    maps = np.zeros((t.size, 4, 4), dtype=complex)
-    maps[:, range(4), range(4)] = np.exp(np.multiply.outer(t, rates))
-    maps[:, 0, 3] = 1.0 - maps[:, 3, 3]
+    relax = np.exp(-t / q.t1_s)
+    decay = np.exp(-t * (0.5 / q.t1_s + 1.0 / q.tphi_s))
+    cos, sin = decay * np.cos(delta_rad * t), decay * np.sin(delta_rad * t)
+    maps = np.zeros((t.size, 4, 4))
+    maps[:, 0, 0] = 1.0
+    maps[:, 1, 1] = maps[:, 2, 2] = cos
+    maps[:, 2, 1], maps[:, 1, 2] = sin, -sin
+    maps[:, 3, 3] = relax
+    maps[:, 3, 0] = 1.0 - relax
     return maps
 
 

@@ -428,7 +428,7 @@ def test_criterion_9_integrator_accuracy():
                 TWO_PI * f_rabi, TWO_PI * df, traj.times_s
             )
             worst = max(worst, float(np.max(np.abs(traj.p1 - ana))))
-    assert worst < 1e-5
+    assert worst < 1e-12
     print(f"ACCEPTANCE 9 PASS (accuracy): max |dp1| {worst:.2e} over 5x5 grid")
 
 
@@ -447,5 +447,5 @@ def test_criterion_9_trace_preservation():
     times = np.linspace(0.0, drive.duration_s, n_steps + 1)
     traj = propagate(q, drive, ground_state(), times)
     err = abs(np.trace(traj.rho_final) - 1.0)
-    assert err < 1e-9
+    assert err < 1e-14
     print(f"ACCEPTANCE 9 PASS (trace): |tr - 1| = {err:.2e} after {n_steps} steps")

@@ -12,7 +12,6 @@ from qcvz.calibration import (
     CalibrationError,
     calibrate_pulse,
     calibrate_pulses,
-    pulse_drive,
     residual_ratio,
 )
 from qcvz.demux import ChannelTone
@@ -25,7 +24,7 @@ from qcvz.mixer import (
     baseband_output,
     inverse_amplitude_map,
 )
-from qcvz.qubit import QubitParams, ground_state, propagate
+from qcvz.qubit import FitModel, QubitParams, fit_curve, ground_state, propagate
 from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, make_if_program
 
 F_Q = 4.53202e9
@@ -69,9 +68,8 @@ def test_calibrated_pulse_rotates_as_requested():
     cfg = make_cfg(gain=4.0e7, nonlinearity=Nonlinearity.SINE_SATURATING)
     for angle, p1_expect in ((math.pi / 2, 0.5), (math.pi, 1.0)):
         pulse = calibrate_pulse(q, cfg, angle, 15e-9, F_LO)
-        drive = pulse_drive(cfg, pulse)
-        traj = propagate(q, drive, ground_state())
-        assert traj.p1[-1] == pytest.approx(p1_expect, abs=1e-6)
+        p1 = _run_pulses(q, cfg, pulse, pulse.a_if, 1, ground_state())
+        assert p1 == pytest.approx(p1_expect, abs=1e-6)
 
 
 def test_calibrate_zero_angle():
@@ -89,16 +87,6 @@ def test_calibrate_unreachable():
         calibrate_pulse(q, make_cfg(), 4.0, 50e-9, F_LO)
 
 
-def test_pulse_drive_repeats_and_gating():
-    cfg = make_cfg()
-    pulse = CalibratedPulse(F_LO, F_LO - F_Q, 0.5, 25e-9, math.pi / 2)
-    on = pulse_drive(cfg, pulse)
-    off = pulse_drive(cfg, pulse, on=False)
-    assert abs(off.samples[0] / on.samples[0]) == pytest.approx(
-        cfg.off_leakage, rel=1e-12
-    )
-
-
 def test_residual_ratio_tracks_leakage():
     q = QubitParams(F_Q)
     eps = 0.05
@@ -106,6 +94,34 @@ def test_residual_ratio_tracks_leakage():
     pts = residual_ratio(q, cfg, [0.4, 1.0], F_LO)
     for a, ratio in pts:
         assert ratio == pytest.approx(eps, abs=0.005)
+
+
+def reference_residual_ratio(q, cfg, a_if_grid, f_lo_hz, periods=3.0):
+    """Per-point loop: each mixer state's Rabi trace propagated on its baseband
+    drive and read at the drive's sample edges."""
+    eps = cfg.off_leakage
+    out = []
+    for a in a_if_grid:
+        f_on = amplitude_map(cfg, float(a))
+        freqs = {}
+        for bit, f_eff in ((1, f_on), (0, eps * f_on)):
+            pulse = CalibratedPulse(f_lo_hz, f_lo_hz - q.f_qubit_hz, a, periods / f_eff, math.pi)
+            drive = _pulse_drive(cfg, pulse, a, (bit,))
+            traj = propagate(q, drive, ground_state(), drive.edges_s)
+            freqs[bit] = fit_curve(FitModel.RABI_SINUSOID, traj.times_s, traj.p1).params["f"]
+        out.append((a, freqs[0] / freqs[1]))
+    return out
+
+
+def test_residual_ratio_matches_drive_propagation():
+    grid = [0.2, 0.6, 1.0]
+    for q in (QubitParams(F_Q), QubitParams.from_t2(F_Q, 2e-6, 1.5e-6)):
+        for cfg in (make_cfg(gain=2.0e7), make_cfg(gain=4.0e7, ratio=20.0,
+                                                    nonlinearity=Nonlinearity.SINE_SATURATING)):
+            got = residual_ratio(q, cfg, grid, F_LO)
+            want = reference_residual_ratio(q, cfg, grid, F_LO)
+            assert [a for a, _ in got] == grid
+            assert max(abs(g - w) for (_, g), (_, w) in zip(got, want)) <= 1e-12
 
 
 def test_residual_ratio_rejects_bad_grid():
@@ -118,13 +134,17 @@ TWO_PI = 2.0 * math.pi
 PREP_RHO = np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=complex)
 
 
-def _run_pulses(q, cfg, pulse, a_if, repeats, rho0):
+def _pulse_drive(cfg, pulse, a_if, bits):
+    """The drive of one flat pulse per bit, each filling its cycle."""
     env = Envelope(EnvelopeShape.FLAT, pulse.tau_if_s, a_if)
-    prog = make_if_program(pulse.f_if_hz, pulse.tau_if_s, [CycleSpec(0.0, env)] * repeats,
+    prog = make_if_program(pulse.f_if_hz, pulse.tau_if_s, [CycleSpec(0.0, env)] * len(bits),
                            quantized=False)
     cfg = replace(cfg, channel=replace(cfg.channel, freq_hz=pulse.f_lo_hz))
-    drive = baseband_output(cfg, prog, BitTimeline((1,) * repeats))
-    return float(propagate(q, drive, rho0).p1[-1])
+    return baseband_output(cfg, prog, BitTimeline(bits))
+
+
+def _run_pulses(q, cfg, pulse, a_if, repeats, rho0):
+    return float(propagate(q, _pulse_drive(cfg, pulse, a_if, (1,) * repeats), rho0).p1[-1])
 
 
 def _estimate_angle(p1, expected_total, repeats):

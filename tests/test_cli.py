@@ -24,7 +24,9 @@ from qcvz.cli import (
     main,
 )
 from qcvz.demux import ChannelTone, resonator_gain
-from qcvz.qubit import Trajectory
+from qcvz.mixer import BitTimeline, baseband_output
+from qcvz.qubit import Trajectory, ground_state, propagate
+from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, make_if_program
 
 
 def run(outdir, *argv):
@@ -265,6 +267,58 @@ def test_rabi_and_plot(tmp_path):
     first = svg.read_bytes()
     assert run(tmp_path, "plot", "--csv", str(csv), "--kind", "line") == EXIT_OK
     assert svg.read_bytes() == first
+
+
+class _Tables:
+    """An artifact writer that keeps each CSV's columns at full precision."""
+
+    def __init__(self):
+        self.columns = {}
+
+    def csv(self, name, header, columns, plot=None):
+        self.columns[name] = columns
+
+
+def reference_rabi(cfg, args):
+    """The Rabi trace through the drive: one flat resonant pulse filling its
+    cycle, from baseband_output, propagated and read at its sample edges."""
+    q, mixer = cfg.qubits[args.qubit], cfg.mixers[args.qubit]
+    env = Envelope(EnvelopeShape.FLAT, args.tau_max_s, args.a_if)
+    prog = make_if_program(mixer.channel.freq_hz - q.f_qubit_hz, args.tau_max_s,
+                           [CycleSpec(0.0, env)], quantized=False)
+    drive = baseband_output(mixer, prog, BitTimeline((0 if args.off else 1,)))
+    return propagate(q, drive, ground_state(), drive.edges_s)
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+def test_rabi_matches_drive_propagation(tmp_path, closed):
+    raw = dict(cli.DEFAULT_CONFIG)
+    if closed:
+        raw["qubits"] = [{"f_qubit_hz": raw["qubits"][0]["f_qubit_hz"]}]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    cfg = load_config(str(path))
+    for flags in ([], ["--off"], ["--a-if", "0.3", "--tau-max-s", "2e-7"],
+                  ["--a-if", "0.3", "--tau-max-s", "3e-6", "--off"]):
+        args = cli._build_parser("rabi").parse_args(flags)
+        out = _Tables()
+        cli.cmd_rabi(cfg, args, out)
+        t, p1 = out.columns["rabi"]
+        want = reference_rabi(cfg, args)
+        assert np.array_equal(t, want.times_s), flags
+        assert np.max(np.abs(p1 - want.p1)) <= 1e-12, flags
+
+
+def test_carrier_lost_to_rounding_is_a_calibration_error(tmp_path, capsys):
+    # Far above the qubit, f_lo - (f_lo - f_qubit) is no longer f_qubit.
+    for f_lo in (1e308, 1e25):
+        tone = dict(cli.DEFAULT_CONFIG["lo_tones"][0], freq_hz=f_lo)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(cli.DEFAULT_CONFIG, lo_tones=[tone])))
+        capsys.readouterr()
+        assert run(tmp_path, "calibrate", "--config", str(path)) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "misses f_qubit=4532020000.0 Hz" in err and f"f_lo={f_lo!r}" in err, err
 
 
 def test_plot_bad_csv_is_numeric_error(tmp_path):

@@ -17,6 +17,7 @@ from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, SignalError, make_i
 F_Q = 4.53202e9
 F_LO = 8.0e9
 TWO_PI = 2.0 * math.pi
+PAULIS = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]]))
 
 
 def _apply_pulse(q, cfg, pulse, rho, theta_if_deg=0.0, f_if_hz=None):
@@ -29,7 +30,11 @@ def _apply_pulse(q, cfg, pulse, rho, theta_if_deg=0.0, f_if_hz=None):
 
 
 def _free(q, rho, t_s, delta_rad=0.0):
-    return (delay_maps(q, t_s, delta_rad)[0] @ rho.reshape(4)).reshape(2, 2)
+    """rho after a delay: delay_maps' map applied to the Bloch vector (tr rho,
+    tr(rho sigma_x), tr(rho sigma_y), tr(rho sigma_z))."""
+    v = np.real([np.trace(rho)] + [np.trace(rho @ p) for p in PAULIS])
+    v = delay_maps(q, t_s, delta_rad)[0] @ v
+    return 0.5 * (v[0] * np.eye(2) + sum(c * p for c, p in zip(v[1:], PAULIS)))
 
 
 def reference_experiment(kind, q, cfg, x90, x180, delays, detuning_hz, thetas, vz_delay_s):

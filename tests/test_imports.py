@@ -1,5 +1,6 @@
-"""Every name a qcvz module imports is read somewhere in that module, and
-importing qcvz loads no scipy."""
+"""Every name a qcvz module imports is read somewhere in that module, every
+module-level private name is read somewhere in the package, and importing
+qcvz loads no scipy."""
 import ast
 import json
 import os
@@ -34,6 +35,38 @@ def test_every_import_is_read(path):
 def test_unused_import_is_found():
     assert _unused_imports(ast.parse("import os\nfrom math import pi, tau\nprint(tau)")) == {
         "os", "pi"}
+
+
+def _unread_private_names(trees: list[ast.Module]) -> set[str]:
+    """Module-level private functions, classes and constants of ``trees`` that
+    no tree reads, as a name or as an attribute."""
+    defined, read = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return {name for name in defined if name.startswith("_") and not name.startswith("__")} - read
+
+
+def test_every_private_name_is_read():
+    # A private helper that only the tests use is dead code in the package.
+    trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
+    assert _unread_private_names(trees) == set()
+
+
+def test_unread_private_name_is_found():
+    a = ast.parse("def _used(): pass\ndef _unused(): pass\nclass _Lone: pass\n"
+                  "_K, _J = 1, 2\n_T: int = 3\n__version__ = '1'\n")
+    b = ast.parse("import a\nfrom a import _unused\n_used()\nprint(a._J, _T)\n")
+    assert _unread_private_names([a, b]) == {"_unused", "_Lone", "_K"}
 
 
 def _scipy_modules_after(code: str) -> list[str]:

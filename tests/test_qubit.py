@@ -12,24 +12,16 @@ from qcvz.demux import ChannelTone
 from qcvz.experiments import simulate_schedule
 from qcvz.mixer import DriveEnvelope, MixerConfig
 from qcvz.qubit import (
-    SM,
-    SX,
-    SY,
-    SZ,
     FitError,
     FitModel,
     QubitError,
     QubitParams,
-    _FROM_VEC,
-    _TO_VEC,
     _bloch_generator,
     _held_maps,
-    _l0,
     excited_state,
     delay_maps,
     fit_curve,
     ground_state,
-    liouvillian_parts,
     propagate,
     rabi_analytic,
     validate_density_matrix,
@@ -37,6 +29,46 @@ from qcvz.qubit import (
 
 TWO_PI = 2.0 * math.pi
 F_Q = 4.53202e9
+
+# The vec-basis oracle. vec(rho) is rho flattened row-major; the Lindblad
+# generator there is built from Kronecker products, and the Bloch vector
+# v = (1, x, y, z) of rho = (I + x SX + y SY + z SZ)/2 is FROM_VEC @ vec(rho).
+SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|, decay operator
+TO_VEC = np.array([[0.5, 0, 0, 0.5], [0, 0.5, -0.5j, 0], [0, 0.5, 0.5j, 0], [0.5, 0, 0, -0.5]])
+FROM_VEC = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
+
+
+def to_vec(bloch_maps):
+    """Bloch-basis maps as vec-basis maps."""
+    return TO_VEC @ bloch_maps @ FROM_VEC
+
+
+def apply_bloch_map(bloch_map, rho):
+    """rho after a Bloch-basis map, through the vec basis."""
+    return (to_vec(bloch_map) @ rho.reshape(4)).reshape(2, 2)
+
+
+def kron_liouvillian_parts(q, delta_rad):
+    """l0 = delta LZ + D[SM]/T1 + D[SZ]/(2 Tphi) and the drive generators LX, LY,
+    each the Liouvillian of its term in the vec basis, from Kronecker products."""
+    i2 = np.eye(2, dtype=complex)
+
+    def dissipator(lop, rate):
+        ldl = lop.conj().T @ lop
+        return rate * (np.kron(lop, lop.conj()) - 0.5 * (np.kron(ldl, i2) + np.kron(i2, ldl.T)))
+
+    def hamiltonian(h):
+        return -1j * (np.kron(h, i2) - np.kron(i2, h.T))
+
+    l0 = hamiltonian(0.5 * delta_rad * SZ)
+    if math.isfinite(q.t1_s):
+        l0 = l0 + dissipator(SM, 1.0 / q.t1_s)
+    if math.isfinite(q.tphi_s):
+        l0 = l0 + dissipator(SZ, 0.5 / q.tphi_s)
+    return l0, hamiltonian(0.5 * SX), hamiltonian(0.5 * SY)
 
 
 def flat_drive(f_rabi_hz, tau_s, carrier_hz=F_Q, rate_hz=1e9):
@@ -201,7 +233,7 @@ def test_delay_maps_closed_form(t1, tphi, delta, t, bloch):
     q = QubitParams(F_Q, t1_s=t1, tphi_s=tphi)
     x, y, z = bloch
     rho = 0.5 * (np.eye(2) + x * SX + y * SY + z * SZ)
-    out = (delay_maps(q, t, delta)[0] @ rho.reshape(4)).reshape(2, 2)
+    out = apply_bloch_map(delay_maps(q, t, delta)[0], rho)
     coh = rho[0, 1] * np.exp(-1j * delta * t) * math.exp(-t / q.t2_s)
     assert abs(out[1, 1] - rho[1, 1] * math.exp(-t / t1)) < 1e-13
     assert abs(out[0, 1] - coh) < 1e-13
@@ -211,12 +243,12 @@ def test_delay_maps_closed_form(t1, tphi, delta, t, bloch):
 
 
 def reference_delay_maps(q, t_s, delta_rad=0.0):
-    """The stacked expm(l0 t) that the closed form replaces."""
+    """The stacked expm(l0 t) in the vec basis that the closed form replaces."""
     t = np.asarray(t_s, dtype=float).reshape(-1)
     # expm's triangular path divides by the eigenvalue gap 2 delta and returns NaN
     # when delta t underflows; a rotation below one ulp is dropped instead.
     delta = np.where(np.abs(delta_rad * t) < 2.0**-53, 0.0, delta_rad)
-    return expm(_l0(q.t1_s, q.tphi_s, delta[:, None, None]) * t[:, None, None])
+    return expm(np.array([kron_liouvillian_parts(q, d)[0] for d in delta]) * t[:, None, None])
 
 
 @given(
@@ -230,28 +262,28 @@ def reference_delay_maps(q, t_s, delta_rad=0.0):
 @settings(max_examples=300, deadline=None)
 def test_delay_maps_match_stacked_expm(t1, tphi, delta, t):
     q = QubitParams(F_Q, t1_s=t1, tphi_s=tphi)
-    got, want = delay_maps(q, t, delta), reference_delay_maps(q, t, delta)
+    got, want = to_vec(delay_maps(q, t, delta)), reference_delay_maps(q, t, delta)
     assert got.shape == want.shape == (len(t), 4, 4)
     assert np.max(np.abs(got - want)) < 1e-13
 
 
 def vec_generator(t1, tphi, delta, sample, dt):
-    """(l0 + 2 pi (Re s LX + Im s LY)) dt in the vec basis, from liouvillian_parts."""
-    l0, lx, ly = liouvillian_parts(QubitParams(F_Q, t1_s=t1, tphi_s=tphi), delta)
+    """(l0 + 2 pi (Re s LX + Im s LY)) dt in the vec basis, from the kron construction."""
+    l0, lx, ly = kron_liouvillian_parts(QubitParams(F_Q, t1_s=t1, tphi_s=tphi), delta)
     return (l0 + TWO_PI * (sample.real * lx + sample.imag * ly)) * dt
 
 
 def bloch_expm(t1, tphi, delta, sample, dt):
-    """scipy's expm of the generator, taken in the Bloch basis and brought back.
+    """scipy's expm of the generator, taken in the Bloch basis.
 
     At 30 squarings expm in the vec basis moves the trace-keeping eigenvalue 1
     by about 2^30 ulps (its maps are off by 1e-7 from a 60-digit reference);
     in the Bloch basis that eigenvalue is exact, and expm there is within
     5e-16 of the reference on DEEP.
     """
-    bloch = _FROM_VEC @ vec_generator(t1, tphi, delta, sample, dt) @ _TO_VEC
+    bloch = FROM_VEC @ vec_generator(t1, tphi, delta, sample, dt) @ TO_VEC
     assert np.max(np.abs(bloch.imag)) <= 1e-15 * np.max(np.abs(bloch))
-    return _TO_VEC @ expm(bloch.real) @ _FROM_VEC
+    return expm(bloch.real)
 
 
 def squarings(t1, tphi, delta, sample, dt):
@@ -286,7 +318,7 @@ def test_held_maps_match_expm(stack):
     # replaces. Worst case seen: 8.9e-15 over 2000 random stacks (3e5 slices).
     t1, tphi, delta, mag, arg, dt = map(np.array, zip(*stack))
     sample = mag * np.exp(1j * arg)
-    got = _held_maps(t1, tphi, delta, sample, dt)
+    got = to_vec(_held_maps(t1, tphi, delta, sample, dt))
     assert got.shape == (len(stack), 4, 4)
     want = expm(np.array([vec_generator(*args) for args in zip(t1, tphi, delta, sample, dt)]))
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -341,7 +373,8 @@ def test_held_maps_give_nan_for_overflowing_steps():
     dt = np.array([1e300, 1e300, 1e10, math.inf, 1e12, 1e12, 1e-8])
     maps = _held_maps(t1, tphi, 0.0, sample, dt)
     assert np.isnan(maps[:6]).all()
-    assert np.max(np.abs(maps[6] - expm(vec_generator(20e-6, math.inf, 0.0, 1e6, 1e-8)))) < 1e-15
+    want = expm(vec_generator(20e-6, math.inf, 0.0, 1e6, 1e-8))
+    assert np.max(np.abs(to_vec(maps[6]) - want)) < 1e-15
 
 
 @given(slice_=SLICE)
@@ -349,41 +382,9 @@ def test_held_maps_give_nan_for_overflowing_steps():
 def test_bloch_generator_is_the_liouvillian_in_the_bloch_basis(slice_):
     t1, tphi, delta, mag, arg, dt = slice_
     sample = mag * np.exp(1j * arg)
-    want = _FROM_VEC @ vec_generator(t1, tphi, delta, sample, dt) @ _TO_VEC
+    want = FROM_VEC @ vec_generator(t1, tphi, delta, sample, dt) @ TO_VEC
     got = _bloch_generator(t1, tphi, delta, sample, dt)
     assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, np.max(np.abs(want)))
-
-
-def kron_liouvillian_parts(q, delta_rad):
-    """The per-call kron construction that the module constants replace."""
-    i2 = np.eye(2, dtype=complex)
-
-    def dissipator(lop, rate):
-        ldl = lop.conj().T @ lop
-        return rate * (np.kron(lop, lop.conj()) - 0.5 * (np.kron(ldl, i2) + np.kron(i2, ldl.T)))
-
-    def hamiltonian(h):
-        return -1j * (np.kron(h, i2) - np.kron(i2, h.T))
-
-    l0 = hamiltonian(0.5 * delta_rad * SZ)
-    if math.isfinite(q.t1_s):
-        l0 = l0 + dissipator(SM, 1.0 / q.t1_s)
-    if math.isfinite(q.tphi_s):
-        l0 = l0 + dissipator(SZ, 0.5 / q.tphi_s)
-    return l0, hamiltonian(0.5 * SX), hamiltonian(0.5 * SY)
-
-
-@given(
-    t1=st.one_of(st.just(math.inf), st.floats(1e-9, 1.0)),
-    tphi=st.one_of(st.just(math.inf), st.floats(1e-9, 1.0)),
-    # The kron construction halves delta, which rounds only for subnormal delta.
-    delta=st.floats(-1e9, 1e9, allow_subnormal=False),
-)
-@settings(max_examples=300, deadline=None)
-def test_liouvillian_parts_equal_kron_construction(t1, tphi, delta):
-    q = QubitParams(F_Q, t1_s=t1, tphi_s=tphi)
-    for got, want in zip(liouvillian_parts(q, delta), kron_liouvillian_parts(q, delta)):
-        assert np.array_equal(got, want)
 
 
 def test_delay_maps_reject_bad_delays():
@@ -401,7 +402,7 @@ def test_delay_maps_match_propagate():
     rho = np.array([[0.75, 0.25 - 0.3j], [0.25 + 0.3j, 0.25]], dtype=complex)
     t = 2e-6
     traj = propagate(q, flat_drive(0.0, t), rho)
-    direct = (delay_maps(q, t)[0] @ rho.reshape(4)).reshape(2, 2)
+    direct = apply_bloch_map(delay_maps(q, t)[0], rho)
     assert np.max(np.abs(traj.rho_final - direct)) < 1e-12
 
 
