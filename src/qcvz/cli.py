@@ -194,7 +194,7 @@ def _get_pulses(
         try:
             d = json.loads(Path(pulses_path).read_text())
             return CalibratedPulse.from_dict(d["x90"]), CalibratedPulse.from_dict(d["x180"])
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (OSError, json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
             raise ConfigError(f"cannot read pulses {pulses_path}: {exc}") from exc
     tau = cfg.cycle_period_s if tau_s is None else tau_s
     q = cfg.qubits[k].closed()

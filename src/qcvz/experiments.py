@@ -118,10 +118,7 @@ def run_experiment(
         s90 = on_map(x90)
         state = qb.delay_maps(q, vz_delay_s)[0] @ s90 @ g
         r = _frame_rotations(thetas)
-        p1 = r @ s90 @ np.swapaxes(r, -1, -2) @ state @ p1_row
-        if not np.all((p1 >= -1e-9) & (p1 <= 1.0 + 1e-9)):  # NaN fails too
-            raise ExperimentError("populations out of [0, 1]")
-        return thetas, p1
+        return thetas, _populations(r @ s90 @ np.swapaxes(r, -1, -2) @ state @ p1_row)
 
     if delays_s is None:
         raise ExperimentError(f"{kind.value} needs a delay grid")
@@ -204,7 +201,11 @@ def _cycle_maps(qs, cfgs, pulses, cycle_period_s, has_cycles=True) -> np.ndarray
     tau = np.array([p.tau_if_s for p in pulses], dtype=float)
     a_if = np.array([p.a_if for p in pulses], dtype=float)
     f_if = np.array([p.f_if_hz for p in pulses], dtype=float)
-    carrier = np.array([p.f_lo_hz for p in pulses], dtype=float) - f_if
+    # Infinite f_lo and f_if give a NaN carrier, which _check_pulses rejects;
+    # an absurd finite carrier overflows the detuning into NaN populations.
+    with np.errstate(over="ignore", invalid="ignore"):
+        carrier = np.array([p.f_lo_hz for p in pulses], dtype=float) - f_if
+        delta = TWO_PI * (carrier - np.array([q.f_qubit_hz for q in qs], dtype=float))
     _check_pulses(tau, a_if, f_if, carrier, cycle_period_s, has_cycles)
     rate = SAMPLES_PER_CYCLE / cycle_period_s
     # Samples inside [0, tau] hold the pulse (Envelope.value's inside test);
@@ -214,7 +215,6 @@ def _cycle_maps(qs, cfgs, pulses, cycle_period_s, has_cycles=True) -> np.ndarray
     lo_phase = np.array([c.channel.phase_rad for c in cfgs], dtype=float)
     on = rabi_rates(cfgs, a_if) * np.exp(1j * lo_phase)
     off = np.array([c.off_leakage for c in cfgs]) * on
-    delta = TWO_PI * (carrier - np.array([q.f_qubit_hz for q in qs], dtype=float))
     t1 = np.array([q.t1_s for q in qs], dtype=float)
     tphi = np.array([q.tphi_s for q in qs], dtype=float)
     # One stack: off and on for every qubit, then the drive-free remainder only

@@ -2,7 +2,6 @@ import math
 import re
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +17,6 @@ from qcvz.demux import ChannelTone
 from qcvz.mixer import (
     BitTimeline,
     MixerConfig,
-    MixerError,
     Nonlinearity,
     amplitude_map,
     baseband_output,
@@ -65,11 +63,11 @@ def test_calibrate_saturating_closed_form():
 
 def test_calibrated_pulse_rotates_as_requested():
     q = QubitParams(F_Q)
-    cfg = make_cfg(gain=4.0e7, nonlinearity=Nonlinearity.SINE_SATURATING)
-    for angle, p1_expect in ((math.pi / 2, 0.5), (math.pi, 1.0)):
-        pulse = calibrate_pulse(q, cfg, angle, 15e-9, F_LO)
-        p1 = _run_pulses(q, cfg, pulse, pulse.a_if, 1, ground_state())
-        assert p1 == pytest.approx(p1_expect, abs=1e-6)
+    for phase in (0.0, 0.7, 2.5):
+        cfg = MixerConfig(ChannelTone(F_LO, 0.5, phase), 4.0e7)
+        for angle in (math.pi / 2, math.pi):
+            pulse = calibrate_pulse(q, cfg, angle, 15e-9, F_LO)
+            assert abs(rotation_angle(q, cfg, pulse) - angle) <= 1e-12
 
 
 def test_calibrate_zero_angle():
@@ -129,9 +127,7 @@ def test_residual_ratio_rejects_bad_grid():
         residual_ratio(QubitParams(F_Q), make_cfg(), [1.5], F_LO)
 
 
-# Per-qubit reference: every iteration builds a repeated-pulse drive and propagates it.
 TWO_PI = 2.0 * math.pi
-PREP_RHO = np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=complex)
 
 
 def _pulse_drive(cfg, pulse, a_if, bits):
@@ -143,87 +139,54 @@ def _pulse_drive(cfg, pulse, a_if, bits):
     return baseband_output(cfg, prog, BitTimeline(bits))
 
 
-def _run_pulses(q, cfg, pulse, a_if, repeats, rho0):
-    return float(propagate(q, _pulse_drive(cfg, pulse, a_if, (1,) * repeats), rho0).p1[-1])
+def rotation_angle(q, cfg, pulse):
+    """The angle one pulse turns q's closed twin by from ground, propagated on
+    its drive and read from the Bloch vector as atan2(|(x, y)|, z)."""
+    rho = propagate(q.closed(), _pulse_drive(cfg, pulse, pulse.a_if, (1,)),
+                    ground_state()).rho_final
+    return math.atan2(2.0 * abs(rho[0, 1]), (rho[0, 0] - rho[1, 1]).real)
 
 
-def _estimate_angle(p1, expected_total, repeats):
-    c = float(np.clip(1.0 - 2.0 * p1, -1.0, 1.0))
-    base = math.acos(c)
-    best = None
-    m0 = round(expected_total / TWO_PI)
-    for m in (m0 - 1, m0, m0 + 1):
-        for total in (base + TWO_PI * m, -base + TWO_PI * m):
-            if best is None or abs(total - expected_total) < abs(best - expected_total):
-                best = total
-    return (best - 0.5 * math.pi) / repeats
-
-
-def reference_calibrate_pulse(q, cfg, target_angle_rad, tau_if_s, f_lo_hz):
+def reference_checks(q, cfg, target_angle_rad, tau_if_s, f_lo_hz):
+    """The per-qubit checks, in their order: raise what calibrating q alone
+    raises. A bad duration or IF frequency is rejected by building the drive."""
     if not 0.0 <= target_angle_rad <= math.pi:
         raise CalibrationError(f"target angle must be in [0, pi], got {target_angle_rad}")
     f_if = f_lo_hz - q.f_qubit_hz
     if f_if <= 0:
         raise CalibrationError(f"f_lo={f_lo_hz} below qubit frequency {q.f_qubit_hz}")
-    pulse = CalibratedPulse(f_lo_hz, f_if, 1.0, tau_if_s, target_angle_rad)
     if target_angle_rad == 0.0:
-        return CalibratedPulse(f_lo_hz, f_if, 0.0, tau_if_s, 0.0)
+        return
     max_angle = TWO_PI * amplitude_map(cfg, 1.0) * tau_if_s
     if max_angle < target_angle_rad:
         raise CalibrationError(
             f"target {target_angle_rad:.4f} rad unreachable: max angle "
             f"{max_angle:.4f} rad at a_if=1"
         )
-    lo, hi = 0.0, 1.0
-    a = inverse_amplitude_map(cfg, target_angle_rad / (TWO_PI * tau_if_s))
-    for _ in range(30):
-        p1 = _run_pulses(q, cfg, pulse, a, 1, ground_state())
-        angle = 2.0 * math.asin(math.sqrt(min(p1, 1.0)))
-        if abs(angle - target_angle_rad) < 5e-3:
-            break
-        if angle < target_angle_rad:
-            lo = a
-        else:
-            hi = a
-        a = 0.5 * (lo + hi)
-    for n in (2, 4, 8):
-        for _ in range(8):
-            p1 = _run_pulses(q, cfg, pulse, a, n, PREP_RHO)
-            est = _estimate_angle(p1, 0.5 * math.pi + n * target_angle_rad, n)
-            err = est - target_angle_rad
-            if abs(err) < 1e-6:
-                break
-            omega = amplitude_map(cfg, a) * target_angle_rad / est
-            a = inverse_amplitude_map(cfg, min(omega, cfg.gain_hz_per_unit))
-    p1 = _run_pulses(q, cfg, pulse, a, 8, PREP_RHO)
-    est = _estimate_angle(p1, 0.5 * math.pi + 8 * target_angle_rad, 8)
-    final_err = abs(est - target_angle_rad)
-    if final_err > 1e-4:
-        raise CalibrationError(
-            f"amplification stalled: angle error {final_err:.2e} rad > 1e-4"
-        )
-    return CalibratedPulse(f_lo_hz, f_if, a, tau_if_s, target_angle_rad)
+    _pulse_drive(cfg, CalibratedPulse(f_lo_hz, f_if, 1.0, tau_if_s, target_angle_rad), 1.0, (1,))
 
 
-def assert_matches_reference(qs, cfgs, angle, tau, f_los):
-    """calibrate_pulses agrees with the per-qubit loop: the same a_if within
-    1e-12, or the error the first failing qubit raises (the numbers in its
-    message may differ in the last digits)."""
+def assert_calibrates(qs, cfgs, angle, tau, f_los):
+    """calibrate_pulses raises the error the first failing qubit's checks raise
+    (the numbers in its message may differ in the last digits). Otherwise each
+    pulse is resonant, turns the closed twin by its target within 1e-12 rad,
+    and has exactly the closed twin's a_if."""
     try:
-        want = [reference_calibrate_pulse(*args, angle, tau, f) for args, f in
-                zip(zip(qs, cfgs), f_los)]
-    except Exception as exc:  # the loop stops at its first failing qubit
+        for q, cfg, f_lo in zip(qs, cfgs, f_los):
+            reference_checks(q, cfg, angle, tau, f_lo)
+    except Exception as exc:
         with pytest.raises(type(exc)) as got:
             calibrate_pulses(qs, cfgs, angle, tau, f_los)
         number = r"-?\d[\d.e+-]*"
         assert re.sub(number, "#", str(got.value)) == re.sub(number, "#", str(exc))
         return
     got = calibrate_pulses(qs, cfgs, angle, tau, f_los)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert abs(g.a_if - w.a_if) <= 1e-12
+    assert len(got) == len(qs)
+    for q, cfg, f_lo, g in zip(qs, cfgs, f_los, got):
         assert (g.f_lo_hz, g.f_if_hz, g.tau_if_s, g.target_angle_rad) == (
-            w.f_lo_hz, w.f_if_hz, w.tau_if_s, w.target_angle_rad)
+            f_lo, f_lo - q.f_qubit_hz, tau, angle)
+        assert abs(rotation_angle(q, cfg, g) - angle) <= 1e-12
+        assert calibrate_pulse(q.closed(), cfg, angle, tau, f_lo) == g
 
 
 @st.composite
@@ -255,28 +218,47 @@ def calibration_sets(draw):
 @settings(max_examples=40, deadline=None)
 def test_calibrate_pulses_matches_per_qubit_loop(case):
     qs, cfgs, angle, tau, f_los = case
-    assert_matches_reference(qs, cfgs, angle, tau, f_los)
+    assert_calibrates(qs, cfgs, angle, tau, f_los)
 
 
 def test_calibrate_pulses_raises_like_per_qubit_loop():
     q = QubitParams(F_Q)
     weak = make_cfg(gain=1.0e6)
-    leaky = QubitParams(F_Q, 1e-6, 1e-6)  # the amplification stalls at pi/2 in 50 ns
-    with pytest.raises(CalibrationError, match="stalled"):
-        calibrate_pulse(leaky, make_cfg(gain=4e7), math.pi / 2, 50e-9, F_LO)
+    leaky = QubitParams(F_Q, 1e-6, 1e-6)  # T1 and Tphi do not enter the amplitude
     turned = MixerConfig(ChannelTone(F_LO, 0.5, 4.0), 2e7, nonlinearity=Nonlinearity.LINEAR)
-    with pytest.raises(MixerError):
-        calibrate_pulse(q, turned, 0.5, 50e-9, F_LO)
+    for qs, cfgs, angle in (([leaky], [make_cfg(gain=4e7)], math.pi / 2),
+                            ([q], [turned], 0.5)):
+        pulse = calibrate_pulse(qs[0], cfgs[0], angle, 50e-9, F_LO)
+        assert pulse.a_if == inverse_amplitude_map(cfgs[0], angle / (TWO_PI * 50e-9))
+        assert_calibrates(qs, cfgs, angle, 50e-9, [F_LO])
     for qs, cfgs, angle, f_los in (
         ([q], [make_cfg()], 4.0, [F_LO]),  # angle outside [0, pi]
         ([q, q], [make_cfg()] * 2, math.pi / 2, [F_LO, 4.0e9]),  # f_lo below the qubit
         ([q, q], [make_cfg(), weak], math.pi, [F_LO] * 2),  # unreachable target
         ([q, q], [make_cfg()] * 2, 0.0, [F_LO] * 2),  # zero angle
-        # qubit 0 stalls at the end of the search, qubit 1 fails before it starts
-        ([leaky, q], [make_cfg(gain=4e7), weak], math.pi / 2, [F_LO] * 2),
-        # the amplification asks the phase-4 rad mixer for a negative rate (MixerError)
+        ([leaky, q], [make_cfg(gain=4e7), weak], math.pi / 2, [F_LO] * 2),  # qubit 1 unreachable
+        # the phase-4 rad mixer calibrates; the other qubit's f_lo is below it
         ([q, q], [make_cfg(gain=2e7), turned], 0.5, [F_LO_LOW, F_LO]),
         ([q, q], [turned, make_cfg(gain=2e7)], 0.5, [F_LO, F_LO_LOW]),
     ):
-        assert_matches_reference(qs, cfgs, angle, 50e-9, f_los)
+        assert_calibrates(qs, cfgs, angle, 50e-9, f_los)
     assert calibrate_pulses([], [], math.pi, 50e-9, []) == []
+
+
+def _found_case(phase, gain, angle, a_if, q=QubitParams(F_Q), nonlinearity="sine_saturating"):
+    return q, MixerConfig(ChannelTone(F_LO, 0.5, phase), gain, nonlinearity=nonlinearity), angle, a_if
+
+
+@pytest.mark.parametrize("q, cfg, angle, a_if", [
+    # a drive phase off the x axis used to stall the amplification stage
+    *(_found_case(phase, 4e7, 1.0, 0.050714) for phase in (1.0, 2.0, 3.14)),
+    # decay during the search used to pin a_if near 1 without an error
+    _found_case(0.0, 4e7, math.pi, 0.160861, q=QubitParams(F_Q, 2e-5, 2e-5)),
+    # the search used to ask this mixer for a negative rate (MixerError)
+    _found_case(4.0, 2e7, 0.5, 0.5 / (TWO_PI * 50e-9) / 2e7, nonlinearity="linear"),
+], ids=["phase-1", "phase-2", "phase-3.14", "open-qubit", "linear-phase-4"])
+def test_pulses_the_search_got_wrong(q, cfg, angle, a_if):
+    pulse = calibrate_pulse(q, cfg, angle, 50e-9, F_LO)
+    assert pulse == calibrate_pulse(q.closed(), cfg, angle, 50e-9, F_LO)
+    assert pulse.a_if == pytest.approx(a_if, abs=1e-6)
+    assert abs(rotation_angle(q, cfg, pulse) - angle) <= 1e-12

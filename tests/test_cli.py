@@ -541,3 +541,43 @@ def test_config_numbers_end_in_documented_exit_codes(tmp_path, path):
                     or "Traceback" in text or "Warning" in text or caught):
                 failures.append((value, cmd, code, text))
     assert not failures
+
+
+PULSE_NUMBERS = [(pulse, field) for pulse in ("x90", "x180")
+                 for field in ("f_lo_hz", "f_if_hz", "a_if", "tau_if_s", "target_angle_rad")]
+PULSE_BAD_VALUES = (*CONFIG_EDGE_VALUES, "abc", None, True, [1], 10**400)
+
+
+@pytest.fixture(scope="module")
+def default_pulses(tmp_path_factory):
+    out = tmp_path_factory.mktemp("calibrate")
+    assert run(out, "calibrate") == EXIT_OK
+    return json.loads((out / "pulses.json").read_text())
+
+
+@pytest.mark.parametrize("path", PULSE_NUMBERS, ids=lambda p: ".".join(p))
+def test_pulses_numbers_end_in_documented_exit_codes(tmp_path, default_pulses, path):
+    # Each number of a default pulses.json set to each edge value or non-number,
+    # through every command that reads --pulses: a documented exit code, with
+    # no traceback and no warning on stderr. A value that is not a float is a
+    # configuration error that names the field.
+    assert set(default_pulses[path[0]]) == {field for _, field in PULSE_NUMBERS}
+    failures = []
+    for value in PULSE_BAD_VALUES:
+        raw = copy.deepcopy(default_pulses)
+        raw[path[0]][path[1]] = value
+        pulses = tmp_path / "pulses.json"
+        pulses.write_text(json.dumps(raw))
+        for cmd in ("t1", "ramsey", "echo", "vz-ramsey"):
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main([cmd, "--pulses", str(pulses), "--out", str(tmp_path / "out")])
+            text = err.getvalue() + "".join(str(w.message) for w in caught)
+            if (code not in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_USAGE)
+                    or "Traceback" in text or "Warning" in text or caught
+                    or not isinstance(value, float) and code != EXIT_CONFIG
+                    or value == "abc" and f"{path[1]} must be a number" not in text):
+                failures.append((value, cmd, code, text))
+    assert not failures
+
