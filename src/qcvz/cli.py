@@ -65,6 +65,22 @@ DEFAULT_CONFIG = {
 }
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer that a float can hold: the physics takes floats."""
+    value = int(text)
+    float(value)  # OverflowError past the float range
+    return value
+
+
+def _read_json(path: str, what: str):
+    """The JSON in ``path``. An unreadable file, bad JSON, or an integer past
+    the float range or Python's digit limit is a ConfigError."""
+    try:
+        return json.loads(Path(path).read_text(), parse_int=_json_int)
+    except (OSError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def _qubit_from_dict(d: dict) -> QubitParams:
     f = d["f_qubit_hz"]
     t1 = d.get("t1_s", math.inf)
@@ -78,13 +94,9 @@ def load_config(path: str | None) -> DeviceConfig:
     if path is None:
         raw = DEFAULT_CONFIG
     else:
-        p = Path(path)
-        if not p.is_file():
+        if not Path(path).is_file():
             raise ConfigError(f"config file not found: {path}")
-        try:
-            raw = json.loads(p.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raw = _read_json(path, "config")
     try:
         lo = MultiToneLo(
             tuple(
@@ -191,10 +203,10 @@ def _get_pulses(
 ) -> tuple[CalibratedPulse, CalibratedPulse]:
     """Load persisted pulses or calibrate x90/x180 on the closed-system twin."""
     if pulses_path:
+        d = _read_json(pulses_path, "pulses")
         try:
-            d = json.loads(Path(pulses_path).read_text())
             return CalibratedPulse.from_dict(d["x90"]), CalibratedPulse.from_dict(d["x180"])
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"cannot read pulses {pulses_path}: {exc}") from exc
     tau = cfg.cycle_period_s if tau_s is None else tau_s
     q = cfg.qubits[k].closed()
@@ -293,10 +305,7 @@ def cmd_spectrum(cfg: DeviceConfig, args, out: _Artifacts) -> None:
 
 
 def cmd_compile(cfg: DeviceConfig, args, out: _Artifacts) -> None:
-    try:
-        prog_raw = json.loads(Path(args.program).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read program {args.program}: {exc}") from exc
+    prog_raw = _read_json(args.program, "program")
     qubits = prog_raw.get("qubits") if isinstance(prog_raw, dict) else None
     names = None
     if isinstance(qubits, list) and all(isinstance(gates, list) for gates in qubits):

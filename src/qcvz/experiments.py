@@ -109,7 +109,7 @@ def run_experiment(
     g, p1_row = qb.BLOCH_GROUND, qb.BLOCH_P1
 
     def on_map(pulse: CalibratedPulse) -> np.ndarray:
-        return _cycle_maps([q], [cfg], [pulse], pulse.tau_if_s)[1, 0]
+        return _cycle_maps([q], [cfg], [pulse], pulse.tau_if_s)[0, 1, 0]
 
     if kind is ExperimentKind.VZ_RAMSEY:
         if dtheta_deg is None:
@@ -160,23 +160,27 @@ def simulate_schedule(
     drive. So every cycle of qubit k applies one of two fixed maps, S_on[k]
     or S_off[k] (the held sample over the envelope, then a drive-free
     remainder of the cycle), rotated by the cycle's IF phase theta:
-    R S R^T with R from ``_frame_rotations``. ``_cycle_maps``
-    builds all maps from one stacked exponential, and each cycle is one
-    batched product over the qubits. Returns (simulated final p1 per qubit,
-    ideal |<1|U|0>|^2 per qubit).
+    R S R^T with R from ``_frame_rotations``. Cycles sit at their rolling
+    slots, so a qubit also waits drive-free through the empty slots before
+    each cycle; that wait commutes with R and is folded into S once per
+    distinct gap. ``_cycle_maps`` builds all maps from one stacked
+    exponential, and each cycle is one batched product over the qubits.
+    Returns (simulated final p1 per qubit, ideal |<1|U|0>|^2 per qubit).
     """
     n = sched.n_qubits
     if not (len(q_list) == len(cfg_list) == len(x90_list) == n):
         raise ExperimentError("schedule/qubit/mixer/pulse counts disagree")
     n_cycles = sched.slot.size
-    maps = _cycle_maps(q_list, cfg_list, x90_list, cycle_period_s, n_cycles > 0)
+    # The empty slots before each cycle, as indices into their distinct counts.
+    idle, gap = np.unique(np.diff(sched.slot, prepend=-1) - 1, return_inverse=True)
+    maps = _cycle_maps(q_list, cfg_list, x90_list, cycle_period_s, n_cycles > 0, idle)
 
     fired = np.zeros((n_cycles, n), dtype=np.intp)
     fired[np.repeat(np.arange(n_cycles), np.diff(sched.offsets)), sched.fired] = 1
     qubits = np.arange(n)
     state = np.tile(qb.BLOCH_GROUND, (n, 1))
-    for bits, r in zip(fired, _frame_rotations(sched.theta_if_deg)):
-        state = np.einsum("kij,kj->ki", maps[bits, qubits], state @ r) @ r.T
+    for g, bits, r in zip(gap, fired, _frame_rotations(sched.theta_if_deg)):
+        state = np.einsum("kij,kj->ki", maps[g, bits, qubits], state @ r) @ r.T
     return _populations(state @ qb.BLOCH_P1), _ideal_p1(program.table, program.codes[:n])
 
 
@@ -194,10 +198,12 @@ def _frame_rotations(theta_deg) -> np.ndarray:
     return r
 
 
-def _cycle_maps(qs, cfgs, pulses, cycle_period_s, has_cycles=True) -> np.ndarray:
-    """[off, on] maps of one cycle per qubit k, shape (2, n, 4, 4): the flat
-    pulses[k] held over its envelope, off_leakage of it when off, then a
-    drive-free remainder of the cycle. Raises what building the drive would."""
+def _cycle_maps(qs, cfgs, pulses, cycle_period_s, has_cycles=True, idle=(0,)) -> np.ndarray:
+    """[off, on] maps of one cycle per qubit k after each count of idle cycles
+    in ``idle``, shape (len(idle), 2, n, 4, 4): drive-free for the idle
+    cycles, then the flat pulses[k] held over its envelope (off_leakage of it
+    when off), then drive-free for the rest of the cycle. Raises what building
+    the drive would."""
     tau = np.array([p.tau_if_s for p in pulses], dtype=float)
     a_if = np.array([p.a_if for p in pulses], dtype=float)
     f_if = np.array([p.f_if_hz for p in pulses], dtype=float)
@@ -217,17 +223,12 @@ def _cycle_maps(qs, cfgs, pulses, cycle_period_s, has_cycles=True) -> np.ndarray
     off = np.array([c.off_leakage for c in cfgs]) * on
     t1 = np.array([q.t1_s for q in qs], dtype=float)
     tphi = np.array([q.tphi_s for q in qs], dtype=float)
-    # One stack: off and on for every qubit, then the drive-free remainder only
-    # where the pulse leaves one (an empty remainder is the identity).
-    n = len(qs)
-    rest = np.flatnonzero(n_in < SAMPLES_PER_CYCLE)
-    k = np.concatenate([np.arange(n), np.arange(n), rest])
-    held = np.concatenate([off, on, np.zeros(rest.size)])
-    dur = np.concatenate([n_in, n_in, SAMPLES_PER_CYCLE - n_in[rest]]) / rate
-    steps = qb._held_maps(t1[k], tphi[k], delta[k], held, dur)
-    maps = steps[:2 * n].reshape(2, n, 4, 4)
-    maps[:, rest] = steps[2 * n:] @ maps[:, rest]  # envelope, then the remainder
-    return maps
+    held = qb._held_maps(t1, tphi, delta, np.stack([off, on]), n_in / rate)
+    maps = qb._drive_free_maps(t1, tphi, delta, (SAMPLES_PER_CYCLE - n_in) / rate) @ held
+    idle = np.asarray(idle, dtype=float)[:, None]
+    if not idle.any():
+        return maps[None].repeat(len(idle), axis=0)
+    return maps @ qb._drive_free_maps(t1, tphi, delta, idle * cycle_period_s)[:, None]
 
 
 def _populations(p1: np.ndarray) -> np.ndarray:

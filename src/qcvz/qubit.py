@@ -12,7 +12,8 @@ States are real Bloch vectors v = (1, x, y, z), with rho = (I + x sigma_x +
 y sigma_y + z sigma_z)/2, and maps are real 4x4: there the Lindblad
 generator is the Bloch equations and, without T1 or Tphi, a pure rotation
 of (x, y, z). Rotations are exact (Rodrigues); other slices go through numpy
-Pade scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
+degree-13 Pade scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26,
+2005). Drive-free time has its own closed form.
 Only propagate takes and returns density matrices. Only fit_curve needs an
 optimizer, and it imports one on its first call.
 """
@@ -139,34 +140,16 @@ _EYE4 = np.eye(4)
 _HALVES = np.array([1.0, 0.5])
 
 
-def _pade_weights(m: int, b: tuple) -> np.ndarray:
-    """Rows of weights on the powers I, A^2, A^4, ... that make Pade's U/A and
-    V: for m <= 9 those two rows; for 13, Higham's U/A = A^6 c0 + c1 and
-    V = A^6 c2 + c3 from I, A^2, A^4 and A^6 only."""
-    if m < 13:
-        return np.array([b[1::2], b[0::2]])
-    return np.array([(0.0, *b[9::2]), b[1:9:2], (0.0, *b[8::2]), b[0:8:2]])
-
-
-# Pade degree m -> (largest 1-norm it takes to double precision, weights from
-# the numerator coefficients b_0..b_m), from Higham (2005).
-_PADE = {m: (theta, _pade_weights(m, b)) for m, (theta, b) in {
-    3: (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    5: (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    7: (9.504178996162932e-1,
-        (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)),
-    9: (2.097847961257068e0,
-        (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
-         110880.0, 3960.0, 90.0, 1.0)),
-    13: (5.371920351148152e0,
-         (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-          129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
-          40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
-}.items()}
+# Higham's (2005) degree-13 Pade numerator coefficients b_0..b_13, and theta_13,
+# the largest 1-norm it takes to double precision.
+_B = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+      129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+      40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA = 5.371920351148152
 # A norm past theta_13 2^52 needs over 52 squarings, after which the rounding
 # error of a rotation can reach order one: such a step, or a non-finite one,
 # gives a NaN map.
-_NORM_MAX = _PADE[13][0] * 2.0**52
+_NORM_MAX = _THETA * 2.0**52
 
 
 def _bloch_generator(t1_s, tphi_s, delta_rad, sample_hz, dt_s) -> np.ndarray:
@@ -201,45 +184,35 @@ def _rotation_maps(gen: np.ndarray) -> np.ndarray:
 
 
 def _pade_maps(gen: np.ndarray) -> np.ndarray:
-    """exp of each (4, 4) slice in the stack by Pade scaling and squaring: one
-    degree from the stack's largest 1-norm, the squarings per slice."""
+    """exp of each (4, 4) slice in the stack by degree-13 Pade scaling and
+    squaring, the squarings per slice. Every step is per slice (elementwise or
+    a product of 4x4 slices), so a slice's map does not depend on its stack."""
     norm = np.abs(gen).sum(axis=1).max(axis=1)
-    top, bad = norm.max(), None
-    if not top <= _NORM_MAX:
-        bad = ~(norm <= _NORM_MAX)
-        gen, norm = np.where(bad[:, None, None], 0.0, gen), np.where(bad, 0.0, norm)
-        top = norm.max()
-    m = next((m for m in (3, 5, 7, 9) if top <= _PADE[m][0]), 13)
-    theta, weights = _PADE[m]
-    squarings = None
-    if top > theta:  # degree 13 only
-        squarings = np.ceil(np.log2(np.maximum(norm, theta) / theta)).astype(int)
-        gen = gen * np.ldexp(1.0, -squarings)[:, None, None]
-    powers = np.empty((weights.shape[1],) + gen.shape)  # I, A^2, A^4, ...
-    powers[0] = _EYE4
-    powers[1] = gen @ gen
-    for j in range(2, len(powers)):
-        np.matmul(powers[j - 1], powers[1], out=powers[j])
-    c = (weights @ powers.reshape(len(powers), -1)).reshape((-1,) + gen.shape)
-    if m == 13:
-        u = gen @ (powers[3] @ c[0] + c[1])
-        v = powers[3] @ c[2] + c[3]
-    else:
-        u, v = gen @ c[0], c[1]
+    bad = ~(norm <= _NORM_MAX)
+    norm[bad] = 0.0
+    squarings = np.ceil(np.log2(np.maximum(norm, _THETA) / _THETA)).astype(int)
+    a = np.where(bad[:, None, None], 0.0, gen) * np.ldexp(1.0, -squarings)[:, None, None]
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    b = _B
+    # Higham's odd part U and even part V, from I, A^2, A^4 and A^6 only.
+    u = a @ (a6 @ (b[9] * a2 + b[11] * a4 + b[13] * a6)
+             + b[1] * _EYE4 + b[3] * a2 + b[5] * a4 + b[7] * a6)
+    v = (a6 @ (b[8] * a2 + b[10] * a4 + b[12] * a6)
+         + b[0] * _EYE4 + b[2] * a2 + b[4] * a4 + b[6] * a6)
     # exp is (V - U)^-1 (V + U) = I + X with X = 2 (V - U)^-1 U. X is carried
     # and squared as X <- X X + 2 X, so an eigenvalue near 1 keeps its digits.
     # The generator's first row is 0 (the trace is kept), so X's is exactly 0.
     x = 2.0 * np.linalg.solve(v - u, u)
     x[:, 0] = 0.0
-    if squarings is not None:
-        for _ in range(squarings.min()):
-            x = x @ x + 2.0 * x
-        for k in range(squarings.min(), squarings.max()):
-            live = np.flatnonzero(squarings > k)
-            x[live] = x[live] @ x[live] + 2.0 * x[live]
+    for _ in range(squarings.min()):
+        x = x @ x + 2.0 * x
+    for k in range(squarings.min(), squarings.max()):
+        live = np.flatnonzero(squarings > k)
+        x[live] = x[live] @ x[live] + 2.0 * x[live]
     maps = x + _EYE4
-    if bad is not None:
-        maps[bad] = np.nan
+    maps[bad] = np.nan
     return maps
 
 
@@ -323,22 +296,31 @@ def propagate(
 
 
 def delay_maps(q: QubitParams, t_s, delta_rad: float = 0.0) -> np.ndarray:
-    """Drive-free Bloch maps, one (4, 4) per delay, in closed form: z relaxes
-    to 1 at 1/T1, and (x, y) decays at 1/T2 while it rotates by delta t.
+    """Drive-free Bloch maps of ``_drive_free_maps``, one (4, 4) per delay.
     Raises QubitError for a negative or non-finite delay.
     """
     t = np.asarray(t_s, dtype=float).reshape(-1)
     if not np.all((t >= 0.0) & (t < math.inf)):
         raise QubitError("negative delay" if np.any(t < 0.0) else "delays must be finite")
-    relax = np.exp(-t / q.t1_s)
-    decay = np.exp(-t * (0.5 / q.t1_s + 1.0 / q.tphi_s))
-    cos, sin = decay * np.cos(delta_rad * t), decay * np.sin(delta_rad * t)
-    maps = np.zeros((t.size, 4, 4))
-    maps[:, 0, 0] = 1.0
-    maps[:, 1, 1] = maps[:, 2, 2] = cos
-    maps[:, 2, 1], maps[:, 1, 2] = sin, -sin
-    maps[:, 3, 3] = relax
-    maps[:, 3, 0] = 1.0 - relax
+    return _drive_free_maps(q.t1_s, q.tphi_s, delta_rad, t)
+
+
+def _drive_free_maps(t1_s, tphi_s, delta_rad, t_s) -> np.ndarray:
+    """Drive-free Bloch maps (..., 4, 4) over the broadcast arguments, in
+    closed form: z relaxes to 1 at 1/T1, and (x, y) decays at 1/T2 while it
+    rotates by delta t. The one map of drive-free time. A delta t that
+    overflows, or a delta that did, gives a NaN map without a warning."""
+    t = np.asarray(t_s)
+    relax = np.exp(-t / t1_s)
+    decay = np.exp(-t * (0.5 / t1_s + 1.0 / tphi_s))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cos, sin = decay * np.cos(delta_rad * t), decay * np.sin(delta_rad * t)
+    maps = np.zeros(np.broadcast(relax, cos).shape + (4, 4))
+    maps[..., 0, 0] = 1.0
+    maps[..., 1, 1] = maps[..., 2, 2] = cos
+    maps[..., 2, 1], maps[..., 1, 2] = sin, -sin
+    maps[..., 3, 3] = relax
+    maps[..., 3, 0] = 1.0 - relax
     return maps
 
 

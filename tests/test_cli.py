@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import traceback
 import warnings
 from pathlib import Path
 
@@ -417,6 +418,7 @@ def test_nan_populations_are_numeric_errors(tmp_path):
         ("chevron", "--tau-max-s", "1e300", "--tau-points", "2", "--step-hz", "4e6"),
         ("vz-ramsey", "--tau-s", "1e300"),
         ("t1", "--tau-s", "1e300"),
+        ("ramsey", "--max-delay-s", "1e300", "--detuning-hz", "1e300"),  # delta t overflows
     ):
         out = tmp_path / argv[0]
         assert run(out, *argv) == EXIT_NUMERIC, argv
@@ -498,6 +500,24 @@ def test_numeric_flags_end_in_documented_exit_codes(data, cmd):
         assert all(math.isfinite(float(cell)) for cell in cells), argv
 
 
+def run_clean(*argv):
+    """(exit code, stderr) of ``main(argv)``; the code is None unless it is a
+    documented one reached with no traceback and no warning, and the text then
+    holds what went wrong."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(list(argv))
+        except Exception:
+            return None, traceback.format_exc()
+    text = err.getvalue() + "".join(f"\n{w.category.__name__}: {w.message}" for w in caught)
+    if (code not in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_USAGE)
+            or "Traceback" in text or "Warning" in text):
+        return None, f"exit {code}: {text}"
+    return code, text
+
+
 def _numeric_paths(raw, path=()):
     """Key paths of every number in a config, e.g. ("mixers", 0, "gain_hz_per_unit")."""
     if isinstance(raw, dict):
@@ -510,7 +530,7 @@ def _numeric_paths(raw, path=()):
 
 
 CONFIG_NUMBERS = _numeric_paths(cli.DEFAULT_CONFIG)
-CONFIG_EDGE_VALUES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 1e308)
+CONFIG_EDGE_VALUES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 1e308, 10**400)
 
 
 def test_config_numbers_are_all_swept():
@@ -532,20 +552,15 @@ def test_config_numbers_end_in_documented_exit_codes(tmp_path, path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
         for cmd in ("calibrate", "chevron", "rabi", "spectrum"):
-            err = io.StringIO()
-            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
-                warnings.simplefilter("always")
-                code = main([cmd, "--config", str(cfg), "--out", str(tmp_path / "out")])
-            text = err.getvalue() + "".join(str(w.message) for w in caught)
-            if (code not in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_USAGE)
-                    or "Traceback" in text or "Warning" in text or caught):
-                failures.append((value, cmd, code, text))
+            code, text = run_clean(cmd, "--config", str(cfg), "--out", str(tmp_path / "out"))
+            if code is None:
+                failures.append((value, cmd, text))
     assert not failures
 
 
 PULSE_NUMBERS = [(pulse, field) for pulse in ("x90", "x180")
                  for field in ("f_lo_hz", "f_if_hz", "a_if", "tau_if_s", "target_angle_rad")]
-PULSE_BAD_VALUES = (*CONFIG_EDGE_VALUES, "abc", None, True, [1], 10**400)
+PULSE_BAD_VALUES = (*CONFIG_EDGE_VALUES, "abc", None, True, [1])
 
 
 @pytest.fixture(scope="module")
@@ -569,15 +584,90 @@ def test_pulses_numbers_end_in_documented_exit_codes(tmp_path, default_pulses, p
         pulses = tmp_path / "pulses.json"
         pulses.write_text(json.dumps(raw))
         for cmd in ("t1", "ramsey", "echo", "vz-ramsey"):
-            err = io.StringIO()
-            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
-                warnings.simplefilter("always")
-                code = main([cmd, "--pulses", str(pulses), "--out", str(tmp_path / "out")])
-            text = err.getvalue() + "".join(str(w.message) for w in caught)
-            if (code not in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_USAGE)
-                    or "Traceback" in text or "Warning" in text or caught
+            code, text = run_clean(cmd, "--pulses", str(pulses), "--out", str(tmp_path / "out"))
+            if (code is None
                     or not isinstance(value, float) and code != EXIT_CONFIG
                     or value == "abc" and f"{path[1]} must be a number" not in text):
                 failures.append((value, cmd, code, text))
     assert not failures
 
+
+
+def _node_paths(raw, path=()):
+    """Key paths of every node below the root of a JSON tree."""
+    if isinstance(raw, dict):
+        items = raw.items()
+    elif isinstance(raw, list):
+        items = enumerate(raw)
+    else:
+        return []
+    return [p for key, value in items for p in [(*path, key), *_node_paths(value, (*path, key))]]
+
+
+# A node is deleted (DELETE) or set to another JSON type or an edge number.
+DELETE = object()
+NODE_VALUES = (DELETE, None, True, "abc", [], {}, [[1.0, [2.0]]], 0, -1, 1e308, 10**400)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_config_shapes_end_in_documented_exit_codes(data):
+    # The default config with one to three nodes deleted or replaced, through
+    # every command that reads the device physics.
+    raw = copy.deepcopy(cli.DEFAULT_CONFIG)
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        *path, key = data.draw(st.sampled_from(_node_paths(raw)), label="path")
+        node = raw
+        for step in path:
+            node = node[step]
+        value = data.draw(st.sampled_from(NODE_VALUES), label="value")
+        if value is DELETE:
+            del node[key]
+        else:
+            node[key] = copy.deepcopy(value)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        for cmd in ("calibrate", "chevron", "spectrum"):
+            code, text = run_clean(cmd, "--config", str(cfg), "--out", tmp)
+            assert code is not None, (cmd, raw, text)
+
+
+GOOD_NAMES = ("x90", "x180", "h", "s", "sdg", "t", "tdg", "z45", "z90", "z315", "z:0.3", "z:-7")
+BAD_NAMES = ("z:nan", "z:inf", "z:1e400", "z:", "z:abc", "X90", "cnot", "", " x90")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["qubits", "x"]),
+                                                                inner, max_size=2),
+    max_leaves=6,
+)
+PROGRAMS = st.one_of(
+    st.fixed_dictionaries({"qubits": st.lists(st.lists(
+        st.sampled_from(GOOD_NAMES) | st.sampled_from(GOOD_NAMES + BAD_NAMES) | JSON_VALUES,
+        max_size=8), max_size=4)}),
+    JSON_VALUES,
+)
+
+
+@given(program=PROGRAMS)
+@settings(max_examples=100, deadline=None)
+def test_program_files_end_in_documented_exit_codes(program):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "program.json"
+        path.write_text(json.dumps(program))
+        for mode in ("quantized45", "free"):
+            code, text = run_clean("compile", "--program", str(path), "--mode", mode,
+                                   "--out", tmp)
+            assert code is not None, (mode, program, text)
+
+
+def test_integers_past_the_digit_limit_are_config_errors(tmp_path):
+    # Python refuses to parse an integer of over 4300 digits (a ValueError
+    # that is not a JSONDecodeError); in a config, program or pulses file
+    # that is a configuration error.
+    path = tmp_path / "big.json"
+    path.write_text('{"qubits": [[' + "1" * 5000 + "]]}")
+    for argv in (("calibrate", "--config"), ("compile", "--program"), ("t1", "--pulses")):
+        code, text = run_clean(*argv, str(path), "--out", str(tmp_path))
+        assert code == EXIT_CONFIG and "cannot read" in text, (argv, text)

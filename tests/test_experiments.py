@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from qcvz.calibration import CalibratedPulse
 from qcvz.compiler import Gate, Program, ideal_unitary, schedule
 from qcvz.demux import ChannelTone
-from qcvz.experiments import ExperimentError, chevron, run_experiment, simulate_schedule
+from qcvz.experiments import (
+    ExperimentError,
+    _cycle_maps,
+    chevron,
+    run_experiment,
+    simulate_schedule,
+)
 from qcvz.mixer import BitTimeline, MixerConfig, MixerError, Nonlinearity, baseband_output
 from qcvz.qubit import QubitError, QubitParams, delay_maps, ground_state, propagate
 from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, SignalError, make_if_program
@@ -106,17 +112,22 @@ def test_run_experiment_matches_per_point_loop(
 
 
 def reference_simulate_schedule(sched, program, q_list, cfg_list, x90_list, cycle_period_s):
-    """Per-qubit loop: an IF program, its baseband drive and a propagation per qubit."""
+    """Per-qubit loop: an IF program, its baseband drive and a propagation per
+    qubit. Every rolling slot up to the last cycle's is a cycle; an empty slot
+    is an idle cycle with bit 0."""
     n = sched.n_qubits
     if not (len(q_list) == len(cfg_list) == len(x90_list) == n):
         raise ExperimentError("schedule/qubit/mixer/pulse counts disagree")
     sim = np.empty(n)
     ideal = np.empty(n)
+    at_slot = {c.slot: c for c in sched.cycles}
+    slots = range(max(at_slot) + 1 if at_slot else 0)
     for k in range(n):
         pulse = x90_list[k]
         env = Envelope(EnvelopeShape.FLAT, pulse.tau_if_s, pulse.a_if)
-        cycles = [CycleSpec(c.theta_if_deg, env) for c in sched.cycles]
-        bits = BitTimeline(tuple(1 if k in c.fired else 0 for c in sched.cycles))
+        cycles = [CycleSpec(at_slot[i].theta_if_deg, env) if i in at_slot
+                  else CycleSpec(i % 8 * 45.0) for i in slots]
+        bits = BitTimeline(tuple(int(i in at_slot and k in at_slot[i].fired) for i in slots))
         prog = make_if_program(pulse.f_if_hz, cycle_period_s, cycles, quantized=False)
         cfg = replace(cfg_list[k], channel=replace(cfg_list[k].channel, freq_hz=pulse.f_lo_hz))
         drive = baseband_output(cfg, prog, bits)
@@ -179,6 +190,33 @@ def test_simulate_schedule_matches_per_qubit_loop(case):
     assert sim.shape == ideal.shape == (args[0].n_qubits,)
     assert np.max(np.abs(sim - want_sim)) < 1e-12
     assert np.max(np.abs(ideal - want_ideal)) < 1e-12
+
+
+@given(case=cable_cases())
+@settings(max_examples=60, deadline=None)
+def test_cycle_maps_do_not_depend_on_cable_mates(case):
+    # Each qubit is driven through its own mixer, so its maps, after any idle
+    # count, are those of a cable of one, bit for bit.
+    _, _, qs, cfgs, x90s = build_cable(*case)
+    idle = (0, 1, 7)
+    maps = _cycle_maps(qs, cfgs, x90s, CYCLE_S, idle=idle)
+    assert maps.shape == (len(idle), 2, len(qs), 4, 4)
+    for k in range(len(qs)):
+        alone = _cycle_maps([qs[k]], [cfgs[k]], [x90s[k]], CYCLE_S, idle=idle)
+        assert np.array_equal(maps[:, :, k], alone[:, :, 0], equal_nan=True), k
+
+
+@pytest.mark.parametrize("t1", [math.inf, 2e-5], ids=["closed", "open"])
+def test_overflowed_detuning_gives_nan_populations(t1):
+    # A pulse shorter than its cycle leaves a drive-free rest of the cycle, and
+    # empty slots leave idle cycles. With f_lo = 1e308 the detuning overflows;
+    # every map is then NaN and the populations are an error, with no warning.
+    qubit = dict(f_lo=1e308, f_q=4.5e9, t1=t1, tphi=math.inf, gain=4e7,
+                 nonlinearity="linear", ratio=30.0, lo_phase=0.0, a_if=0.5, tau=CYCLE_S / 3)
+    sched, *args = build_cable("quantized45", [["t", "x90", "x90"]], [qubit])
+    assert sched.slot[0] > 0
+    with pytest.raises(QubitError, match=r"populations out of \[0, 1\]"):
+        simulate_schedule(sched, *args, CYCLE_S)
 
 
 def test_simulate_schedule_rejects_what_the_loop_rejects():
