@@ -8,9 +8,7 @@ from .signals import (
     EnvelopeShape,
     CycleSpec,
     IfProgram,
-    SampledWaveform,
     make_if_program,
-    synthesize,
 )
 from .demux import Resonator, ChannelTone, resonator_gain, demux
 from .mixer import (

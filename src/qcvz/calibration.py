@@ -18,7 +18,7 @@ from . import qubit as qb
 from .experiments import chevron
 from .mixer import SAMPLES_PER_CYCLE, MixerConfig, amplitude_map, rabi_rates
 from .qubit import FitModel, QubitParams, fit_curve
-from .signals import SignalError
+from .signals import ENVELOPE_CHECKS, IF_CHECKS, raise_first
 
 TWO_PI = 2.0 * math.pi
 
@@ -28,6 +28,24 @@ class CalibrationError(RuntimeError):
     at a_if <= 1, an LO that puts no carrier on the qubit, or malformed input.
     The amplitude is closed form and T1/Tphi do not enter, so no search can
     fail to converge."""
+
+
+# calibrate_pulses' checks of each qubit, in order. A nonzero target is then
+# checked for reach, and for what building its pulse's drive would raise.
+_LO_CHECKS = (
+    (CalibrationError, "f_lo={f_lo_hz} below qubit frequency {f_qubit_hz}",
+     lambda f: np.logical_not(f["f_if_hz"] <= 0)),
+    # Far enough above the qubit, the carrier f_lo - f_if rounds away from it.
+    (CalibrationError,
+     "carrier f_lo - f_if = {carrier_hz} Hz misses f_qubit={f_qubit_hz} Hz "
+     "(f_lo={f_lo_hz}, f_if={f_if_hz}): f_lo is too far above the qubit",
+     lambda f: np.logical_not(abs(f["carrier_hz"] - f["f_qubit_hz"]) > 1e-9 * f["f_qubit_hz"])),
+)
+_TARGET_CHECKS = (
+    (CalibrationError,
+     "target {target:.4f} rad unreachable: max angle {max_angle:.4f} rad at a_if=1",
+     lambda f: np.logical_not(f["max_angle"] < f["target"])),
+) + ENVELOPE_CHECKS + IF_CHECKS
 
 
 @dataclass(frozen=True)
@@ -103,31 +121,12 @@ def calibrate_pulses(
     f_lo = np.array(f_lo_hz_list, dtype=float)
     f_q = np.array([q.f_qubit_hz for q in qs], dtype=float)
     f_if = f_lo - f_q
-    errors: dict[int, Exception] = {}
-
-    def fail(bad: np.ndarray, make) -> None:
-        """Record make(k) for each qubit k in ``bad`` that has no earlier error."""
-        for k in np.flatnonzero(bad).tolist():
-            errors.setdefault(k, make(k))
-
-    fail(f_if <= 0, lambda k: CalibrationError(
-        f"f_lo={f_lo_hz_list[k]} below qubit frequency {qs[k].f_qubit_hz}"))
-    # Far enough above the qubit, the carrier f_lo - f_if rounds away from it.
-    fail(np.abs((f_lo - f_if) - f_q) > 1e-9 * f_q, lambda k: CalibrationError(
-        f"carrier f_lo - f_if = {f_lo[k] - f_if[k]} Hz misses f_qubit={f_q[k]} Hz "
-        f"(f_lo={f_lo[k]}, f_if={f_if[k]}): f_lo is too far above the qubit"))
-    if target != 0.0:
-        with np.errstate(over="ignore"):  # an absurd duration reaches any angle
-            max_angle = TWO_PI * rabi_rates(cfgs, np.ones(n)) * tau
-        fail(max_angle < target, lambda k: CalibrationError(
-            f"target {target:.4f} rad unreachable: max angle {max_angle[k]:.4f} rad at a_if=1"))
-        # A drive of this pulse would reject a bad duration or IF frequency.
-        fail(np.full(n, not 0 < tau < math.inf), lambda k: SignalError(
-            f"envelope duration must be positive and finite, got {tau}"))
-        fail(~(f_if < math.inf), lambda k: SignalError(
-            f"IF frequency must be positive and finite, got {f_if[k]}"))
-    if errors:
-        raise errors[min(errors)]
+    with np.errstate(over="ignore"):  # an absurd duration reaches any angle
+        max_angle = TWO_PI * rabi_rates(cfgs, np.ones(n)) * tau
+    # A nonzero target's drive: an envelope of peak 1 filling a cycle of tau.
+    raise_first(_LO_CHECKS + (_TARGET_CHECKS if target else ()), f_lo_hz=f_lo, f_qubit_hz=f_q,
+                f_if_hz=f_if, carrier_hz=f_lo - f_if, target=target, max_angle=max_angle,
+                duration_s=tau, peak=1.0, cycle_period_s=tau)
     # On the closed qubit the resonant held sample turns by 2 pi rate(a_if) tau.
     rate = target / (TWO_PI * tau) if target else 0.0
     a = rabi_rates(cfgs, np.full(n, rate), inverse=True)

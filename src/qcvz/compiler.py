@@ -312,6 +312,10 @@ class Schedule:
 
     @functools.cached_property
     def cycles(self) -> tuple[Cycle, ...]:
+        """The cycles as ``Cycle`` records, built once from the arrays. The
+        package itself reads only the arrays; these stay because the
+        benchmark's traced ``compiler.schedule`` counter in ``bench/spans.py``
+        counts cycles, pulses and slots from them."""
         return tuple(Cycle(theta, tuple(fired), slot) for theta, fired, slot in self._rows())
 
     def to_dict(self) -> dict:

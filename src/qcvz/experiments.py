@@ -16,14 +16,20 @@ import numpy as np
 
 from . import qubit as qb
 from .compiler import Program, Schedule, ideal_unitary
-from .mixer import SAMPLES_PER_CYCLE, MixerConfig, MixerError, rabi_rates
+from .mixer import CARRIER_CHECKS, DRIVE_CHECKS, SAMPLES_PER_CYCLE, MixerConfig, rabi_rates
 from .qubit import QubitParams, Trajectory
-from .signals import SignalError
+from .signals import CYCLE_CHECKS, ENVELOPE_CHECKS, IF_CHECKS, raise_first
 
 if TYPE_CHECKING:  # calibration imports chevron from here
     from .calibration import CalibratedPulse
 
 TWO_PI = 2.0 * math.pi
+
+# What building a drive of flat pulses, each in one cycle at phase 0, checks
+# in the constructors' order: Envelope, make_if_program (its cycle checks only
+# with cycles to check), baseband_output and DriveEnvelope.
+_PULSE_CHECKS = ENVELOPE_CHECKS + IF_CHECKS
+_DRIVE_CHECKS = CARRIER_CHECKS + DRIVE_CHECKS
 
 
 class ExperimentError(RuntimeError):
@@ -61,12 +67,13 @@ def chevron(
     tau_grid = np.asarray(tau_grid, dtype=float)
     if f_if.size == 0 or tau_grid.size == 0:
         raise ExperimentError("empty sweep grid")
-    tau_max = float(tau_grid.max())
-    n = len(f_if)
+    tau_max = tau_grid.max()
     carrier = f_lo_hz - f_if
-    _check_pulses(np.full(n, tau_max), np.full(n, a_if, dtype=float), f_if, carrier, tau_max,
-                  True)
-    rate = SAMPLES_PER_CYCLE / tau_max
+    with np.errstate(divide="ignore", over="ignore"):  # DRIVE_CHECKS reject an infinite rate
+        rate = SAMPLES_PER_CYCLE / tau_max
+    raise_first(_PULSE_CHECKS + CYCLE_CHECKS + _DRIVE_CHECKS, duration_s=tau_max, peak=a_if,
+                f_if_hz=f_if, cycle_period_s=tau_max, cycle=0, quantized=True, theta_if_deg=0.0,
+                carrier_hz=carrier, envelope_rate_hz=rate)
     duration = SAMPLES_PER_CYCLE / rate  # can end an ulp short of tau_max
     taus = np.clip(tau_grid, 0.0, duration)  # a tau <= 0 reads p1(0)
     cuts = np.union1d([0.0, duration], taus)
@@ -75,7 +82,7 @@ def chevron(
     sample = scale * rabi_rates([cfg], [a_if])[0] * np.exp(1j * cfg.channel.phase_rad)
     delta = TWO_PI * (carrier - q.f_qubit_hz)
     steps = qb._held_maps(q.t1_s, q.tphi_s, delta[:, None], sample, dts)
-    states = np.empty((len(cuts), n, 4))
+    states = np.empty((len(cuts), len(f_if), 4))
     states[0] = qb.BLOCH_GROUND
     for j, k in enumerate(which, 1):
         states[j] = np.einsum("kij,kj->ki", steps[:, k], states[j - 1])
@@ -207,13 +214,16 @@ def _cycle_maps(qs, cfgs, pulses, cycle_period_s, has_cycles=True, idle=(0,)) ->
     tau = np.array([p.tau_if_s for p in pulses], dtype=float)
     a_if = np.array([p.a_if for p in pulses], dtype=float)
     f_if = np.array([p.f_if_hz for p in pulses], dtype=float)
-    # Infinite f_lo and f_if give a NaN carrier, which _check_pulses rejects;
+    # Infinite f_lo and f_if give a NaN carrier, which DRIVE_CHECKS reject;
     # an absurd finite carrier overflows the detuning into NaN populations.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         carrier = np.array([p.f_lo_hz for p in pulses], dtype=float) - f_if
         delta = TWO_PI * (carrier - np.array([q.f_qubit_hz for q in qs], dtype=float))
-    _check_pulses(tau, a_if, f_if, carrier, cycle_period_s, has_cycles)
-    rate = SAMPLES_PER_CYCLE / cycle_period_s
+        rate = SAMPLES_PER_CYCLE / np.float64(cycle_period_s)
+    checks = _PULSE_CHECKS + (CYCLE_CHECKS if has_cycles else ()) + _DRIVE_CHECKS
+    raise_first(checks, duration_s=tau, peak=a_if, f_if_hz=f_if, cycle_period_s=cycle_period_s,
+                cycle=0, quantized=True, theta_if_deg=0.0, carrier_hz=carrier,
+                envelope_rate_hz=rate)
     # Samples inside [0, tau] hold the pulse (Envelope.value's inside test);
     # the rest of the cycle is drive-free.
     t_sample = np.arange(SAMPLES_PER_CYCLE) / rate
@@ -234,37 +244,8 @@ def _cycle_maps(qs, cfgs, pulses, cycle_period_s, has_cycles=True, idle=(0,)) ->
 def _populations(p1: np.ndarray) -> np.ndarray:
     """p1 clipped to [0, 1]; a NaN raises the QubitError that a Trajectory would."""
     p1 = np.clip(p1, 0.0, 1.0)
-    if np.isnan(p1).any():
-        raise qb.QubitError("populations out of [0, 1]")
+    raise_first(qb.POPULATION_CHECKS, p1=p1)
     return p1
-
-
-def _check_pulses(tau, a_if, f_if, carrier, cycle_period_s, has_cycles) -> None:
-    """Raise the error that building qubit k's drive would, for the first bad k."""
-    checks = [
-        (~((tau > 0) & (tau < math.inf)),
-         lambda k: SignalError(f"envelope duration must be positive and finite, got {tau[k]}")),
-        (~((a_if >= 0) & (a_if <= 1)),
-         lambda k: SignalError(f"envelope peak A_if must be in [0, 1], got {a_if[k]}")),
-        (~((f_if > 0) & (f_if < math.inf)),
-         lambda k: SignalError(f"IF frequency must be positive and finite, got {f_if[k]}")),
-        (not 0 < cycle_period_s < math.inf,
-         lambda k: SignalError(f"cycle period must be positive and finite, got {cycle_period_s}")),
-        (has_cycles & (tau > cycle_period_s * (1 + 1e-12)),
-         lambda k: SignalError(
-             f"cycle 0: envelope duration {tau[k]} exceeds cycle period {cycle_period_s}")),
-        (carrier <= 0,
-         lambda k: MixerError(
-             f"difference frequency {carrier[k]} Hz is not positive (f_if >= f_lo)")),
-        (~(carrier < math.inf),
-         lambda k: MixerError(f"carrier must be positive and finite, got {carrier[k]}")),
-        (not (cycle_period_s > 0 and SAMPLES_PER_CYCLE / cycle_period_s < math.inf),
-         lambda k: MixerError("envelope rate must be positive and finite, got inf")),
-    ]
-    bad = np.array([np.broadcast_to(mask, tau.shape) for mask, _ in checks])
-    if bad.any():
-        k = int(np.argmax(bad.any(axis=0)))
-        raise checks[int(np.argmax(bad[:, k]))][1](k)
 
 
 def _ideal_p1(table, codes) -> np.ndarray:

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .demux import ChannelTone
-from .signals import IfProgram, SignalError, EnvelopeShape
+from .signals import EnvelopeShape, IfProgram, SignalError, raise_first
 
 # Reported maximum mixer output power; metadata for resource tables only.
 MAX_OUTPUT_POWER_PW = 4.11
@@ -29,6 +29,28 @@ SAMPLES_PER_CYCLE = 256
 
 class MixerError(ValueError):
     """Invalid mixer configuration or drive request."""
+
+
+# baseband_output's check of the difference frequency, then DriveEnvelope's.
+CARRIER_CHECKS = (
+    (MixerError, "difference frequency {carrier_hz} Hz is not positive (f_if >= f_lo)",
+     lambda f: np.logical_not(f["carrier_hz"] <= 0)),
+)
+DRIVE_CHECKS = (
+    (MixerError, "carrier must be positive and finite, got {carrier_hz}",
+     lambda f: (f["carrier_hz"] > 0) & (f["carrier_hz"] < math.inf)),
+    (MixerError, "envelope rate must be positive and finite, got {envelope_rate_hz}",
+     lambda f: (f["envelope_rate_hz"] > 0) & (f["envelope_rate_hz"] < math.inf)),
+)
+# rabi_rates' range checks, forward and inverse.
+_AMPLITUDE_CHECKS = (
+    (MixerError, "a_if must be in [0, 1], got {value}",
+     lambda f: np.logical_not((f["value"] < 0) | (f["value"] > 1))),
+)
+_RATE_CHECKS = (
+    (MixerError, "Rabi rate {value} Hz unreachable with gain {gain}",
+     lambda f: np.logical_not((f["value"] < 0) | (f["value"] > f["gain"] * (1 + 1e-12)))),
+)
 
 
 class Nonlinearity(str, Enum):
@@ -92,12 +114,8 @@ class DriveEnvelope:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=complex))
-        if not 0 < self.carrier_hz < math.inf:
-            raise MixerError(f"carrier must be positive and finite, got {self.carrier_hz}")
-        if not 0 < self.envelope_rate_hz < math.inf:
-            raise MixerError(
-                f"envelope rate must be positive and finite, got {self.envelope_rate_hz}"
-            )
+        raise_first(DRIVE_CHECKS, carrier_hz=self.carrier_hz,
+                    envelope_rate_hz=self.envelope_rate_hz)
 
     @property
     def duration_s(self) -> float:
@@ -131,13 +149,11 @@ def amplitude_map(cfg: MixerConfig, a_if: float) -> float:
     """Peak Rabi rate (Hz) produced at IF amplitude a_if in [0, 1].
 
     Linear mode: gain * a_if. Saturating mode: gain * sin(pi a_if / 2),
-    monotone and concave with saturation at a_if = 1.
+    monotone and concave with saturation at a_if = 1. The one-mixer case of
+    rabi_rates.
     """
-    a = np.asarray(a_if, dtype=float)
-    if np.any(a < 0) or np.any(a > 1):
-        raise MixerError(f"a_if must be in [0, 1], got {a_if}")
-    out = _response(cfg.gain_hz_per_unit, cfg.nonlinearity is Nonlinearity.SINE_SATURATING, a)
-    return float(out) if np.isscalar(a_if) else out
+    out = rabi_rates([cfg], a_if)
+    return float(out[0]) if np.isscalar(a_if) else out
 
 
 def inverse_amplitude_map(cfg: MixerConfig, rabi_hz: float) -> float:
@@ -146,21 +162,14 @@ def inverse_amplitude_map(cfg: MixerConfig, rabi_hz: float) -> float:
 
 
 def rabi_rates(cfgs, values, inverse: bool = False) -> np.ndarray:
-    """amplitude_map(cfgs[k], values[k]) for every mixer k at once, or with
-    ``inverse`` inverse_amplitude_map(cfgs[k], values[k]); the same range
-    checks raise MixerError for the first bad entry."""
+    """The rate at IF amplitude values[k] through mixer cfgs[k], for every k
+    at once, or with ``inverse`` the amplitude giving rate values[k]; values
+    broadcast against the mixers. An a_if outside [0, 1], or a rate outside
+    [0, gain], raises MixerError for the first bad entry."""
     gain = np.array([c.gain_hz_per_unit for c in cfgs], dtype=float)
     saturating = np.array([c.nonlinearity is Nonlinearity.SINE_SATURATING for c in cfgs])
     v = np.asarray(values, dtype=float)
-    if inverse:
-        bad = (v < 0) | (v > gain * (1 + 1e-12))
-    else:
-        bad = (v < 0) | (v > 1)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        if inverse:
-            raise MixerError(f"Rabi rate {v[k]} Hz unreachable with gain {gain[k]}")
-        raise MixerError(f"a_if must be in [0, 1], got {v[k]}")
+    raise_first(_RATE_CHECKS if inverse else _AMPLITUDE_CHECKS, value=v, gain=gain)
     return _response(gain, saturating, v, inverse)
 
 
@@ -179,10 +188,7 @@ def baseband_output(
             f"bit timeline length {len(bits)} does not match {len(prog.cycles)} cycles"
         )
     carrier = cfg.channel.freq_hz - prog.f_if_hz
-    if carrier <= 0:
-        raise MixerError(
-            f"difference frequency {carrier} Hz is not positive (f_if >= f_lo)"
-        )
+    raise_first(CARRIER_CHECKS, carrier_hz=carrier)
     rate = SAMPLES_PER_CYCLE / prog.cycle_period_s
     tloc = np.arange(SAMPLES_PER_CYCLE) / rate
     chunks = []

@@ -13,7 +13,7 @@ y sigma_y + z sigma_z)/2, and maps are real 4x4: there the Lindblad
 generator is the Bloch equations and, without T1 or Tphi, a pure rotation
 of (x, y, z). Rotations are exact (Rodrigues); other slices go through numpy
 degree-13 Pade scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26,
-2005). Drive-free time has its own closed form.
+2005). Drive-free time, a held zero sample included, has its own closed form.
 Only propagate takes and returns density matrices. Only fit_curve needs an
 optimizer, and it imports one on its first call.
 """
@@ -27,6 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .mixer import DriveEnvelope
+from .signals import raise_first
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,6 +43,13 @@ class QubitError(ValueError):
 
 class FitError(RuntimeError):
     """Curve fit did not converge."""
+
+
+# A Trajectory's check of its p1, which NaN fails.
+POPULATION_CHECKS = (
+    (QubitError, "populations out of [0, 1]",
+     lambda f: (f["p1"] >= -1e-9) & (f["p1"] <= 1.0 + 1e-9)),
+)
 
 
 @dataclass(frozen=True)
@@ -118,8 +126,7 @@ class Trajectory:
         self.p1 = np.asarray(self.p1, dtype=float)
         if np.any(np.diff(self.times_s) < 0):
             raise QubitError("trajectory times must be monotone")
-        if not np.all((self.p1 >= -1e-9) & (self.p1 <= 1.0 + 1e-9)):  # NaN fails too
-            raise QubitError("populations out of [0, 1]")
+        raise_first(POPULATION_CHECKS, p1=self.p1)
 
 
 def rabi_analytic(omega_rad: float, delta_rad: float, t_s) -> np.ndarray | float:
@@ -221,26 +228,28 @@ def _held_maps(t1_s, tphi_s, delta_rad, sample_hz, dt_s) -> np.ndarray:
     _bloch_generator, stacked over the broadcast array arguments: the one
     exponential of the drive model.
 
-    A slice without dissipation (T1 = Tphi = inf, or dt = 0) is a rotation,
-    in closed form, and the others go through Pade. A step whose generator
-    norm passes _NORM_MAX or is not finite gives a NaN map, which every
-    caller rejects (a population or angle-error check), without a warning.
+    A zero sample is drive-free time and takes its closed form,
+    _drive_free_maps. Any other slice without dissipation (T1 = Tphi = inf,
+    or dt = 0) is a rotation, in closed form, and the rest go through Pade. A
+    step whose generator norm passes _NORM_MAX or is not finite gives a NaN
+    map, which every caller rejects (a population or angle-error check),
+    without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         gen = _bloch_generator(t1_s, tphi_s, delta_rad, sample_hz, dt_s)
-        flat = gen.reshape(-1, 4, 4)
-        diag = flat.diagonal(0, 1, 2)
-        if not np.count_nonzero(diag):
-            maps = _rotation_maps(flat)
-        else:
-            dissipative = diag.any(axis=1)
-            if dissipative.all():
-                maps = _pade_maps(flat)
-            else:
-                maps = np.empty_like(flat)
-                maps[~dissipative] = _rotation_maps(flat[~dissipative])
-                maps[dissipative] = _pade_maps(flat[dissipative])
-    return maps.reshape(gen.shape)
+        shape = gen.shape[:-2]
+        free = np.broadcast_to(np.asarray(sample_hz) == 0, shape)
+        rotation = ~gen.diagonal(0, -2, -1).any(axis=-1) & ~free
+        pade = ~(free | rotation)
+        maps = np.empty(gen.shape)
+        if free.any():
+            maps[free] = _drive_free_maps(
+                *(np.broadcast_to(a, shape)[free] for a in (t1_s, tphi_s, delta_rad, dt_s)))
+        if rotation.any():
+            maps[rotation] = _rotation_maps(gen[rotation])
+        if pade.any():
+            maps[pade] = _pade_maps(gen[pade])
+    return maps
 
 
 def _held_steps(q: QubitParams, drive: DriveEnvelope, times: np.ndarray):

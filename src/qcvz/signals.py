@@ -1,4 +1,5 @@
-"""LO tones, IF cycle programs and sampled waveform synthesis.
+"""LO tones, IF cycle programs, and the checks that every drive constructor
+shares with the array fast paths.
 
 Amplitudes are flux amplitudes in units of Phi_0 throughout; conversion to
 Rabi rates happens in the mixer model. Phases are degrees at the API
@@ -6,7 +7,9 @@ boundary (45 degree grid) and radians internally.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -17,6 +20,51 @@ TWO_PI = 2.0 * math.pi
 
 class SignalError(ValueError):
     """Invalid signal description."""
+
+
+def raise_first(checks, **fields) -> None:
+    """Raise, at the first index where one of ``checks`` fails, the first of
+    them that fails there. A check is (error, message, ok): ``ok`` takes the
+    fields as a dict (each a number, or an array of one value per index; they
+    broadcast together) and is true, or a mask true, where they are valid,
+    and ``error(message)`` is raised formatted from the fields at the index.
+    A field can be a plain number, so ``ok`` negates with np.logical_not.
+    With no index (an empty field) nothing is raised. Each constructor calls
+    its own checks with its scalars, and a fast path calls the checks of every
+    constructor it stands in for, in their order, with one value per pulse."""
+    oks = [ok(fields) for _, _, ok in checks]
+    if np.asarray(functools.reduce(operator.and_, oks)).all():
+        return
+    shape = np.broadcast_shapes(*map(np.shape, (*fields.values(), *oks)))
+    bad = ~np.array([np.broadcast_to(ok, shape).reshape(-1) for ok in oks])
+    at = np.flatnonzero(bad.any(axis=0))
+    if at.size:
+        k = at[0]
+        error, message, _ = checks[int(np.argmax(bad[:, k]))]
+        raise error(message.format(
+            **{name: np.broadcast_to(v, shape).flat[k] for name, v in fields.items()}))
+
+
+ENVELOPE_CHECKS = (
+    (SignalError, "envelope duration must be positive and finite, got {duration_s}",
+     lambda f: (f["duration_s"] > 0) & (f["duration_s"] < math.inf)),
+    (SignalError, "envelope peak A_if must be in [0, 1], got {peak}",
+     lambda f: (f["peak"] >= 0.0) & (f["peak"] <= 1.0)),
+)
+IF_CHECKS = (
+    (SignalError, "IF frequency must be positive and finite, got {f_if_hz}",
+     lambda f: (f["f_if_hz"] > 0) & (f["f_if_hz"] < math.inf)),
+    (SignalError, "cycle period must be positive and finite, got {cycle_period_s}",
+     lambda f: (f["cycle_period_s"] > 0) & (f["cycle_period_s"] < math.inf)),
+)
+# One value per cycle; an idle cycle has envelope duration 0.
+CYCLE_CHECKS = (
+    (SignalError, "cycle {cycle}: theta_if={theta_if_deg} deg is not a multiple of 45",
+     lambda f: np.logical_not(f["quantized"] & (abs(f["theta_if_deg"] % 45.0) > 1e-9 * 45.0))),
+    (SignalError,
+     "cycle {cycle}: envelope duration {duration_s} exceeds cycle period {cycle_period_s}",
+     lambda f: np.logical_not(f["duration_s"] > f["cycle_period_s"] * (1 + 1e-12))),
+)
 
 
 class EnvelopeShape(str, Enum):
@@ -59,10 +107,6 @@ class MultiToneLo:
         if any(b <= a for a, b in zip(freqs, freqs[1:])):
             raise SignalError("LO tone frequencies must be strictly increasing")
 
-    @property
-    def max_freq_hz(self) -> float:
-        return self.tones[-1].freq_hz if self.tones else 0.0
-
 
 @dataclass(frozen=True)
 class Envelope:
@@ -78,12 +122,7 @@ class Envelope:
 
     def __post_init__(self):
         object.__setattr__(self, "shape", EnvelopeShape(self.shape))
-        if not 0 < self.duration_s < math.inf:
-            raise SignalError(
-                f"envelope duration must be positive and finite, got {self.duration_s}"
-            )
-        if not 0.0 <= self.peak <= 1.0:
-            raise SignalError(f"envelope peak A_if must be in [0, 1], got {self.peak}")
+        raise_first(ENVELOPE_CHECKS, duration_s=self.duration_s, peak=self.peak)
 
     def value(self, t):
         """Envelope amplitude at time t (seconds from cycle start); array-aware."""
@@ -145,70 +184,11 @@ def make_if_program(
     In quantized mode every cycle phase must sit on the 45 degree grid.
     Cycle i starts at time i * cycle_period_s.
     """
-    if not 0 < f_if_hz < math.inf:
-        raise SignalError(f"IF frequency must be positive and finite, got {f_if_hz}")
-    if not 0 < cycle_period_s < math.inf:
-        raise SignalError(f"cycle period must be positive and finite, got {cycle_period_s}")
-    for i, c in enumerate(cycles):
-        if quantized and abs(c.theta_if_deg % 45.0) > 1e-9 * 45.0:
-            raise SignalError(
-                f"cycle {i}: theta_if={c.theta_if_deg} deg is not a multiple of 45"
-            )
-        if c.envelope is not None and c.envelope.duration_s > cycle_period_s * (1 + 1e-12):
-            raise SignalError(
-                f"cycle {i}: envelope duration {c.envelope.duration_s} exceeds "
-                f"cycle period {cycle_period_s}"
-            )
-    return IfProgram(f_if_hz, cycle_period_s, tuple(cycles))
-
-
-@dataclass(frozen=True)
-class SampledWaveform:
-    """Real sampled trace with an explicit Nyquist check at construction."""
-
-    sample_rate_hz: float
-    t0_s: float
-    samples: np.ndarray
-    max_freq_hz: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
-        if self.sample_rate_hz <= 2.0 * self.max_freq_hz:
-            raise SignalError(
-                f"sample rate {self.sample_rate_hz} Hz violates Nyquist for "
-                f"{self.max_freq_hz} Hz content"
-            )
-
-    @property
-    def times_s(self) -> np.ndarray:
-        return self.t0_s + np.arange(len(self.samples)) / self.sample_rate_hz
-
-
-def synthesize(lo: MultiToneLo, prog: IfProgram, rate_hz: float) -> tuple[SampledWaveform, SampledWaveform]:
-    """Sample I_lo(t) and I_if(t) on a common grid over the program duration.
-
-    I_lo(t) = sum_k amp_k cos(2 pi f_k t + phase_k);
-    I_if(t) = A(t) cos(2 pi f_if t + theta_if(t)) with theta_if piecewise
-    constant (right-continuous) per cycle.
-    """
-    max_f = max(lo.max_freq_hz, prog.f_if_hz)
-    if rate_hz <= 2.0 * max_f:
-        raise SignalError(f"rate {rate_hz} Hz violates Nyquist for {max_f} Hz content")
-    n = int(round(prog.duration_s * rate_hz))
-    t = np.arange(n) / rate_hz
-    i_lo = np.zeros(n)
-    for tone in lo.tones:
-        i_lo += tone.amp * np.cos(TWO_PI * tone.freq_hz * t + tone.phase_rad)
-    i_if = np.zeros(n)
-    for i, cyc in enumerate(prog.cycles):
-        if cyc.idle:
-            continue
-        t0 = i * prog.cycle_period_s
-        sel = (t >= t0) & (t < t0 + prog.cycle_period_s)
-        tloc = t[sel] - t0
-        amp = cyc.envelope.value(tloc)
-        i_if[sel] = amp * np.cos(TWO_PI * prog.f_if_hz * t[sel] + prog.theta_rad(i))
-    return (
-        SampledWaveform(rate_hz, 0.0, i_lo, lo.max_freq_hz),
-        SampledWaveform(rate_hz, 0.0, i_if, prog.f_if_hz),
+    raise_first(IF_CHECKS, f_if_hz=f_if_hz, cycle_period_s=cycle_period_s)
+    raise_first(
+        CYCLE_CHECKS, cycle=np.arange(len(cycles)), quantized=quantized,
+        theta_if_deg=np.array([c.theta_if_deg for c in cycles], dtype=float),
+        duration_s=np.array([0.0 if c.idle else c.envelope.duration_s for c in cycles]),
+        cycle_period_s=cycle_period_s,
     )
+    return IfProgram(f_if_hz, cycle_period_s, tuple(cycles))

@@ -28,6 +28,7 @@ from qcvz.demux import ChannelTone, resonator_gain
 from qcvz.mixer import BitTimeline, baseband_output
 from qcvz.qubit import Trajectory, ground_state, propagate
 from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, make_if_program
+from qcvz.svgplot import PlotError, emit_plot
 
 
 def run(outdir, *argv):
@@ -268,6 +269,28 @@ def test_rabi_and_plot(tmp_path):
     first = svg.read_bytes()
     assert run(tmp_path, "plot", "--csv", str(csv), "--kind", "line") == EXIT_OK
     assert svg.read_bytes() == first
+
+
+def test_heatmap_is_deterministic_and_rejects_a_ragged_grid(tmp_path):
+    # Values 0, 1/4, ..., 1 on a 3 x 2 grid: one cell at each colormap stop.
+    rows = [f"{x},{y},{(x + 2 * y) / 4}\n" for x in (0, 1, 2) for y in (0, 1)]
+
+    def render(name, lines):
+        csv = tmp_path / f"{name}.csv"
+        csv.write_text("x,y,v\n" + "".join(lines))
+        return emit_plot(csv, "heatmap").read_bytes()
+
+    first = render("grid", rows)
+    assert render("grid", rows) == first
+    assert render("reversed", rows[::-1]) == first
+    assert render("shuffled", rows[3:] + rows[:3]) == first
+    assert first.count(b"<rect x=") == 6
+    for color in (b"#440154", b"#3b528b", b"#21918c", b"#5ec962", b"#fde725"):
+        assert first.count(b'fill="' + color + b'"') == (2 if color == b"#21918c" else 1)
+    with pytest.raises(PlotError, match="rectangular"):
+        render("ragged", rows[:-1])
+    assert run(tmp_path, "chevron", "--plot") == EXIT_OK
+    assert (tmp_path / "chevron.svg").read_bytes().count(b"<rect x=") == 41 * 26
 
 
 class _Tables:

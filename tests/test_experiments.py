@@ -329,6 +329,21 @@ def test_chevron_matches_per_column_loop(
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+@pytest.mark.parametrize("q", [QubitParams(F_Q), QubitParams.from_t2(F_Q, 2e-5, 1.5e-5)],
+                         ids=["closed", "open"])
+def test_chevron_at_zero_amplitude_reads_the_delay_p1(q):
+    # A zero sample is drive-free time, so each column waits from ground.
+    cfg = MixerConfig(ChannelTone(F_LO, 0.5, 0.3), 4.0e7)
+    f_if = (F_LO - F_Q) + np.array([0.0, 3e6, -8e6])
+    taus = np.linspace(0.0, 3e-6, 7)
+    for mixer_on in (True, False):
+        got = chevron(q, cfg, F_LO, f_if, taus, mixer_on, a_if=0.0)
+        for column, f in zip(got, f_if):
+            waits = delay_maps(q, taus, TWO_PI * ((F_LO - f) - F_Q))
+            want = np.clip(waits @ [1.0, 0.0, 0.0, 1.0] @ [0.5, 0.0, 0.0, -0.5], 0.0, 1.0)
+            assert np.array_equal(column, want), (mixer_on, f)
+
+
 def test_chevron_rejects_what_the_loop_rejects():
     q = QubitParams.from_t2(F_Q, 2e-5, 1.5e-5)
     cfg = MixerConfig(ChannelTone(F_LO, 0.5, 0.3), 4.0e7)

@@ -1,11 +1,13 @@
 """Every name a qcvz module imports is read somewhere in that module, every
-module-level private name is read somewhere in the package, and importing
-qcvz loads no scipy."""
+module-level private name is read somewhere in the package, every error
+message has one source, and importing qcvz loads no scipy."""
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -67,6 +69,58 @@ def test_unread_private_name_is_found():
                   "_K, _J = 1, 2\n_T: int = 3\n__version__ = '1'\n")
     b = ast.parse("import a\nfrom a import _unused\n_used()\nprint(a._J, _T)\n")
     assert _unread_private_names([a, b]) == {"_unused", "_Lone", "_K"}
+
+
+# A number, inf or nan in a message's text, or a {field} of a format string.
+_NUMBER_OR_FIELD = re.compile(r"-?\d[\d.e+-]*|\binf\b|\bnan\b|\{[^}]*\}")
+
+
+def _message(node: ast.expr) -> str | None:
+    """A string or f-string with each number and field as #, else None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return _NUMBER_OR_FIELD.sub("#", node.value)
+    if isinstance(node, ast.JoinedStr):
+        return "".join(_NUMBER_OR_FIELD.sub("#", part.value) if isinstance(part, ast.Constant)
+                       else "#" for part in node.values)
+    return None
+
+
+def _is_error(node: ast.expr) -> bool:
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+    return name.endswith("Error")
+
+
+def _duplicate_messages(trees: list[ast.Module]) -> dict[str, int]:
+    """Error messages made at more than one site, and how many: the message
+    of a call to a name ending in Error, or the one right after such a name
+    in a tuple or among a call's arguments (a check that raises it later)."""
+    sites = Counter()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                items = [node.func, *node.args]
+            elif isinstance(node, ast.Tuple):
+                items = node.elts
+            else:
+                continue
+            for error, text in zip(items, items[1:]):
+                message = _message(text) if _is_error(error) else None
+                if message is not None:
+                    sites[message] += 1
+    return {message: n for message, n in sites.items() if n > 1}
+
+
+def test_every_error_message_has_one_source():
+    trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
+    assert _duplicate_messages(trees) == {}
+
+
+def test_duplicate_message_is_found():
+    tree = ast.parse('raise ValueError(f"bad {x}, got 1.5e-3")\nraise KeyError("bad 2, got nan")\n'
+                     'CHECKS = ((TypeError, "bad {y}, got inf", ok),)\nraise ValueError("bad")\n'
+                     'print("bad 1, got 2")\nraise errors.MixerError("bad")\n'
+                     'check(MixerError, "bad", ok)\n')
+    assert _duplicate_messages([tree]) == {"bad #, got #": 3, "bad": 3}
 
 
 def _scipy_modules_after(code: str) -> list[str]:

@@ -364,28 +364,30 @@ def test_held_maps_with_thirty_squarings_match_expm():
 )
 @example(t1=math.inf, tphi=1e-16, delta=-TWO_PI * 15e6, t=1.2e-6)  # 32 squarings
 @example(t1=1e-16, tphi=math.inf, delta=TWO_PI * 15e6, t=2e-5)  # 36 squarings
+@example(t1=math.inf, tphi=652e-6, delta=TWO_PI * 15e6, t=907.0 / (TWO_PI * 15e6))
 @settings(max_examples=200, deadline=None)
 def test_drive_free_held_maps_match_closed_form(t1, tphi, delta, t):
-    # Without a drive the exact map is delay_maps' closed form. Under strong
-    # decay z keeps an eigenvalue of exactly 1 through 30+ squarings (a Pade
-    # step formed as (V - U)^-1 (V + U) loses 2.4e-7 there). Worst case seen:
-    # 2.0e-13 over 25,000 draws, at |delta t| near 1.8e3 rad with weak decay.
+    # A zero sample is drive-free time, so its map is delay_maps' closed form
+    # bit for bit. Pade would lose ~2^squarings ulps on rotation-dominated
+    # slices such as the last example (delta t = 907 rad): 2.8e-14.
     q = QubitParams(F_Q, t1_s=t1, tphi_s=tphi)
     got, want = _held_maps(t1, tphi, delta, 0.0, t), delay_maps(q, t, delta)[0]
-    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.array_equal(got, want)
 
 
 def test_held_maps_give_nan_for_overflowing_steps():
     # A step too large for float64 gives a NaN map with no warning (warnings
     # are errors here); the other slices of the stack are unaffected.
-    # Finite norms past _NORM_MAX (the last two slices before the good one)
-    # would need more than 52 squarings.
+    # Finite norms past _NORM_MAX (the last slice before the zero sample)
+    # would need more than 52 squarings. A zero sample held as long takes the
+    # drive-free closed form, which is exact at any length.
     t1 = np.array([math.inf, 20e-6, math.inf, 20e-6, math.inf, 20e-6, 20e-6])
     tphi = np.array([math.inf, 30e-6, math.inf, 30e-6, math.inf, 30e-6, math.inf])
     sample = np.array([1e7, 1e7, 1e300, 1e7, 1e7, 0.0, 1e6])
     dt = np.array([1e300, 1e300, 1e10, math.inf, 1e12, 1e12, 1e-8])
     maps = _held_maps(t1, tphi, 0.0, sample, dt)
-    assert np.isnan(maps[:6]).all()
+    assert np.isnan(maps[:5]).all()
+    assert np.array_equal(maps[5], delay_maps(QubitParams(F_Q, 20e-6, 30e-6), 1e12)[0])
     want = expm(vec_generator(20e-6, math.inf, 0.0, 1e6, 1e-8))
     assert np.max(np.abs(to_vec(maps[6]) - want)) < 1e-15
 
