@@ -251,8 +251,7 @@ def _coherence_cmd(kind: str, model: FitModel):
     def run(cfg: DeviceConfig, args, out: _Artifacts) -> None:
         k = args.qubit
         x90, x180 = _get_pulses(cfg, k, args.tau_s, args.pulses)
-        if not math.isfinite(args.max_delay_s):
-            raise qb.QubitError("delays must be finite")
+        qb.check_delays(args.max_delay_s)  # before linspace, which warns on inf
         delays = np.linspace(0.0, args.max_delay_s, args.points)
         traj = run_experiment(
             kind,
@@ -265,10 +264,9 @@ def _coherence_cmd(kind: str, model: FitModel):
         )
         fit = fit_curve(model, traj.times_s, traj.p1)
         out.csv(kind, ["t_s", "p1"], [traj.times_s, traj.p1], plot="line")
-        # A singular covariance leaves sigma non-finite; strict JSON has null.
-        sigma = {key: v if math.isfinite(v) else None for key, v in fit.sigma.items()}
-        out.json(f"{kind}_fit.json", {"model": fit.model.value, "params": fit.params,
-                                      "sigma": sigma, "residual": fit.residual}, sidecar=False)
+        out.json(f"{kind}_fit.json", _strict({"model": fit.model.value, "params": fit.params,
+                                              "sigma": fit.sigma, "residual": fit.residual}),
+                 sidecar=False)
 
     return run
 

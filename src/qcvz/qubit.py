@@ -14,13 +14,12 @@ generator is the Bloch equations and, without T1 or Tphi, a pure rotation
 of (x, y, z). Rotations are exact (Rodrigues); other slices go through numpy
 degree-13 Pade scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26,
 2005). Drive-free time, a held zero sample included, has its own closed form.
-Only propagate takes and returns density matrices. Only fit_curve needs an
-optimizer, and it imports one on its first call.
+Only propagate takes and returns density matrices. fit_curve fits by
+variable projection in numpy.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,6 +29,7 @@ from .mixer import DriveEnvelope
 from .signals import raise_first
 
 TWO_PI = 2.0 * math.pi
+_EPS = float(np.finfo(float).eps)
 
 # The Bloch vector (1, x, y, z) of the ground state, and the readout row that
 # takes a Bloch vector to its excited-state population p1 = (1 - z)/2.
@@ -304,14 +304,19 @@ def propagate(
     return Trajectory(times, np.clip(p1, 0.0, 1.0), rho0)
 
 
-def delay_maps(q: QubitParams, t_s, delta_rad: float = 0.0) -> np.ndarray:
-    """Drive-free Bloch maps of ``_drive_free_maps``, one (4, 4) per delay.
-    Raises QubitError for a negative or non-finite delay.
-    """
+def check_delays(t_s) -> np.ndarray:
+    """``t_s`` as a flat float array. Raises QubitError for a negative or
+    non-finite delay."""
     t = np.asarray(t_s, dtype=float).reshape(-1)
     if not np.all((t >= 0.0) & (t < math.inf)):
         raise QubitError("negative delay" if np.any(t < 0.0) else "delays must be finite")
-    return _drive_free_maps(q.t1_s, q.tphi_s, delta_rad, t)
+    return t
+
+
+def delay_maps(q: QubitParams, t_s, delta_rad: float = 0.0) -> np.ndarray:
+    """Drive-free Bloch maps of ``_drive_free_maps``, one (4, 4) per delay
+    that ``check_delays`` passes."""
+    return _drive_free_maps(q.t1_s, q.tphi_s, delta_rad, check_delays(t_s))
 
 
 def _drive_free_maps(t1_s, tphi_s, delta_rad, t_s) -> np.ndarray:
@@ -347,20 +352,75 @@ class FitResult:
     residual: float
 
 
-def _guess_freq(t: np.ndarray, y: np.ndarray) -> float:
-    yc = y - np.mean(y)
-    n = len(t)
-    freqs = np.fft.rfftfreq(n, d=(t[-1] - t[0]) / (n - 1))
-    mag = np.abs(np.fft.rfft(yc))
-    k = int(np.argmax(mag[1:])) + 1
-    return max(freqs[k], 1.0 / (t[-1] - t[0]))
-
-
 _FIT_PARAMS = {
     FitModel.EXP_DECAY: ("a", "tau", "c"),
     FitModel.DAMPED_COSINE: ("a", "tau", "f", "phi", "c"),
     FitModel.RABI_SINUSOID: ("a", "f", "phi", "c"),
 }
+
+
+def _solve(a: np.ndarray, b: np.ndarray, damp: float = 1.0) -> np.ndarray:
+    """a^-1 b for a 1x1 or 2x2 ``a`` with its diagonal times ``damp``, by the
+    adjugate (np.linalg.solve's overhead is a quarter of a fit step); non-finite
+    if singular."""
+    if len(a) == 1:
+        return b / (a[0, 0] * damp)
+    (p, q), (r, s) = a.tolist()
+    return np.array([[s * damp, -q], [-r, p * damp]]) @ b / (p * s * damp * damp - q * r)
+
+
+def _project(model: FitModel, theta: np.ndarray, u: np.ndarray, y: np.ndarray):
+    """Variable projection at the rate g and/or frequency nu in ``theta`` (units
+    of u), over the columns exp(-g u), or cos(w) and sin(w)/(2 pi nu), w = 2 pi
+    nu u, times exp(-g u) if damped: their coefficients beta and c, the residual,
+    and the normal matrix and gradient of theta in Kaufman's projected form
+    (BIT 15, 1975)."""
+    e = np.exp(-theta[0] * u) if model is not FitModel.RABI_SINUSOID else 1.0
+    if model is FitModel.EXP_DECAY:
+        cols = [e, u * e]  # the linear column, then the derivative columns
+    else:
+        nu = theta[-1]
+        cos, sin = e * np.cos((TWO_PI * nu) * u), e * np.sin((TWO_PI * nu) * u) / (TWO_PI * nu)
+        cols = [cos, sin, u * cos, u * sin, (u * cos - sin) / nu]
+        if model is FitModel.RABI_SINUSOID:
+            del cols[2]  # no rate
+    x = np.column_stack([*cols, y])
+    mean = (1.0 / len(u)) * (np.ones(len(u)) @ x)
+    x -= mean  # projects out the constant c
+    k = 1 if model is FitModel.EXP_DECAY else 2
+    gram = x.T @ x
+    sol = _solve(gram[:k, :k], gram[:k, k:])
+    beta = sol[:, -1]
+    r = x[:, -1] - x[:, :k] @ beta
+    # The model's derivatives in theta are x[:, k:-1] @ dw.
+    if model is FitModel.EXP_DECAY:
+        dw = -beta[:, None]
+    else:
+        dw = np.array([[-beta[0], 0.0], [-beta[1], -TWO_PI**2 * nu * beta[0]], [0.0, beta[1]]])
+        dw = dw[1:, 1:] if model is FitModel.RABI_SINUSOID else dw
+    normal = dw.T @ (gram[k:-1, k:-1] - gram[:k, k:-1].T @ sol[:, :-1]) @ dw
+    return beta, mean[-1] - mean[:k] @ beta, r, normal, dw.T @ (x[:, k:-1].T @ r)
+
+
+def _variable_projection(model: FitModel, theta: np.ndarray, u: np.ndarray, y: np.ndarray):
+    """Levenberg-Marquardt over theta alone (Golub and Pereyra, SIAM J. Numer.
+    Anal. 10, 1973): (theta, projection) where it stops, or after 100 steps (a
+    best fit at infinity, such as a decay fitted to noise, never stops)."""
+    state = _project(model, theta, u, y)
+    cost, lam, yy = state[2] @ state[2], 1e-3, y @ y
+    for _ in range(100):
+        step = _solve(state[3], state[4], 1.0 + lam)
+        # Stop once the predicted gain is below the rounding of the cost (or NaN).
+        if not step @ state[4] > _EPS * math.sqrt(cost * yy):
+            break
+        trial = _project(model, theta + step, u, y)
+        if trial[2] @ trial[2] < cost:
+            theta, state, cost, lam = theta + step, trial, trial[2] @ trial[2], 0.1 * lam
+        elif lam > 1e10:
+            break
+        else:
+            lam *= 10.0
+    return theta, state
 
 
 def fit_curve(model: FitModel | str, times_s, values) -> FitResult:
@@ -369,53 +429,65 @@ def fit_curve(model: FitModel | str, times_s, values) -> FitResult:
     Models: exp_decay  a*exp(-t/tau) + c
             damped_cosine  a*exp(-t/tau)*cos(2 pi f t + phi) + c
             rabi_sinusoid  a*cos(2 pi f t + phi) + c
-    """
-    from scipy.optimize import OptimizeWarning, curve_fit  # loaded on the first fit
 
+    Only the rate 1/tau and f are searched, from 2/span (exp_decay) or 1/span
+    and the largest FFT bin. A damped cosine under one cycle per span is also
+    fitted as a plain decay (f = 0), kept if its residual is smaller. sigma**2 is
+    the diagonal of (J^T J)^-1 residual**2 / (points - parameters), inf if the
+    Jacobian J is singular. tau is inf when the trace shows no decay (README).
+    """
     model = FitModel(model)
     t = np.asarray(times_s, dtype=float)
     y = np.asarray(values, dtype=float)
     names = _FIT_PARAMS[model]
-    if len(t) < 4 * len(names):
-        raise FitError(f"need at least {4 * len(names)} points for {model.value}, got {len(t)}")
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+    m = len(t)
+    if m < 4 * len(names):
+        raise FitError(f"need at least {4 * len(names)} points for {model.value}, got {m}")
+    if not (np.isfinite(t).all() and np.isfinite(y).all()):
         raise FitError(f"{model.value} fit needs finite times and values")
-    if not np.ptp(t) > 0:
+    span = float(t.max() - t.min())
+    if not span > 0:
         raise FitError(f"{model.value} fit needs times spanning a nonzero interval")
-    if model is FitModel.EXP_DECAY:
-        def f(t, a, tau, c):
-            return a * np.exp(-t / tau) + c
-
-        span = max(t[-1] - t[0], np.finfo(float).tiny)
-        p0 = (y[0] - y[-1], span / 2.0, y[-1])
-    elif model is FitModel.DAMPED_COSINE:
-        def f(t, a, tau, f0, phi, c):
-            return a * np.exp(-t / tau) * np.cos(TWO_PI * f0 * t + phi) + c
-
-        p0 = (0.5 * (y.max() - y.min()), (t[-1] - t[0]), _guess_freq(t, y), 0.0, y.mean())
-    else:
-        def f(t, a, f0, phi, c):
-            return a * np.cos(TWO_PI * f0 * t + phi) + c
-
-        p0 = (0.5 * (y.max() - y.min()), _guess_freq(t, y), 0.0, y.mean())
-
-    try:
-        # A noise-free decay can leave the covariance singular; sigma then
-        # reads inf, which callers report, so the warning is not printed.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OptimizeWarning)
-            popt, pcov = curve_fit(f, t, y, p0=p0, maxfev=20000)
-    except RuntimeError as exc:
-        raise FitError(f"{model.value} fit did not converge: {exc}") from exc
-    if not np.all(np.isfinite(popt)):
+    # Fit in units of the span and of max |y|, so that the rate g, the frequency
+    # nu and the singular-value test are scale-free.
+    scale = float(np.abs(y).max()) or 1.0
+    u, yn = t / span, y / scale
+    theta = [2.0]  # exp_decay: rate 2/span
+    if model is not FitModel.EXP_DECAY:  # rate 1/span and the largest nonzero FFT bin
+        nu = max((int(np.abs(np.fft.rfft(yn - yn.mean()))[1:].argmax()) + 1) * (m - 1) / m, 1.0)
+        theta = [nu] if model is FitModel.RABI_SINUSOID else [1.0, nu]
+    with np.errstate(all="ignore"):
+        theta, (beta, c, r, _, _) = _variable_projection(model, np.array(theta), u, yn)
+    if not (np.isfinite(theta).all() and np.isfinite(beta).all()):
         raise FitError(f"{model.value} fit did not converge: non-finite parameters")
-    resid = float(np.linalg.norm(f(t, *popt) - y))
-    params = dict(zip(names, (float(v) for v in popt)))
-    # Report rates/frequencies as positive magnitudes.
-    for key in ("tau", "f"):
-        if key in params:
-            params[key] = abs(params[key])
-    with np.errstate(invalid="ignore"):
-        sig = np.sqrt(np.abs(np.diag(pcov)))
-    sigma = dict(zip(names, (float(v) for v in sig)))
-    return FitResult(model, params, sigma, resid)
+    g = theta[0] if model is not FitModel.RABI_SINUSOID else 0.0
+    a, nu, phi = beta[0], 0.0, 0.0
+    if model is not FitModel.EXP_DECAY:  # a cos(w + phi) = a cos(phi) cos(w) - a sin(phi) sin(w)
+        nu = abs(theta[-1])
+        a_sin = -beta[1] / (TWO_PI * nu)
+        a, phi = math.hypot(a, a_sin), math.atan2(a_sin, a)
+    # The Jacobian at the solution, in the fit's units (the rate g for tau).
+    e, psi = np.exp(-g * u), (TWO_PI * nu) * u + phi
+    d_a, d_phi = e * np.cos(psi), -a * e * np.sin(psi)
+    jac = {"a": d_a, "tau": -a * u * d_a, "f": TWO_PI * u * d_phi, "phi": d_phi, "c": np.ones(m)}
+    _, sv, vt = np.linalg.svd(np.column_stack([jac[k] for k in names]), full_matrices=False)
+    cost = float(r @ r)
+    sig = np.full(len(names), math.inf)
+    if sv[-1] > _EPS * m * sv[0]:
+        sig = np.sqrt(((vt / sv[:, None]) ** 2).sum(axis=0) * (cost / (m - len(names))))
+    sig = dict(zip(names, sig))
+    sigma = {k: sig[k] * {"a": scale, "f": 1.0 / span, "c": scale}.get(k, 1.0) for k in names}
+    params = {"a": a * scale, "f": nu / span, "phi": phi, "c": c * scale}
+    if "tau" in names:  # no decay: rate or amplitude within sigma, or below rounding
+        decays = abs(g) > sig["tau"] and abs(a) > sig["a"] and abs(a * g) > m * _EPS
+        params["tau"], sigma["tau"] = (span / g, sig["tau"] * span / g**2) if decays else (
+            math.inf, math.inf)
+    residual = math.sqrt(cost) * scale
+    if model is FitModel.DAMPED_COSINE and nu < 1.0:
+        decay = fit_curve(FitModel.EXP_DECAY, t, y)
+        if decay.residual < residual:
+            params = {**decay.params, "a": abs(decay.params["a"]), "f": 0.0,
+                      "phi": math.pi * (decay.params["a"] < 0)}
+            sigma, residual = {**decay.sigma, "f": math.inf, "phi": math.inf}, decay.residual
+    return FitResult(model, {k: float(params[k]) for k in names},
+                     {k: float(sigma[k]) for k in names}, residual)

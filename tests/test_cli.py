@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import OptimizeWarning
 
 from qcvz import cli
 from qcvz.cli import (
@@ -396,18 +395,45 @@ def _reject_constant(token):
 
 
 def test_fit_json_is_strict_when_covariance_is_singular(tmp_path, monkeypatch):
-    # A noise-free exponential leaves curve_fit's covariance singular.
+    # A flat trace (a = 0) leaves the rate undetermined, so the covariance is
+    # singular: tau and every sigma are infinite, written as strict JSON.
+    def flat_t1(kind, q, cfg, x90, x180, delays_s, **kwargs):
+        return Trajectory(delays_s, np.full(len(delays_s), 0.25))
+
+    monkeypatch.setattr(cli, "run_experiment", flat_t1)
+    assert run(tmp_path, "t1") == EXIT_OK
+    fit = json.loads((tmp_path / "t1_fit.json").read_text(), parse_constant=_reject_constant)
+    assert fit["params"] == {"a": 0.0, "c": 0.25, "tau": "Infinity"}
+    assert fit["sigma"] == {"a": "Infinity", "c": "Infinity", "tau": "Infinity"}
+
+    # A noise-free exponential is not singular: its sigma is finite.
     def noise_free_t1(kind, q, cfg, x90, x180, delays_s, **kwargs):
         return Trajectory(delays_s, np.exp(-delays_s / 25.3e-6))
 
     monkeypatch.setattr(cli, "run_experiment", noise_free_t1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", OptimizeWarning)
-        assert run(tmp_path, "t1") == EXIT_OK
-
+    assert run(tmp_path, "t1") == EXIT_OK
     fit = json.loads((tmp_path / "t1_fit.json").read_text(), parse_constant=_reject_constant)
-    assert fit["params"]["tau"] == pytest.approx(25.3e-6, rel=1e-6)
-    assert fit["sigma"] == {"a": None, "c": None, "tau": None}
+    assert fit["params"]["tau"] == pytest.approx(25.3e-6, rel=1e-12)
+    assert all(0.0 <= v < 1e-12 for v in fit["sigma"].values())
+
+
+@pytest.mark.parametrize("argv", [
+    ("t1",), ("echo",), ("ramsey",),
+    ("ramsey", "--points", "91", "--max-delay-s", "3e-5", "--detuning-hz", "3.4e5"),
+    ("ramsey", "--points", "101", "--max-delay-s", "1e-5", "--detuning-hz", "1.01e6"),
+], ids=" ".join)
+def test_closed_qubit_fits_no_decay(tmp_path, argv):
+    # A qubit with no T1 or T2 in its config shows no decay: tau and its sigma
+    # are Infinity, and the fit file has the same bytes on every run.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(cli.DEFAULT_CONFIG, qubits=[{"f_qubit_hz": 4.53202e9}])))
+    texts = []
+    for out in ("a", "b"):
+        assert run(tmp_path / out, *argv, "--config", str(cfg)) == EXIT_OK
+        texts.append((tmp_path / out / f"{argv[0]}_fit.json").read_text())
+    assert texts[0] == texts[1]
+    fit = json.loads(texts[0], parse_constant=_reject_constant)
+    assert fit["params"]["tau"] == fit["sigma"]["tau"] == "Infinity"
 
 
 def test_vz_ramsey_cmd(tmp_path):

@@ -1,6 +1,7 @@
 """Every name a qcvz module imports is read somewhere in that module, every
 module-level private name is read somewhere in the package, every error
-message has one source, and importing qcvz loads no scipy."""
+message has one source, and neither importing qcvz nor running a command loads
+scipy."""
 import ast
 import json
 import os
@@ -75,14 +76,17 @@ def test_unread_private_name_is_found():
 _NUMBER_OR_FIELD = re.compile(r"-?\d[\d.e+-]*|\binf\b|\bnan\b|\{[^}]*\}")
 
 
-def _message(node: ast.expr) -> str | None:
-    """A string or f-string with each number and field as #, else None."""
+def _messages(node: ast.expr) -> list[str]:
+    """The strings or f-strings ``node`` can be, each number and field as #:
+    one for a string, one per arm of a conditional expression, else none."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return _NUMBER_OR_FIELD.sub("#", node.value)
+        return [_NUMBER_OR_FIELD.sub("#", node.value)]
     if isinstance(node, ast.JoinedStr):
-        return "".join(_NUMBER_OR_FIELD.sub("#", part.value) if isinstance(part, ast.Constant)
-                       else "#" for part in node.values)
-    return None
+        return ["".join(_NUMBER_OR_FIELD.sub("#", part.value) if isinstance(part, ast.Constant)
+                        else "#" for part in node.values)]
+    if isinstance(node, ast.IfExp):
+        return _messages(node.body) + _messages(node.orelse)
+    return []
 
 
 def _is_error(node: ast.expr) -> bool:
@@ -104,9 +108,8 @@ def _duplicate_messages(trees: list[ast.Module]) -> dict[str, int]:
             else:
                 continue
             for error, text in zip(items, items[1:]):
-                message = _message(text) if _is_error(error) else None
-                if message is not None:
-                    sites[message] += 1
+                if _is_error(error):
+                    sites.update(_messages(text))
     return {message: n for message, n in sites.items() if n > 1}
 
 
@@ -119,8 +122,9 @@ def test_duplicate_message_is_found():
     tree = ast.parse('raise ValueError(f"bad {x}, got 1.5e-3")\nraise KeyError("bad 2, got nan")\n'
                      'CHECKS = ((TypeError, "bad {y}, got inf", ok),)\nraise ValueError("bad")\n'
                      'print("bad 1, got 2")\nraise errors.MixerError("bad")\n'
-                     'check(MixerError, "bad", ok)\n')
-    assert _duplicate_messages([tree]) == {"bad #, got #": 3, "bad": 3}
+                     'check(MixerError, "bad", ok)\n'
+                     'raise QubitError("neg" if x < 0 else "bad")\nraise KeyError("neg")\n')
+    assert _duplicate_messages([tree]) == {"bad #, got #": 3, "bad": 4, "neg": 2}
 
 
 def _scipy_modules_after(code: str) -> list[str]:
@@ -147,13 +151,18 @@ def test_compile_loads_no_scipy(tmp_path):
     assert (tmp_path / "schedule.json").exists()
 
 
-def test_scipy_is_named_only_inside_fit_curve():
-    # The curve fits import scipy.optimize on first use; nothing else in src/ needs scipy.
-    tree = ast.parse((SRC / "qubit.py").read_text())
-    fit = next(node for node in tree.body
-               if isinstance(node, ast.FunctionDef) and node.name == "fit_curve")
+def test_commands_that_fit_or_sweep_load_no_scipy(tmp_path):
+    commands = [["t1", "--points", "13"], ["ramsey", "--points", "21"], ["echo", "--points", "13"],
+                ["rabi"], ["chevron", "--step-hz", "2e6", "--tau-points", "4"]]
+    run = ("from qcvz.cli import main\n"
+           f"for argv in {commands!r}:\n"
+           f"    assert main([*argv, '--out', {str(tmp_path)!r}]) == 0, argv")
+    assert _scipy_modules_after(run) == []
+    for name in ("t1_fit.json", "ramsey_fit.json", "echo_fit.json", "rabi.csv", "chevron.csv"):
+        assert (tmp_path / name).exists()
+
+
+def test_scipy_is_named_nowhere_in_src():
     for path in sorted(SRC.glob("*.py")):
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
-            if "scipy" in line:
-                assert path.name == "qubit.py" and fit.lineno <= lineno <= fit.end_lineno, (
-                    f"{path.name}:{lineno}: {line.strip()}")
+            assert "scipy" not in line, f"{path.name}:{lineno}: {line.strip()}"

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.optimize import OptimizeWarning, curve_fit
 
 from qcvz.calibration import CalibratedPulse
 from qcvz.compiler import Gate, Program, schedule
@@ -443,6 +445,93 @@ def test_fit_rabi_sinusoid():
     y = 0.4 * np.cos(TWO_PI * 2.2e6 * t + 0.3) + 0.5
     fit = fit_curve(FitModel.RABI_SINUSOID, t, y)
     assert fit.params["f"] == pytest.approx(2.2e6, rel=1e-6)
+
+
+def test_fit_damped_cosine_of_a_plain_decay():
+    # A Ramsey fringe on resonance has no oscillation: the fit reports f = 0,
+    # with f and phi undetermined, and the decay's own tau.
+    t = np.linspace(0.0, 30e-6, 61)
+    fit = fit_curve(FitModel.DAMPED_COSINE, t, 0.5 * np.exp(-t / 17e-6) + 0.5)
+    assert fit.params["tau"] == pytest.approx(17e-6, rel=1e-9)
+    assert (fit.params["f"], fit.sigma["f"], fit.sigma["phi"]) == (0.0, math.inf, math.inf)
+    assert fit.residual < 1e-12
+
+
+_CURVES = {
+    FitModel.EXP_DECAY: lambda t, a, tau, c: a * np.exp(-t / tau) + c,
+    FitModel.DAMPED_COSINE: lambda t, a, tau, f, phi, c: (
+        a * np.exp(-t / tau) * np.cos(TWO_PI * f * t + phi) + c),
+    FitModel.RABI_SINUSOID: lambda t, a, f, phi, c: a * np.cos(TWO_PI * f * t + phi) + c,
+}
+
+
+def reference_curve_fit(model: FitModel, t, y):
+    """scipy's curve_fit of ``model`` from the initial guesses fit_curve gave it
+    before it fitted with numpy: (parameters by name, residual), or None where
+    curve_fit fails."""
+    span = t[-1] - t[0]
+    spectrum = np.abs(np.fft.rfft(y - y.mean()))
+    f0 = max(np.fft.rfftfreq(len(t), span / (len(t) - 1))[np.argmax(spectrum[1:]) + 1], 1 / span)
+    p0 = {FitModel.EXP_DECAY: (y[0] - y[-1], span / 2, y[-1]),
+          FitModel.DAMPED_COSINE: (0.5 * np.ptp(y), span, f0, 0.0, y.mean()),
+          FitModel.RABI_SINUSOID: (0.5 * np.ptp(y), f0, 0.0, y.mean())}[model]
+    curve = _CURVES[model]
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore", OptimizeWarning)
+        try:
+            popt, _ = curve_fit(curve, t, y, p0=p0, maxfev=20000)
+        except RuntimeError:
+            return None
+        residual = float(np.linalg.norm(curve(t, *popt) - y))
+    names = curve.__code__.co_varnames[1:curve.__code__.co_argcount]
+    return dict(zip(names, popt)), residual
+
+
+@settings(max_examples=120, deadline=None)
+@given(model=st.sampled_from(FitModel), points=st.integers(20, 120),
+       log_span=st.floats(-7.0, -4.0), a=st.floats(0.1, 1.0), a_sign=st.sampled_from((-1, 1)),
+       c=st.floats(-1.0, 1.0), tau_spans=st.floats(0.2, 5.0), cycles=st.floats(1.5, 15.0),
+       phi=st.floats(-math.pi, math.pi), noise=st.sampled_from((0.0, 1e-6, 1e-3)),
+       seed=st.integers(0, 2**32 - 1))
+@example(model=FitModel.RABI_SINUSOID, points=80, log_span=math.log10(2e-6), a=0.4, a_sign=1,
+         c=0.5, tau_spans=1.0, cycles=4.4, phi=0.3, noise=0.0, seed=0)  # test_fit_rabi_sinusoid
+def test_fit_matches_curve_fit(model, points, log_span, a, a_sign, c, tau_spans, cycles, phi,
+                               noise, seed):
+    # Decays, fringes and sinusoids, noise-free and noisy: the fit's residual is
+    # never worse than curve_fit's beyond roundoff, and where both reach the
+    # same minimum the parameters agree.
+    span = 10.0**log_span
+    t = np.linspace(0.0, span, points)
+    truth = {"a": a_sign * a, "tau": tau_spans * span, "f": min(cycles, points / 8) / span,
+             "phi": phi, "c": c}
+    curve = _CURVES[model]
+    names = curve.__code__.co_varnames[1:curve.__code__.co_argcount]
+    y = curve(t, *(truth[k] for k in names))
+    y = y + noise * np.random.default_rng(seed).standard_normal(points)
+    fit = fit_curve(model, t, y)
+    reference = reference_curve_fit(model, t, y)
+    if reference is None:
+        return
+    ref, ref_residual = reference
+    roundoff = 1e-12 * np.linalg.norm(y)
+    assert fit.residual <= ref_residual * (1.0 + 1e-9) + roundoff
+    if ref_residual > fit.residual * (1.0 + 1e-6) + roundoff:
+        return  # curve_fit stopped in a worse minimum
+    # Agreement to 1e-6 of the trace's size, or to 1e-2 of a standard error:
+    # on a flat minimum curve_fit stops once a step is 1.5e-8 of its parameters.
+    size = abs(fit.params["a"]) + abs(fit.params["c"])
+    sigma = fit.sigma
+    if model is FitModel.EXP_DECAY:
+        assert fit.params["a"] == pytest.approx(ref["a"], abs=1e-6 * size + 1e-2 * sigma["a"])
+    else:  # a and phi as one complex amplitude: curve_fit may return a < 0 or f < 0
+        assert fit.params["a"] * np.exp(1j * fit.params["phi"]) == pytest.approx(
+            ref["a"] * np.exp(1j * ref["phi"] * np.sign(ref["f"])),
+            abs=1e-6 * size + 1e-2 * (sigma["a"] + fit.params["a"] * sigma["phi"]))
+        assert fit.params["f"] == pytest.approx(abs(ref["f"]), rel=1e-6, abs=1e-2 * sigma["f"])
+    if "tau" in names:
+        assert fit.params["tau"] == pytest.approx(abs(ref["tau"]), rel=1e-6,
+                                                  abs=1e-2 * sigma["tau"])
+    assert fit.params["c"] == pytest.approx(ref["c"], abs=1e-6 * size + 1e-2 * sigma["c"])
 
 
 def test_fit_needs_enough_points():
