@@ -359,14 +359,15 @@ _FIT_PARAMS = {
 }
 
 
-def _solve(a: np.ndarray, b: np.ndarray, damp: float = 1.0) -> np.ndarray:
-    """a^-1 b for a 1x1 or 2x2 ``a`` with its diagonal times ``damp``, by the
-    adjugate (np.linalg.solve's overhead is a quarter of a fit step); non-finite
-    if singular."""
+def _solve(a: np.ndarray, b: np.ndarray, d=(0.0, 0.0)) -> np.ndarray:
+    """(a + diag(d))^-1 b for a 1x1 or 2x2 ``a``, by the adjugate
+    (np.linalg.solve's overhead is a quarter of a fit step); non-finite if
+    singular."""
     if len(a) == 1:
-        return b / (a[0, 0] * damp)
+        return b / (a[0, 0] + d[0])
     (p, q), (r, s) = a.tolist()
-    return np.array([[s * damp, -q], [-r, p * damp]]) @ b / (p * s * damp * damp - q * r)
+    p, s = p + d[0], s + d[1]
+    return np.array([[s, -q], [-r, p]]) @ b / (p * s - q * r)
 
 
 def _project(model: FitModel, theta: np.ndarray, u: np.ndarray, y: np.ndarray):
@@ -392,6 +393,10 @@ def _project(model: FitModel, theta: np.ndarray, u: np.ndarray, y: np.ndarray):
     sol = _solve(gram[:k, :k], gram[:k, k:])
     beta = sol[:, -1]
     r = x[:, -1] - x[:, :k] @ beta
+    if k == 2:  # one step of iterative refinement: the normal equations square
+        # the condition number of cos and sin, which is large under one cycle.
+        beta = beta + _solve(gram[:k, :k], x[:, :k].T @ r)
+        r = x[:, -1] - x[:, :k] @ beta
     # The model's derivatives in theta are x[:, k:-1] @ dw.
     if model is FitModel.EXP_DECAY:
         dw = -beta[:, None]
@@ -399,7 +404,12 @@ def _project(model: FitModel, theta: np.ndarray, u: np.ndarray, y: np.ndarray):
         dw = np.array([[-beta[0], 0.0], [-beta[1], -TWO_PI**2 * nu * beta[0]], [0.0, beta[1]]])
         dw = dw[1:, 1:] if model is FitModel.RABI_SINUSOID else dw
     normal = dw.T @ (gram[k:-1, k:-1] - gram[:k, k:-1].T @ sol[:, :-1]) @ dw
-    return beta, mean[-1] - mean[:k] @ beta, r, normal, dw.T @ (x[:, k:-1].T @ r)
+    grad = dw.T @ (x[:, k:-1].T @ r)
+    if model is not FitModel.EXP_DECAY:
+        # The cost is even in nu, so its slope over nu is a curvature too; where
+        # it is the larger, as nu -> 0, Gauss-Newton's would overshoot to -nu.
+        normal[-1, -1] = max(normal[-1, -1], -grad[-1] / nu)
+    return beta, mean[-1] - mean[:k] @ beta, r, normal, grad
 
 
 def _variable_projection(model: FitModel, theta: np.ndarray, u: np.ndarray, y: np.ndarray):
@@ -407,9 +417,12 @@ def _variable_projection(model: FitModel, theta: np.ndarray, u: np.ndarray, y: n
     Anal. 10, 1973): (theta, projection) where it stops, or after 100 steps (a
     best fit at infinity, such as a decay fitted to noise, never stops)."""
     state = _project(model, theta, u, y)
-    cost, lam, yy = state[2] @ state[2], 1e-3, y @ y
+    cost, lam, yy, scale = state[2] @ state[2], 1e-3, y @ y, 0.0
     for _ in range(100):
-        step = _solve(state[3], state[4], 1.0 + lam)
+        # Damp by the largest curvature seen (More, 1978): the frequency's own
+        # can vanish as nu -> 0, where it would leave nu undamped.
+        scale = np.maximum(scale, state[3].diagonal())
+        step = _solve(state[3], state[4], lam * scale)
         # Stop once the predicted gain is below the rounding of the cost (or NaN).
         if not step @ state[4] > _EPS * math.sqrt(cost * yy):
             break
@@ -431,8 +444,9 @@ def fit_curve(model: FitModel | str, times_s, values) -> FitResult:
             rabi_sinusoid  a*cos(2 pi f t + phi) + c
 
     Only the rate 1/tau and f are searched, from 2/span (exp_decay) or 1/span
-    and the largest FFT bin. A damped cosine under one cycle per span is also
-    fitted as a plain decay (f = 0), kept if its residual is smaller. sigma**2 is
+    and the largest FFT bin, and again from half a cycle if f ends under one
+    cycle per span. Such a damped cosine is also fitted as a plain decay (f = 0),
+    kept if its residual is smaller. sigma**2 is
     the diagonal of (J^T J)^-1 residual**2 / (points - parameters), inf if the
     Jacobian J is singular. tau is inf when the trace shows no decay (README).
     """
@@ -457,7 +471,14 @@ def fit_curve(model: FitModel | str, times_s, values) -> FitResult:
         nu = max((int(np.abs(np.fft.rfft(yn - yn.mean()))[1:].argmax()) + 1) * (m - 1) / m, 1.0)
         theta = [nu] if model is FitModel.RABI_SINUSOID else [1.0, nu]
     with np.errstate(all="ignore"):
-        theta, (beta, c, r, _, _) = _variable_projection(model, np.array(theta), u, yn)
+        start, (theta, state) = theta, _variable_projection(model, np.array(theta), u, yn)
+        if model is not FitModel.EXP_DECAY and abs(theta[-1]) < 1.0:
+            # Under one cycle, the search from the 1-cycle floor can stop in a
+            # valley towards nu = 0: also start from half a cycle.
+            half = _variable_projection(model, np.array([*start[:-1], 0.5]), u, yn)
+            if half[1][2] @ half[1][2] < state[2] @ state[2]:
+                theta, state = half
+    beta, c, r, _, _ = state
     if not (np.isfinite(theta).all() and np.isfinite(beta).all()):
         raise FitError(f"{model.value} fit did not converge: non-finite parameters")
     g = theta[0] if model is not FitModel.RABI_SINUSOID else 0.0
@@ -472,14 +493,18 @@ def fit_curve(model: FitModel | str, times_s, values) -> FitResult:
     jac = {"a": d_a, "tau": -a * u * d_a, "f": TWO_PI * u * d_phi, "phi": d_phi, "c": np.ones(m)}
     _, sv, vt = np.linalg.svd(np.column_stack([jac[k] for k in names]), full_matrices=False)
     cost = float(r @ r)
-    sig = np.full(len(names), math.inf)
+    sig = unit = np.full(len(names), math.inf)  # unit: sigma at a noise of 1
     if sv[-1] > _EPS * m * sv[0]:
-        sig = np.sqrt(((vt / sv[:, None]) ** 2).sum(axis=0) * (cost / (m - len(names))))
-    sig = dict(zip(names, sig))
+        unit = np.sqrt(((vt / sv[:, None]) ** 2).sum(axis=0))
+        sig = unit * math.sqrt(cost / (m - len(names)))
+    sig, unit = dict(zip(names, sig)), dict(zip(names, unit))
     sigma = {k: sig[k] * {"a": scale, "f": 1.0 / span, "c": scale}.get(k, 1.0) for k in names}
     params = {"a": a * scale, "f": nu / span, "phi": phi, "c": c * scale}
-    if "tau" in names:  # no decay: rate or amplitude within sigma, or below rounding
-        decays = abs(g) > sig["tau"] and abs(a) > sig["a"] and abs(a * g) > m * _EPS
+    if "tau" in names:
+        # No decay: the amplitude within its sigma, or the rate within its sigma
+        # at a noise of at least 1000 ulps of max |y| (a simulated trace's
+        # rounding error is not white noise).
+        decays = abs(g) > max(sig["tau"], 1e3 * _EPS * unit["tau"]) and abs(a) > sig["a"]
         params["tau"], sigma["tau"] = (span / g, sig["tau"] * span / g**2) if decays else (
             math.inf, math.inf)
     residual = math.sqrt(cost) * scale

@@ -421,6 +421,8 @@ def test_fit_json_is_strict_when_covariance_is_singular(tmp_path, monkeypatch):
     ("t1",), ("echo",), ("ramsey",),
     ("ramsey", "--points", "91", "--max-delay-s", "3e-5", "--detuning-hz", "3.4e5"),
     ("ramsey", "--points", "101", "--max-delay-s", "1e-5", "--detuning-hz", "1.01e6"),
+    ("ramsey", "--points", "41", "--max-delay-s", "1e-5", "--detuning-hz", "2e4"),  # 0.2 cycle
+    ("ramsey", "--points", "21", "--max-delay-s", "3e-5", "--detuning-hz", "3e3"),  # 0.09 cycle
 ], ids=" ".join)
 def test_closed_qubit_fits_no_decay(tmp_path, argv):
     # A qubit with no T1 or T2 in its config shows no decay: tau and its sigma
