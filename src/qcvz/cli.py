@@ -291,8 +291,7 @@ def cmd_spectrum(cfg: DeviceConfig, args, out: _Artifacts) -> None:
     mix = cfg.mixers[k]
     env = Envelope("flat", cfg.cycle_period_s, 1.0)
     prog = make_if_program(cfg.f_if_hz, cfg.cycle_period_s, [CycleSpec(0.0, env)])
-    rate = 4.0 * (mix.channel.freq_hz + cfg.f_if_hz)
-    tones = output_spectrum(mix, prog, BitTimeline((0 if args.off else 1,)), rate)
+    tones = output_spectrum(mix, prog, BitTimeline((0 if args.off else 1,)))
     out.csv("spectrum", ["freq_hz", "power_db"], np.array(tones, dtype=float).reshape(-1, 2).T)
     _, xtalk = demux(cfg.resonators, cfg.lo)
     out.csv(

@@ -25,6 +25,17 @@ k_{-1} = -1 and slot_{-1} = -1, and since slot_{j-1} = k_{j-1} mod 8,
 
 a cumulative sum of per-pulse deltas. Grouping the (slot, qubit) pairs by
 slot gives exactly the non-empty cycles the loop emits.
+
+Free scheduling counts 1e-6-degree phase clusters, since frame sums spread
+one physical phase over nearby floats. A phase p with 360 - p < 1e-6 counts
+as p - 360, so 0 and 360 degrees meet. Over the sorted distinct values,
+a cluster opens at the lowest unassigned v and takes every w with
+w - v < 1e-6, so chained values cannot widen it to 1e-6. Each cycle
+fires every ready pulse of the cluster with the most of them, ties to the
+lowest v (so 0 degrees wins), at theta_if = v mod 360: the lowest pulse's
+phase, or 0 for one at exactly 360, and within 1e-6 of every fired phase
+on the circle. A cycle reads each qubit's next cluster and takes one
+argmax over the c cluster counts: O(n + c).
 """
 from __future__ import annotations
 
@@ -355,10 +366,12 @@ def schedule(program: Program, mode: ScheduleMode | str = ScheduleMode.QUANTIZED
     the closed form slot_j = slot_{j-1} + 1 + ((k_j - k_{j-1} - 1) mod 8)
     with k_{-1} = slot_{-1} = -1 (see the module docstring), so the cycles
     are the distinct slots, each firing its qubits in ascending order.
-    free: greedy; each cycle takes the phase value most ready pulses carry
-    exactly (ties to the lowest phase) and fires every ready pulse within
-    1e-6 degrees of it. Frame sums spread one physical phase over several
-    nearby floats, so the count is per exact value, not per 1e-6 cluster.
+    free: greedy over 1e-6-degree clusters (see the module docstring). A
+    phase p with 360 - p < 1e-6 counts as p - 360; over the sorted values,
+    a cluster opens at the lowest unassigned v and takes every w with
+    w - v < 1e-6. Each cycle fires every ready pulse of the cluster with the
+    most of them, ties to the lowest v, at theta_if = v mod 360, in O(n + c)
+    for c clusters.
     """
     mode = ScheduleMode(mode)
     quantized = mode is ScheduleMode.QUANTIZED45
@@ -380,38 +393,44 @@ def schedule(program: Program, mode: ScheduleMode | str = ScheduleMode.QUANTIZED
         offsets = np.r_[0, np.flatnonzero(np.diff(slot)) + 1, slot.size]
         slot = slot[offsets[:-1]]
         return Schedule(slot, (slot % 8 * 45).astype(float), offsets, qubit, mode, n)
-    # Code every phase once; np.unique sorts, so argmax over code counts breaks
-    # ties to the lowest phase. Code s pads the rows and marks a finished
-    # qubit; its count starts below -n, so no cycle picks it.
-    vals, inv = np.unique(phases, return_inverse=True)
-    s = vals.size
+    # Code every pulse by its cluster; clusters are numbered in order of v,
+    # so argmax over cluster counts breaks ties to the lowest v. Code c pads
+    # the rows and marks a finished qubit; its count starts below -n, so no
+    # cycle picks it.
+    vals, inv = np.unique(np.where(360.0 - phases < 1e-6, phases - 360.0, phases),
+                          return_inverse=True)
+    opens, v = np.zeros(vals.size, bool), -math.inf
+    for i, w in enumerate(vals.tolist()):
+        if not w - v < 1e-6:
+            opens[i], v = True, w
+    c = int(opens.sum())
     width = valid.shape[1] + 1
-    code = np.full((n, width), s, dtype=np.intp)
-    code[:, :-1][valid] = inv
+    code = np.full((n, width), c, dtype=np.intp)
+    code[:, :-1][valid] = (np.cumsum(opens) - 1)[inv]
     code = code.ravel()
     pos = np.arange(n) * width  # each qubit's next pulse in ``code``
     nxt = code[pos]
-    count = np.bincount(nxt, minlength=s + 1)
-    count[s] = -n - 1
-    vals_n = np.append(vals, np.nan)  # the finished code matches no phase
+    count = np.bincount(nxt, minlength=c + 1)
+    count[c] = -n - 1
     picked: list[int] = []
     fired: list[np.ndarray] = []
     left = phases.size
     while left:
-        c = int(count.argmax())
-        fire = (np.abs(vals_n[nxt] - vals[c]) < 1e-6).nonzero()[0]
-        # Every ready pulse on a fired code fires, so those codes have no
-        # count left; only the fired qubits' next codes are added back.
-        count[nxt[fire]] = 0
+        k = int(count.argmax())
+        fire = (nxt == k).nonzero()[0]
+        # Every ready pulse of the picked cluster fires, so its count is
+        # spent; only the fired qubits' next codes are added back.
+        count[k] = 0
         p = pos[fire] + 1
         pos[fire] = p
         nxt[fire] = new = code[p]
         np.add.at(count, new, 1)
-        picked.append(c)
+        picked.append(k)
         fired.append(fire)
         left -= fire.size
     offsets = np.r_[0, np.cumsum([f.size for f in fired])]
-    return Schedule(np.arange(len(picked)), vals[picked], offsets, np.concatenate(fired), mode, n)
+    theta = vals[opens][picked] % 360.0
+    return Schedule(np.arange(len(picked)), theta, offsets, np.concatenate(fired), mode, n)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .demux import ChannelTone
-from .signals import EnvelopeShape, IfProgram, SignalError, raise_first
+from .signals import EnvelopeShape, IfProgram, raise_first
 
 # Reported maximum mixer output power; metadata for resource tables only.
 MAX_OUTPUT_POWER_PW = 4.11
@@ -208,7 +208,6 @@ def output_spectrum(
     cfg: MixerConfig,
     prog: IfProgram,
     bits: BitTimeline,
-    rate_hz: float,
 ) -> list[tuple[float, float]]:
     """CW tone table for a flat-envelope program: (freq_hz, power_db rel. carrier).
 
@@ -224,8 +223,6 @@ def output_spectrum(
         raise MixerError("CW spectrum analysis requires a uniform bit timeline")
     f_lo = cfg.channel.freq_hz
     f_if = prog.f_if_hz
-    if rate_hz <= 2.0 * (f_lo + f_if):
-        raise SignalError(f"rate {rate_hz} Hz violates Nyquist for {f_lo + f_if} Hz content")
     diff_db = 0.0 if bits.bits[0] else -cfg.on_off_ratio_db
     return [
         (f_lo - f_if, diff_db),

@@ -231,21 +231,61 @@ def _ref_lower(gates, quantized):
     return tuple(thetas), frame % (2.0 * math.pi)
 
 
+def _ref_wrap(phase):
+    """A phase within 1e-6 degrees below 360 counts as phase - 360."""
+    return phase - 360.0 if 360.0 - phase < 1e-6 else phase
+
+
+def _ref_cluster_of(lowered):
+    """Each wrapped phase -> the lowest value v of its cluster: over the
+    sorted distinct values, a cluster opens at the lowest unassigned v and
+    takes every w with w - v < 1e-6."""
+    cluster, v = {}, None
+    for w in sorted({_ref_wrap(p) for thetas in lowered for p in thetas}):
+        if v is None or not w - v < 1e-6:
+            v = w
+        cluster[w] = v
+    return cluster
+
+
+def _ref_free_cycles(lowered):
+    """Free mode, one plain scan over the ready qubits per cycle: fire every
+    ready pulse of the cluster with the most ready pulses (ties to the
+    lowest v) at theta v mod 360. Returns [(theta, fired qubits), ...]."""
+    cluster = _ref_cluster_of(lowered)
+    keys = [[cluster[_ref_wrap(p)] for p in thetas] for thetas in lowered]
+    ptr = [0] * len(keys)
+    cycles = []
+    while True:
+        ready = [i for i, row in enumerate(keys) if ptr[i] < len(row)]
+        if not ready:
+            return cycles
+        count = {}
+        for i in ready:
+            v = keys[i][ptr[i]]
+            count[v] = count.get(v, 0) + 1
+        best = min(count, key=lambda v: (-count[v], v))
+        fire = [i for i in ready if keys[i][ptr[i]] == best]
+        for i in fire:
+            ptr[i] += 1
+        cycles.append((best % 360.0, fire))
+
+
 def _ref_schedule(program, mode):
     quantized = mode == "quantized45"
     lowered = [_ref_lower(g, quantized)[0] for g in program.gates]
     n = len(lowered)
+    if not quantized:
+        return {"mode": mode, "n_qubits": n,
+                "cycles": [{"theta_if": theta, "fired": fire, "slot": slot}
+                           for slot, (theta, fire) in enumerate(_ref_free_cycles(lowered))]}
     cycles = []
     ptr = [0] * n
     slot = 0
     while any(ptr[i] < len(lowered[i]) for i in range(n)):
         ready = [i for i in range(n) if ptr[i] < len(lowered[i])]
         nxt = {i: lowered[i][ptr[i]] for i in ready}
-        if quantized:
-            phase = float((slot % 8) * 45)
-        else:
-            vals, counts = np.unique(list(nxt.values()), return_counts=True)
-            phase = float(vals[np.argmax(counts)])
+        phase = float((slot % 8) * 45)
         fire = [i for i in ready if abs(nxt[i] - phase) < 1e-6]
         if fire:
             cycles.append({"theta_if": phase, "fired": fire, "slot": slot})
@@ -334,10 +374,11 @@ def test_schedule_rejects_nonfinite_theta_and_bad_qubits():
             Schedule(np.array([0]), np.array([0.0]), one, np.array([k]), ScheduleMode.FREE, 1)
 
 
-# -- reference: the id-coded lowering and the full-scan greedy loop ---------
-# A copy of the compiler before programs held integer codes: gates were
-# grouped by object identity and every free-mode cycle re-scanned all live
-# qubits. The array-native compiler must write the same bytes.
+# -- reference: the id-coded lowering and the per-cycle scans ---------------
+# The lowering is a copy of the compiler before programs held integer codes:
+# gates were grouped by object identity. Quantized45 slots come from a lexsort
+# and free-mode cycles from _ref_free_cycles' scan over the ready qubits. The
+# array-native compiler must write the same bytes.
 
 def _ref_gate_codes(rows):
     flat = list(itertools.chain.from_iterable(rows))
@@ -397,23 +438,10 @@ def _ref_array_schedule(rows, mode):
         slot = slot[offsets[:-1]]
         return Schedule(slot, (slot % 8 * 45).astype(float), offsets, qubit,
                         ScheduleMode(mode), n)
-    vals, codes = np.unique(thetas[valid], return_inverse=True)
-    code = np.zeros(thetas.shape, dtype=np.intp)
-    code[valid] = codes
-    ptr = np.zeros(n, dtype=np.intp)
-    live = np.flatnonzero(lens)
-    phases, fired = [], []
-    while live.size:
-        nxt = code[live, ptr[live]]
-        phase = vals[np.bincount(nxt).argmax()]
-        fire = live[np.abs(vals[nxt] - phase) < 1e-6]
-        phases.append(phase)
-        fired.append(fire)
-        ptr[fire] += 1
-        live = live[ptr[live] < lens[live]]
-    offsets = np.r_[0, np.cumsum([f.size for f in fired])]
-    return Schedule(np.arange(len(phases)), np.array(phases), offsets, np.concatenate(fired),
-                    ScheduleMode(mode), n)
+    cycles = _ref_free_cycles([row[:k] for row, k in zip(thetas.tolist(), lens.tolist())])
+    offsets = np.r_[0, np.cumsum([len(fire) for _, fire in cycles])]
+    return Schedule(np.arange(len(cycles)), np.array([theta for theta, _ in cycles]), offsets,
+                    np.array([i for _, fire in cycles for i in fire]), ScheduleMode(mode), n)
 
 
 _PULSES = {"x90": 1, "x180": 2, "h": 1}
@@ -463,8 +491,7 @@ def test_bench_size_schedules_match_reference_bytes(seed):
 def test_free_schedule_with_a_distinct_phase_per_pulse_matches_reference_bytes():
     # Off-grid frames give almost every pulse its own phase value, so nearly
     # every cycle fires one qubit. Rows 0-9 carry phases 0.5e-6 degrees
-    # apart, so a cycle's 1e-6 test takes in some neighbouring values and
-    # not others.
+    # apart, so each cluster takes in some neighbouring values and not others.
     rng = np.random.default_rng(3)
     rows = [[g for a in rng.uniform(-3.0, 3.0, 60).tolist() for g in (f"z:{a!r}", "x90")]
             for _ in range(200)]
@@ -476,6 +503,69 @@ def test_free_schedule_with_a_distinct_phase_per_pulse_matches_reference_bytes()
     ref = _ref_array_schedule(gate_rows, "free")
     assert len(ref.slot) > 10_000
     assert schedule(Program.from_names(rows), "free").to_json() == ref.to_json()
+
+
+def _check_free_cycles(prog, sched):
+    """Replay a free schedule: every fired pulse lies within 1e-6 degrees of
+    its cycle's theta on the circle, and no two in one cycle lie 1e-6 apart;
+    each qubit fires its lowered pulses in program order; each cycle fires
+    every ready pulse of one cluster, and no cluster had more ready pulses."""
+    lowered = [lower(g, quantized=False).thetas_deg for g in prog.gates]
+    cluster = _ref_cluster_of(lowered)
+    ptr = [0] * len(lowered)
+    for c in sched.cycles:
+        ready = [i for i, thetas in enumerate(lowered) if ptr[i] < len(thetas)]
+        assert set(c.fired) <= set(ready) and len(set(c.fired)) == len(c.fired)
+        phases = np.array([lowered[i][ptr[i]] for i in c.fired])
+        gap = (phases - c.theta_if_deg + 180.0) % 360.0 - 180.0
+        assert np.abs(gap).max() < 1e-6 and gap.max() - gap.min() < 1e-6
+        count = {}
+        for i in ready:
+            v = cluster[_ref_wrap(lowered[i][ptr[i]])]
+            count[v] = count.get(v, 0) + 1
+        picked = {cluster[_ref_wrap(p)] for p in phases.tolist()}
+        assert len(picked) == 1 and count[picked.pop()] == len(c.fired) == max(count.values())
+        for i in c.fired:
+            ptr[i] += 1
+    assert ptr == [len(thetas) for thetas in lowered]
+
+
+def test_free_schedule_joins_phases_across_360_degrees():
+    # 0, just below 360, exactly 360 (a frame of -1e-300 rad) and just
+    # above 0 are one phase on the circle; the cluster's lowest value is the
+    # one below 360.
+    rows = [["x90"], ["z:-1e-15", "x90"], ["z:-1e-300", "x90"], ["z:1e-15", "x90"]]
+    prog = Program.from_names(rows)
+    assert [lower(g, quantized=False).thetas_deg[0] for g in prog.gates][1:3] == [
+        359.99999999999994, 360.0]
+    sched = schedule(prog, "free")
+    assert sched.cycles == (Cycle(359.99999999999994, (0, 1, 2, 3), 0),)
+    _check_free_cycles(prog, sched)
+
+
+def test_free_schedule_keeps_a_chain_of_close_phases_under_1e_6_degrees():
+    # Every row steps its phase 0.5e-6 degrees per pulse, from a different
+    # start, so each value chains to its neighbours.
+    rows = []
+    for i in range(30):
+        angles = [math.radians(0.5e-6 * (i + k)) for k in range(12)]
+        rows.append([g for a in angles for g in (f"z:{a!r}", "x90", f"z:{-a!r}")])
+    prog = Program.from_names(rows)
+    sched = schedule(prog, "free")
+    _check_free_cycles(prog, sched)
+    assert parallelism_stats(sched).max_fired > 1
+
+
+# Frames at and around 0/360 degrees, on both sides of the wrap.
+WRAP_NAMES = EDGE_NAMES + ["z:-1e-15", "z:-1e-8", "z:1.2e-8", "z:-1e-300"]
+
+
+@given(st.one_of(_programs(FREE_NAMES), _programs(EDGE_NAMES), _programs(WRAP_NAMES)))
+@example([["x90"], ["z:-1e-8", "x90"], ["z:1.2e-8", "x90", "x90"]])
+@settings(max_examples=200, deadline=None)
+def test_free_schedule_fires_one_largest_cluster_per_cycle(rows):
+    prog = Program.from_names(rows)
+    _check_free_cycles(prog, schedule(prog, "free"))
 
 
 @given(st.one_of(_programs(FREE_NAMES), _programs(EDGE_NAMES)))
