@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -260,10 +261,7 @@ def _ref_free_cycles(lowered):
         ready = [i for i, row in enumerate(keys) if ptr[i] < len(row)]
         if not ready:
             return cycles
-        count = {}
-        for i in ready:
-            v = keys[i][ptr[i]]
-            count[v] = count.get(v, 0) + 1
+        count = collections.Counter(keys[i][ptr[i]] for i in ready)
         best = min(count, key=lambda v: (-count[v], v))
         fire = [i for i in ready if keys[i][ptr[i]] == best]
         for i in fire:
@@ -519,10 +517,7 @@ def _check_free_cycles(prog, sched):
         phases = np.array([lowered[i][ptr[i]] for i in c.fired])
         gap = (phases - c.theta_if_deg + 180.0) % 360.0 - 180.0
         assert np.abs(gap).max() < 1e-6 and gap.max() - gap.min() < 1e-6
-        count = {}
-        for i in ready:
-            v = cluster[_ref_wrap(lowered[i][ptr[i]])]
-            count[v] = count.get(v, 0) + 1
+        count = collections.Counter(cluster[_ref_wrap(lowered[i][ptr[i]])] for i in ready)
         picked = {cluster[_ref_wrap(p)] for p in phases.tolist()}
         assert len(picked) == 1 and count[picked.pop()] == len(c.fired) == max(count.values())
         for i in c.fired:
@@ -536,8 +531,8 @@ def test_free_schedule_joins_phases_across_360_degrees():
     # one below 360.
     rows = [["x90"], ["z:-1e-15", "x90"], ["z:-1e-300", "x90"], ["z:1e-15", "x90"]]
     prog = Program.from_names(rows)
-    assert [lower(g, quantized=False).thetas_deg[0] for g in prog.gates][1:3] == [
-        359.99999999999994, 360.0]
+    assert [lower(g, quantized=False).thetas_deg for g in prog.gates] == [
+        (0.0,), (359.99999999999994,), (360.0,), (5.729577951308233e-14,)]
     sched = schedule(prog, "free")
     assert sched.cycles == (Cycle(359.99999999999994, (0, 1, 2, 3), 0),)
     _check_free_cycles(prog, sched)
