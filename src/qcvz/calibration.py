@@ -121,8 +121,10 @@ def calibrate_pulses(
     f_lo = np.array(f_lo_hz_list, dtype=float)
     f_q = np.array([q.f_qubit_hz for q in qs], dtype=float)
     f_if = f_lo - f_q
+    # The rate at a_if = 1 is the gain: both response curves have f(1) = 1.
+    gain = np.array([c.gain_hz_per_unit for c in cfgs], dtype=float)
     with np.errstate(over="ignore"):  # an absurd duration reaches any angle
-        max_angle = TWO_PI * rabi_rates(cfgs, np.ones(n)) * tau
+        max_angle = TWO_PI * gain * tau
     # A nonzero target's drive: an envelope of peak 1 filling a cycle of tau.
     raise_first(_LO_CHECKS + (_TARGET_CHECKS if target else ()), f_lo_hz=f_lo, f_qubit_hz=f_q,
                 f_if_hz=f_if, carrier_hz=f_lo - f_if, target=target, max_angle=max_angle,

@@ -203,7 +203,13 @@ def _lower(program: Program, quantized: bool) -> tuple[np.ndarray, np.ndarray, n
     phases = np.repeat(frames[:, 0::2].ravel(), n_pulses.ravel())
     if quantized:
         return phases % 8, n_pulses.sum(axis=1), (final % 8) * QUARTER
-    return np.degrees(phases) % 360.0, n_pulses.sum(axis=1), final % TWO_PI
+    # In place, so a 500 x 100 program's lowering holds one copy of its phases.
+    deg = np.remainder(np.degrees(phases, out=phases), 360.0, out=phases)
+    frame = final % TWO_PI
+    # A tiny negative value rounds up to the modulus itself; that is 0.
+    deg[deg == 360.0] = 0.0
+    frame[frame == TWO_PI] = 0.0
+    return deg, n_pulses.sum(axis=1), frame
 
 
 def lower(gates, quantized: bool = True) -> LoweredQubit:

@@ -14,9 +14,9 @@ import numpy as np
 from .signals import MultiToneLo, SignalError
 
 
-# Resonators per block of the crosstalk matrix: a 4000-tone bank then needs
-# 4 MB per complex temporary instead of 256 MB.
-_BLOCK = 64
+# Elements per block of the nearest-tone and crosstalk passes: a 40-tone bank
+# is one pass, and a 4000-tone bank's temporaries stay in cache.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,13 @@ class ChannelTone:
             raise SignalError(f"channel phase must be finite, got {self.phase_rad}")
 
 
+def _detuning(q, f_r, f):
+    """x = 2 q (f - f_r) / f_r, broadcast, and exactly 0 on resonance whatever
+    q is; far off resonance x overflows, so callers silence over and invalid."""
+    d = f - f_r
+    return np.where(d == 0.0, 0.0, 2.0 * q * d / f_r)
+
+
 def _gains(q, f_r, f):
     """1 / (1 + i x) with x = 2 q (f - f_r) / f_r, broadcast over the arrays.
 
@@ -61,9 +68,8 @@ def _gains(q, f_r, f):
     has the same bits alone or in an array. Where x overflows the gain is
     its limit, 0; on resonance it is 1 whatever Q is.
     """
-    d = f - f_r
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x = np.where(d == 0.0, 0.0, 2.0 * q * d / f_r)
+        x = _detuning(q, f_r, f)
         small = np.abs(x) <= 1.0
         ratio = np.where(small, x, 1.0 / x)
         denom = np.where(small, 1.0 + x * ratio, ratio + x)
@@ -85,21 +91,29 @@ def resonator_gain(r: Resonator, f_hz: float) -> complex:
 
 def matched_channels(resonators: list[Resonator], lo: MultiToneLo) -> list[ChannelTone]:
     """Channel of every mixer: mixer k gets the LO tone nearest resonator k
-    (ties go to the lower tone), through resonator k's complex gain.
+    (ties go to the lower tone), through resonator k's gain in Smith's form.
     """
     if not resonators:
         raise SignalError("resonator list is empty")
     if not lo.tones:
         raise SignalError("LO line has no tones")
     freqs = np.array([t.freq_hz for t in lo.tones])
-    tones = [lo.tones[int(np.argmin(np.abs(freqs - r.f_r_hz)))] for r in resonators]
     q, f_r = _bank(resonators)
+    nearest = np.concatenate([np.abs(freqs - f_r[rows, None]).argmin(axis=1)
+                              for rows in _row_blocks(len(f_r), len(freqs))])
+    tones = [lo.tones[j] for j in nearest.tolist()]
     g = _gains(q, f_r, np.array([t.freq_hz for t in tones]))
     # abs of each Python complex: numpy's vectorised hypot can differ in the last bit.
     return [
         ChannelTone(t.freq_hz, t.amp * abs(gain), t.phase_rad + phase)
         for t, gain, phase in zip(tones, g.tolist(), np.angle(g).tolist())
     ]
+
+
+def _row_blocks(rows: int, cols: int) -> list[slice]:
+    """Row slices of a rows x cols pass, each about _BLOCK_ELEMENTS elements."""
+    step = max(1, _BLOCK_ELEMENTS // cols)
+    return [slice(k, k + step) for k in range(0, rows, step)]
 
 
 def _bank(resonators: list[Resonator]) -> tuple[np.ndarray, np.ndarray]:
@@ -115,15 +129,16 @@ def demux(
 
     Returns ``(channels, crosstalk_db)``: ``channels`` is
     ``matched_channels(resonators, lo)`` and ``crosstalk_db[k, j]`` is
-    20 log10 |gain of tone j through resonator k|.
+    20 log10 |gain of tone j through resonator k|, from |gain|^2 alone:
+    -10 log10(1 + x^2), +0.0 on resonance and -inf where x^2 overflows.
     """
     channels = matched_channels(resonators, lo)
     q, f_r = _bank(resonators)
     freqs = np.array([t.freq_hz for t in lo.tones])
     crosstalk_db = np.empty((len(resonators), len(freqs)))
-    with np.errstate(divide="ignore"):  # a gain of 0 is -inf dB
-        for k in range(0, len(resonators), _BLOCK):
-            rows = slice(k, k + _BLOCK)
-            gain = _gains(q[rows, None], f_r[rows, None], freqs)
-            crosstalk_db[rows] = 20.0 * np.log10(np.abs(gain))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in _row_blocks(len(f_r), len(freqs)):
+            x = _detuning(q[rows, None], f_r[rows, None], freqs)
+            # 0 - y, not -y: a cell on resonance is +0.0, not -0.0.
+            crosstalk_db[rows] = 0.0 - 10.0 * np.log10(1.0 + x * x)
     return channels, crosstalk_db

@@ -2,11 +2,14 @@ import math
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcvz.calibration import (
+    _LO_CHECKS,
+    _TARGET_CHECKS,
     CalibratedPulse,
     CalibrationError,
     calibrate_pulse,
@@ -21,9 +24,10 @@ from qcvz.mixer import (
     amplitude_map,
     baseband_output,
     inverse_amplitude_map,
+    rabi_rates,
 )
 from qcvz.qubit import FitModel, QubitParams, fit_curve, ground_state, propagate
-from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, make_if_program
+from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, make_if_program, raise_first
 
 F_Q = 4.53202e9
 F_LO = 8.0e9
@@ -262,3 +266,54 @@ def test_pulses_the_search_got_wrong(q, cfg, angle, a_if):
     assert pulse == calibrate_pulse(q.closed(), cfg, angle, 50e-9, F_LO)
     assert pulse.a_if == pytest.approx(a_if, abs=1e-6)
     assert abs(rotation_angle(q, cfg, pulse) - angle) <= 1e-12
+
+
+def reference_calibrate_pulses(qs, cfgs, target_angle_rad, tau_if_s, f_lo_hz_list):
+    """calibrate_pulses as it read when the reach limit ran the forward map."""
+    n = len(qs)
+    if not len(cfgs) == len(f_lo_hz_list) == n:
+        raise CalibrationError("qubit/mixer/LO counts disagree")
+    if not 0.0 <= target_angle_rad <= math.pi:
+        raise CalibrationError(f"target angle must be in [0, pi], got {target_angle_rad}")
+    target, tau = target_angle_rad, tau_if_s
+    f_lo = np.array(f_lo_hz_list, dtype=float)
+    f_q = np.array([q.f_qubit_hz for q in qs], dtype=float)
+    f_if = f_lo - f_q
+    with np.errstate(over="ignore"):
+        max_angle = TWO_PI * rabi_rates(cfgs, np.ones(n)) * tau
+    raise_first(_LO_CHECKS + (_TARGET_CHECKS if target else ()), f_lo_hz=f_lo, f_qubit_hz=f_q,
+                f_if_hz=f_if, carrier_hz=f_lo - f_if, target=target, max_angle=max_angle,
+                duration_s=tau, peak=1.0, cycle_period_s=tau)
+    rate = target / (TWO_PI * tau) if target else 0.0
+    a = rabi_rates(cfgs, np.full(n, rate), inverse=True)
+    return [
+        CalibratedPulse(f_lo_hz_list[k], float(f_if[k]), float(a[k]), tau, target)
+        for k in range(n)
+    ]
+
+
+@st.composite
+def reach_cases(draw):
+    """Gains and durations over the whole float range, so targets are often
+    out of reach and 2 pi gain tau can overflow."""
+    n = draw(st.integers(1, 4))
+    cfgs = [make_cfg(gain=draw(st.floats(1e5, 1e8) | st.floats(1e-300, 1e308)),
+                     nonlinearity=draw(st.sampled_from(list(Nonlinearity))))
+            for _ in range(n)]
+    f_los = [draw(st.sampled_from([F_LO, F_LO, F_LO_LOW])) for _ in range(n)]
+    angle = draw(st.floats(0.0, math.pi) | st.sampled_from([0.0, math.pi]))
+    tau = draw(st.floats(5e-9, 5e-8) | st.floats(0.0, 1e308) | st.sampled_from([1e308, 0.0]))
+    return [QubitParams(F_Q)] * n, cfgs, angle, tau, f_los
+
+
+@given(case=reach_cases())
+@settings(max_examples=300, deadline=None)
+def test_reach_limit_from_the_gain_matches_the_forward_map(case):
+    try:
+        want = reference_calibrate_pulses(*case)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            calibrate_pulses(*case)
+        assert str(got.value) == str(exc)
+        return
+    assert calibrate_pulses(*case) == want

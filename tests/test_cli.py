@@ -224,6 +224,12 @@ def test_spectrum_outputs(tmp_path):
     assert (tmp_path / "crosstalk.csv").exists()
 
 
+def test_default_crosstalk_reads_positive_zero(tmp_path):
+    # The default qubit's tone sits on its resonance: 0 dB, written 0, not -0.
+    assert run(tmp_path, "spectrum") == EXIT_OK
+    assert (tmp_path / "crosstalk.csv").read_text().splitlines() == ["resonator,tone0_db", "0,0"]
+
+
 def row_csv(header, rows):
     """The per-cell writer that the column writer replaces."""
     lines = [",".join(header)]

@@ -217,7 +217,7 @@ def _ref_lower(gates, quantized):
     for gate in gates:
         for g in _ref_expand(gate):
             if g.kind is GateKind.X90:
-                theta = math.degrees(frame) % 360.0
+                theta = _ref_mod(math.degrees(frame), 360.0)
                 if quantized:
                     snapped = round(theta / 45.0) * 45.0
                     if abs(theta - snapped) > 1e-6:
@@ -229,7 +229,13 @@ def _ref_lower(gates, quantized):
                 if quantized and abs(ang / (0.25 * math.pi) - round(ang / (0.25 * math.pi))) > 1e-9:
                     raise CompileError(f"Z angle {ang} rad is not a multiple of pi/4 in quantized mode")
                 frame += ang
-    return tuple(thetas), frame % (2.0 * math.pi)
+    return tuple(thetas), _ref_mod(frame, 2.0 * math.pi)
+
+
+def _ref_mod(x, m):
+    """x mod m in [0, m): a result that rounds to m is 0."""
+    r = x % m
+    return 0.0 if r == m else r
 
 
 def _ref_wrap(phase):
@@ -411,7 +417,7 @@ def _ref_lower_rows(rows, quantized):
     if quantized:
         pulse_thetas = 45.0 * (pulse_frames % 8)
     else:
-        pulse_thetas = np.degrees(pulse_frames) % 360.0
+        pulse_thetas = np.array([_ref_mod(p, 360.0) for p in np.degrees(pulse_frames).tolist()])
     maxlen = int(lens.max(initial=0))
     thetas = np.zeros((n, maxlen))
     thetas[np.arange(maxlen) < lens[:, None]] = pulse_thetas
@@ -526,13 +532,13 @@ def _check_free_cycles(prog, sched):
 
 
 def test_free_schedule_joins_phases_across_360_degrees():
-    # 0, just below 360, exactly 360 (a frame of -1e-300 rad) and just
-    # above 0 are one phase on the circle; the cluster's lowest value is the
-    # one below 360.
+    # 0, just below 360, a frame of -1e-300 rad (which rounds to 360 and
+    # folds to 0) and just above 0 are one phase on the circle; the
+    # cluster's lowest value is the one below 360.
     rows = [["x90"], ["z:-1e-15", "x90"], ["z:-1e-300", "x90"], ["z:1e-15", "x90"]]
     prog = Program.from_names(rows)
     assert [lower(g, quantized=False).thetas_deg for g in prog.gates] == [
-        (0.0,), (359.99999999999994,), (360.0,), (5.729577951308233e-14,)]
+        (0.0,), (359.99999999999994,), (0.0,), (5.729577951308233e-14,)]
     sched = schedule(prog, "free")
     assert sched.cycles == (Cycle(359.99999999999994, (0, 1, 2, 3), 0),)
     _check_free_cycles(prog, sched)
@@ -561,6 +567,17 @@ WRAP_NAMES = EDGE_NAMES + ["z:-1e-15", "z:-1e-8", "z:1.2e-8", "z:-1e-300"]
 def test_free_schedule_fires_one_largest_cluster_per_cycle(rows):
     prog = Program.from_names(rows)
     _check_free_cycles(prog, schedule(prog, "free"))
+
+
+@given(_programs(WRAP_NAMES))
+@example([["z:-1e-300", "x90"], ["z:-1e-300"]])
+@settings(max_examples=200, deadline=None)
+def test_free_lowering_stays_below_the_modulus(rows):
+    # A tiny negative frame rounds up to exactly 360 degrees or 2 pi; it is 0.
+    for g in Program.from_names(rows).gates:
+        lq = lower(g, quantized=False)
+        assert all(0.0 <= theta < 360.0 for theta in lq.thetas_deg)
+        assert 0.0 <= lq.final_frame_rad < 2.0 * math.pi
 
 
 @given(st.one_of(_programs(FREE_NAMES), _programs(EDGE_NAMES)))

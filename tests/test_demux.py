@@ -1,11 +1,20 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcvz.demux import ChannelTone, Resonator, demux, matched_channels, resonator_gain
+from qcvz.demux import (
+    _BLOCK_ELEMENTS,
+    ChannelTone,
+    Resonator,
+    _gains,
+    demux,
+    matched_channels,
+    resonator_gain,
+)
 from qcvz.signals import MultiToneLo, SignalError, Tone
 
 # Three readout-band resonators and their matched LO tones.
@@ -163,3 +172,67 @@ def test_demux_crosstalk_of_a_bank_larger_than_one_block():
     freqs = np.array([t.freq_hz for t in lo.tones])
     want = [20.0 * np.log10(np.abs(resonator_gain(r, freqs))) for r in resonators]
     np.testing.assert_allclose(xtalk, want, rtol=0, atol=1e-12)
+
+
+def _ref_matched_channels(resonators, lo):
+    """One argmin per resonator, as matched_channels was written first."""
+    freqs = np.array([t.freq_hz for t in lo.tones])
+    tones = [lo.tones[int(np.argmin(np.abs(freqs - r.f_r_hz)))] for r in resonators]
+    q = np.array([r.q for r in resonators])
+    f_r = np.array([r.f_r_hz for r in resonators])
+    g = _gains(q, f_r, np.array([t.freq_hz for t in tones]))
+    return [
+        ChannelTone(t.freq_hz, t.amp * abs(gain), t.phase_rad + phase)
+        for t, gain, phase in zip(tones, g.tolist(), np.angle(g).tolist())
+    ]
+
+
+def _bits(channels):
+    return [tuple(map(float.hex, (c.freq_hz, c.amp, c.phase_rad))) for c in channels]
+
+
+@st.composite
+def lines(draw):
+    """Resonators and an unsorted line with repeated tones, which MultiToneLo
+    would reject: the nearest-tone search alone must keep the first of equal
+    distances. Resonances sit on tones and on midpoints, so both occur."""
+    freqs = draw(st.lists(BAND, min_size=1, max_size=6))
+    freqs = draw(st.permutations(freqs + draw(st.lists(st.sampled_from(freqs), max_size=6))))
+    tones = tuple(Tone(f, draw(st.floats(0.0, 1.0)), draw(st.floats(-10.0, 10.0)))
+                  for f in freqs)
+    mids = [0.5 * (a + b) for a in freqs for b in freqs]
+    f_r = st.sampled_from(mids) | BAND
+    n = draw(st.integers(1, 12))
+    resonators = [Resonator(draw(f_r), draw(st.floats(1.0e2, 1.0e6))) for _ in range(n)]
+    return resonators, SimpleNamespace(tones=tones)
+
+
+@given(lines())
+@settings(max_examples=200, deadline=None)
+def test_matched_channels_match_one_argmin_per_resonator(line):
+    resonators, lo = line
+    assert _bits(matched_channels(resonators, lo)) == _bits(_ref_matched_channels(resonators, lo))
+
+
+@pytest.mark.parametrize("n_res, n_tones", [
+    (2 * (_BLOCK_ELEMENTS // 3) + 7, 3),  # many resonators x few tones: 3 blocks
+    (5, _BLOCK_ELEMENTS // 3 + 1),  # few x many: 2 rows a block, the last one short
+])
+def test_demux_across_block_boundaries(n_res, n_tones):
+    rng = np.random.default_rng(n_res)
+    f_r = 4.0e9 + 4.0e9 * rng.random(n_res)
+    resonators = [Resonator(f, q) for f, q in zip(f_r, 10.0 ** rng.uniform(2, 6, n_res))]
+    lo = MultiToneLo(tuple(Tone(f, 0.5, 0.1) for f in np.linspace(4.0e9, 8.0e9, n_tones)))
+    channels, xtalk = demux(resonators, lo)
+    assert _bits(channels) == _bits(_ref_matched_channels(resonators, lo))
+    freqs = np.array([t.freq_hz for t in lo.tones])
+    want = [20.0 * np.log10(np.abs(resonator_gain(r, freqs))) for r in resonators]
+    np.testing.assert_allclose(xtalk, want, rtol=0, atol=1e-12)
+
+
+def test_crosstalk_on_resonance_is_positive_zero():
+    f = (7.0e9, 7.5e9, 8.0e9)
+    resonators = [Resonator(fr, q) for fr, q in zip(f, (Q, 1e308, 1.0))]
+    _, xtalk = demux(resonators, MultiToneLo(tuple(Tone(fr, 0.5) for fr in f)))
+    assert np.array_equal(np.diag(xtalk), [0.0, 0.0, 0.0])
+    assert not np.signbit(np.diag(xtalk)).any()
