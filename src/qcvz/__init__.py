@@ -10,7 +10,7 @@ from .signals import (
     IfProgram,
     make_if_program,
 )
-from .demux import Resonator, ChannelTone, resonator_gain, demux
+from .demux import Resonator, resonator_gain, demux
 from .mixer import (
     MixerConfig,
     Nonlinearity,
@@ -31,7 +31,7 @@ from .qubit import (
     ground_state,
     excited_state,
 )
-from .calibration import CalibratedPulse, calibrate_pulse, calibrate_pulses, residual_ratio
+from .calibration import CalibratedPulse, calibrate_pulse, calibrate_pulses
 from .compiler import (
     Gate,
     GateKind,
@@ -46,7 +46,7 @@ from .compiler import (
     schedule,
     parallelism_stats,
 )
-from .experiments import ExperimentKind, chevron, run_experiment, simulate_schedule
+from .experiments import ExperimentKind, chevron, residual_ratio, run_experiment, simulate_schedule
 from .resources import power_estimate, max_tones, cable_count, resource_report, ResourceReport
 from .svgplot import emit_plot
 

@@ -6,18 +6,18 @@ closed qubit it rotates the Bloch vector about its drive axis by exactly
 angle is therefore the inverse of the mixer map at target / (2 pi tau); no
 simulation is run, and T1 and Tphi do not enter. calibrate_pulses inverts the
 map for a whole LO cable at once, and calibrate_pulse is its one-qubit case.
+This module is closed form only: the simulated off/on check of the mixer,
+residual_ratio, sits beside the chevron it reads, in experiments.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import qubit as qb
-from .experiments import chevron
-from .mixer import SAMPLES_PER_CYCLE, MixerConfig, amplitude_map, rabi_rates
-from .qubit import FitModel, QubitParams, fit_curve
+from .mixer import MixerConfig, rabi_rates
+from .qubit import QubitParams
 from .signals import ENVELOPE_CHECKS, IF_CHECKS, raise_first
 
 TWO_PI = 2.0 * math.pi
@@ -63,13 +63,7 @@ class CalibratedPulse:
         return self.f_lo_hz - self.f_if_hz
 
     def to_dict(self) -> dict:
-        return {
-            "f_lo_hz": self.f_lo_hz,
-            "f_if_hz": self.f_if_hz,
-            "a_if": self.a_if,
-            "tau_if_s": self.tau_if_s,
-            "target_angle_rad": self.target_angle_rad,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CalibratedPulse":
@@ -123,7 +117,9 @@ def calibrate_pulses(
     f_if = f_lo - f_q
     # The rate at a_if = 1 is the gain: both response curves have f(1) = 1.
     gain = np.array([c.gain_hz_per_unit for c in cfgs], dtype=float)
-    with np.errstate(over="ignore"):  # an absurd duration reaches any angle
+    # An absurd duration reaches any angle. At tau = 0 a 2 pi gain that overflows
+    # gives inf * 0 = NaN, which passes the reach check for the envelope's to reject.
+    with np.errstate(over="ignore", invalid="ignore"):
         max_angle = TWO_PI * gain * tau
     # A nonzero target's drive: an envelope of peak 1 filling a cycle of tau.
     raise_first(_LO_CHECKS + (_TARGET_CHECKS if target else ()), f_lo_hz=f_lo, f_qubit_hz=f_q,
@@ -136,40 +132,3 @@ def calibrate_pulses(
         CalibratedPulse(f_lo_hz_list[k], float(f_if[k]), float(a[k]), tau, target)
         for k in range(n)
     ]
-
-
-def residual_ratio(
-    q: QubitParams,
-    cfg: MixerConfig,
-    a_if_grid,
-    f_lo_hz: float,
-    periods: float = 3.0,
-) -> list[tuple[float, float]]:
-    """Off/on Rabi-frequency ratio across IF amplitudes.
-
-    Each point fits a sinusoid to the resonant Rabi trace for both mixer
-    states: a one-column chevron read at the pulse's sample edges. Points
-    where the off-state fit fails (vanishing drive) are dropped with a
-    warning entry of NaN.
-    """
-    eps = cfg.off_leakage
-    f_if = f_lo_hz - q.f_qubit_hz
-    out = []
-    for a in np.asarray(a_if_grid, dtype=float):
-        if not 0.0 <= a <= 1.0:
-            raise CalibrationError(f"a_if grid value {a} outside [0, 1]")
-        f_on = amplitude_map(cfg, float(a))
-        if f_on <= 0 or eps * f_on <= 0:
-            out.append((float(a), math.nan))
-            continue
-        freqs = {}
-        for on, f_scale in ((True, 1.0), (False, eps)):
-            tau = periods / (f_scale * f_on)
-            t = np.arange(SAMPLES_PER_CYCLE + 1) / (SAMPLES_PER_CYCLE / tau)  # sample edges
-            p1 = chevron(q, cfg, f_lo_hz, [f_if], t, mixer_on=on, a_if=float(a))[0]
-            try:
-                freqs[on] = fit_curve(FitModel.RABI_SINUSOID, t, p1).params["f"]
-            except qb.FitError:
-                freqs[on] = math.nan
-        out.append((float(a), freqs[False] / freqs[True]))
-    return out

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import MultiToneLo, SignalError
+from .signals import MultiToneLo, SignalError, Tone
 
 
 # Elements per block of the nearest-tone and crosstalk passes: a 40-tone bank
@@ -33,25 +33,6 @@ class Resonator:
     @property
     def linewidth_hz(self) -> float:
         return self.f_r_hz / self.q
-
-
-@dataclass(frozen=True)
-class ChannelTone:
-    """One LO tone as seen by a mixer after its resonator."""
-
-    freq_hz: float
-    amp: float
-    phase_rad: float
-
-    def __post_init__(self):
-        if not 0 < self.freq_hz < math.inf:
-            raise SignalError(f"channel frequency must be positive and finite, got "
-                              f"{self.freq_hz}")
-        if not 0 <= self.amp < math.inf:
-            raise SignalError(f"channel amplitude must be non-negative and finite, got "
-                              f"{self.amp}")
-        if not math.isfinite(self.phase_rad):
-            raise SignalError(f"channel phase must be finite, got {self.phase_rad}")
 
 
 def _detuning(q, f_r, f):
@@ -89,9 +70,10 @@ def resonator_gain(r: Resonator, f_hz: float) -> complex:
     return _gains(r.q, r.f_r_hz, f)
 
 
-def matched_channels(resonators: list[Resonator], lo: MultiToneLo) -> list[ChannelTone]:
+def matched_channels(resonators: list[Resonator], lo: MultiToneLo) -> list[Tone]:
     """Channel of every mixer: mixer k gets the LO tone nearest resonator k
-    (ties go to the lower tone), through resonator k's gain in Smith's form.
+    (ties go to the lower tone), through resonator k's gain in Smith's form,
+    as a Tone, so its phase is folded into [0, 2 pi).
     """
     if not resonators:
         raise SignalError("resonator list is empty")
@@ -105,7 +87,7 @@ def matched_channels(resonators: list[Resonator], lo: MultiToneLo) -> list[Chann
     g = _gains(q, f_r, np.array([t.freq_hz for t in tones]))
     # abs of each Python complex: numpy's vectorised hypot can differ in the last bit.
     return [
-        ChannelTone(t.freq_hz, t.amp * abs(gain), t.phase_rad + phase)
+        Tone(t.freq_hz, t.amp * abs(gain), t.phase_rad + phase)
         for t, gain, phase in zip(tones, g.tolist(), np.angle(g).tolist())
     ]
 
@@ -124,7 +106,7 @@ def _bank(resonators: list[Resonator]) -> tuple[np.ndarray, np.ndarray]:
 
 def demux(
     resonators: list[Resonator], lo: MultiToneLo
-) -> tuple[list[ChannelTone], np.ndarray]:
+) -> tuple[list[Tone], np.ndarray]:
     """Filter the LO line through each resonator.
 
     Returns ``(channels, crosstalk_db)``: ``channels`` is

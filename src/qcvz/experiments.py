@@ -1,6 +1,6 @@
-"""Single-qubit experiment suite: Rabi chevron, coherence runs, virtual-Z
-Ramsey, and execution of compiled TDM schedules through the full
-mixer-plus-qubit chain.
+"""Single-qubit experiment suite: Rabi chevron, the mixer's off/on Rabi
+ratio, coherence runs, virtual-Z Ramsey, and execution of compiled TDM
+schedules through the full mixer-plus-qubit chain.
 
 Every drive is sample-and-hold, so pulses and the free evolution between
 them are propagated exactly, with no step size to choose.
@@ -10,18 +10,16 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from enum import Enum
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import qubit as qb
+from .calibration import CalibratedPulse, CalibrationError
 from .compiler import Program, Schedule, ideal_unitary
-from .mixer import CARRIER_CHECKS, DRIVE_CHECKS, SAMPLES_PER_CYCLE, MixerConfig, rabi_rates
-from .qubit import QubitParams, Trajectory
+from .mixer import (CARRIER_CHECKS, DRIVE_CHECKS, SAMPLES_PER_CYCLE, MixerConfig, amplitude_map,
+                    rabi_rates)
+from .qubit import FitModel, QubitParams, Trajectory, fit_curve
 from .signals import CYCLE_CHECKS, ENVELOPE_CHECKS, IF_CHECKS, raise_first
-
-if TYPE_CHECKING:  # calibration imports chevron from here
-    from .calibration import CalibratedPulse
 
 TWO_PI = 2.0 * math.pi
 
@@ -87,6 +85,43 @@ def chevron(
     for j, k in enumerate(which, 1):
         states[j] = np.einsum("kij,kj->ki", steps[:, k], states[j - 1])
     return _populations((states[np.searchsorted(cuts, taus)] @ qb.BLOCH_P1).T)
+
+
+def residual_ratio(
+    q: QubitParams,
+    cfg: MixerConfig,
+    a_if_grid,
+    f_lo_hz: float,
+    periods: float = 3.0,
+) -> list[tuple[float, float]]:
+    """Off/on Rabi-frequency ratio across IF amplitudes.
+
+    Each point fits a sinusoid to the resonant Rabi trace for both mixer
+    states: a one-column chevron read at the pulse's sample edges. Points
+    where the off-state fit fails (vanishing drive) are dropped with a
+    warning entry of NaN.
+    """
+    eps = cfg.off_leakage
+    f_if = f_lo_hz - q.f_qubit_hz
+    out = []
+    for a in np.asarray(a_if_grid, dtype=float):
+        if not 0.0 <= a <= 1.0:
+            raise CalibrationError(f"a_if grid value {a} outside [0, 1]")
+        f_on = amplitude_map(cfg, float(a))
+        if f_on <= 0 or eps * f_on <= 0:
+            out.append((float(a), math.nan))
+            continue
+        freqs = {}
+        for on, f_scale in ((True, 1.0), (False, eps)):
+            tau = periods / (f_scale * f_on)
+            t = np.arange(SAMPLES_PER_CYCLE + 1) / (SAMPLES_PER_CYCLE / tau)  # sample edges
+            p1 = chevron(q, cfg, f_lo_hz, [f_if], t, mixer_on=on, a_if=float(a))[0]
+            try:
+                freqs[on] = fit_curve(FitModel.RABI_SINUSOID, t, p1).params["f"]
+            except qb.FitError:
+                freqs[on] = math.nan
+        out.append((float(a), freqs[False] / freqs[True]))
+    return out
 
 
 def run_experiment(

@@ -15,8 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .demux import ChannelTone
-from .signals import EnvelopeShape, IfProgram, raise_first
+from .signals import EnvelopeShape, IfProgram, Tone, raise_first
 
 # Reported maximum mixer output power; metadata for resource tables only.
 MAX_OUTPUT_POWER_PW = 4.11
@@ -60,7 +59,7 @@ class Nonlinearity(str, Enum):
 
 @dataclass(frozen=True)
 class MixerConfig:
-    channel: ChannelTone
+    channel: Tone
     gain_hz_per_unit: float
     on_off_ratio_db: float = 28.5
     nonlinearity: Nonlinearity = Nonlinearity.SINE_SATURATING
@@ -125,14 +124,6 @@ class DriveEnvelope:
     def edges_s(self) -> np.ndarray:
         """Sample edges k / envelope_rate_hz for k = 0 .. len(samples)."""
         return np.arange(len(self.samples) + 1) / self.envelope_rate_hz
-
-    def value(self, t):
-        """Complex envelope at time t (array-aware): the sample held at t."""
-        tq = np.asarray(t, dtype=float)
-        n = len(self.samples)
-        k = np.minimum(np.floor(tq * self.envelope_rate_hz), n - 1)
-        k = np.where((tq < 0.0) | (tq > self.duration_s), n, k)
-        return np.append(self.samples, 0.0)[k.astype(int)]
 
 
 def _response(gain, saturating, x, inverse: bool = False):

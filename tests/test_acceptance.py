@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from qcvz.calibration import calibrate_pulse, residual_ratio
+from qcvz.calibration import calibrate_pulse
 from qcvz.cli import main as cli_main
 from qcvz.compiler import (
     Gate,
@@ -24,8 +24,7 @@ from qcvz.compiler import (
     pulse_unitary,
     schedule,
 )
-from qcvz.demux import ChannelTone
-from qcvz.experiments import chevron, run_experiment, simulate_schedule
+from qcvz.experiments import chevron, residual_ratio, run_experiment, simulate_schedule
 from qcvz.mixer import (
     BitTimeline,
     MixerConfig,
@@ -42,7 +41,7 @@ from qcvz.qubit import (
     rabi_analytic,
 )
 from qcvz.resources import cable_count, max_tones, power_estimate
-from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, make_if_program
+from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, Tone, make_if_program
 
 TWO_PI = 2.0 * math.pi
 F_LO = 8.0e9
@@ -53,7 +52,7 @@ QUARTER = 0.25 * math.pi
 
 def make_cfg(f_lo=F_LO, gain=4.0e7, ratio=28.5, nonlinearity=Nonlinearity.SINE_SATURATING):
     return MixerConfig(
-        channel=ChannelTone(f_lo, 0.5, 0.0),
+        channel=Tone(f_lo, 0.5, 0.0),
         gain_hz_per_unit=gain,
         on_off_ratio_db=ratio,
         nonlinearity=nonlinearity,

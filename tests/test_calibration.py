@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,9 +15,8 @@ from qcvz.calibration import (
     CalibrationError,
     calibrate_pulse,
     calibrate_pulses,
-    residual_ratio,
 )
-from qcvz.demux import ChannelTone
+from qcvz.experiments import residual_ratio
 from qcvz.mixer import (
     BitTimeline,
     MixerConfig,
@@ -27,7 +27,15 @@ from qcvz.mixer import (
     rabi_rates,
 )
 from qcvz.qubit import FitModel, QubitParams, fit_curve, ground_state, propagate
-from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, make_if_program, raise_first
+from qcvz.signals import (
+    CycleSpec,
+    Envelope,
+    EnvelopeShape,
+    SignalError,
+    Tone,
+    make_if_program,
+    raise_first,
+)
 
 F_Q = 4.53202e9
 F_LO = 8.0e9
@@ -36,7 +44,7 @@ F_LO_LOW = 4.0e9  # below the qubit
 
 def make_cfg(gain=1.0e7, nonlinearity=Nonlinearity.LINEAR, ratio=28.5):
     return MixerConfig(
-        channel=ChannelTone(F_LO, 0.5, 0.0),
+        channel=Tone(F_LO, 0.5, 0.0),
         gain_hz_per_unit=gain,
         on_off_ratio_db=ratio,
         nonlinearity=nonlinearity,
@@ -68,7 +76,7 @@ def test_calibrate_saturating_closed_form():
 def test_calibrated_pulse_rotates_as_requested():
     q = QubitParams(F_Q)
     for phase in (0.0, 0.7, 2.5):
-        cfg = MixerConfig(ChannelTone(F_LO, 0.5, phase), 4.0e7)
+        cfg = MixerConfig(Tone(F_LO, 0.5, phase), 4.0e7)
         for angle in (math.pi / 2, math.pi):
             pulse = calibrate_pulse(q, cfg, angle, 15e-9, F_LO)
             assert abs(rotation_angle(q, cfg, pulse) - angle) <= 1e-12
@@ -206,7 +214,7 @@ def calibration_sets(draw):
             math.inf if closed else draw(st.floats(1e-5, 1e-3)),
         ))
         cfgs.append(MixerConfig(
-            ChannelTone(F_LO, 0.5, draw(st.floats(0.0, TWO_PI))),
+            Tone(F_LO, 0.5, draw(st.floats(0.0, TWO_PI))),
             draw(st.one_of(st.floats(2e7, 8e7), st.floats(1e6, 2e7))),
             draw(st.floats(10.0, 100.0)),
             draw(st.sampled_from(list(Nonlinearity))),
@@ -229,7 +237,7 @@ def test_calibrate_pulses_raises_like_per_qubit_loop():
     q = QubitParams(F_Q)
     weak = make_cfg(gain=1.0e6)
     leaky = QubitParams(F_Q, 1e-6, 1e-6)  # T1 and Tphi do not enter the amplitude
-    turned = MixerConfig(ChannelTone(F_LO, 0.5, 4.0), 2e7, nonlinearity=Nonlinearity.LINEAR)
+    turned = MixerConfig(Tone(F_LO, 0.5, 4.0), 2e7, nonlinearity=Nonlinearity.LINEAR)
     for qs, cfgs, angle in (([leaky], [make_cfg(gain=4e7)], math.pi / 2),
                             ([q], [turned], 0.5)):
         pulse = calibrate_pulse(qs[0], cfgs[0], angle, 50e-9, F_LO)
@@ -250,7 +258,7 @@ def test_calibrate_pulses_raises_like_per_qubit_loop():
 
 
 def _found_case(phase, gain, angle, a_if, q=QubitParams(F_Q), nonlinearity="sine_saturating"):
-    return q, MixerConfig(ChannelTone(F_LO, 0.5, phase), gain, nonlinearity=nonlinearity), angle, a_if
+    return q, MixerConfig(Tone(F_LO, 0.5, phase), gain, nonlinearity=nonlinearity), angle, a_if
 
 
 @pytest.mark.parametrize("q, cfg, angle, a_if", [
@@ -279,7 +287,8 @@ def reference_calibrate_pulses(qs, cfgs, target_angle_rad, tau_if_s, f_lo_hz_lis
     f_lo = np.array(f_lo_hz_list, dtype=float)
     f_q = np.array([q.f_qubit_hz for q in qs], dtype=float)
     f_if = f_lo - f_q
-    with np.errstate(over="ignore"):
+    # At tau = 0 an overflowing 2 pi gain gives inf * 0, silenced as in calibrate_pulses.
+    with np.errstate(over="ignore", invalid="ignore"):
         max_angle = TWO_PI * rabi_rates(cfgs, np.ones(n)) * tau
     raise_first(_LO_CHECKS + (_TARGET_CHECKS if target else ()), f_lo_hz=f_lo, f_qubit_hz=f_q,
                 f_if_hz=f_if, carrier_hz=f_lo - f_if, target=target, max_angle=max_angle,
@@ -317,3 +326,14 @@ def test_reach_limit_from_the_gain_matches_the_forward_map(case):
         assert str(got.value) == str(exc)
         return
     assert calibrate_pulses(*case) == want
+
+
+def test_zero_duration_with_an_overflowing_gain_raises_only_the_envelope_error():
+    # 2 pi gain overflows to inf and inf * 0 s is NaN: that passes the reach
+    # check, and the envelope check rejects the duration, with no warning.
+    cfg = MixerConfig(Tone(8e9, 0.5), 1e308, nonlinearity=Nonlinearity.LINEAR)
+    message = "envelope duration must be positive and finite, got 0.0"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SignalError, match=re.escape(message)):
+            calibrate_pulse(QubitParams(4.5e9), cfg, math.pi / 2, 0.0, 8e9)

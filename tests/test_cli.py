@@ -23,10 +23,10 @@ from qcvz.cli import (
     load_config,
     main,
 )
-from qcvz.demux import ChannelTone, resonator_gain
+from qcvz.demux import resonator_gain
 from qcvz.mixer import BitTimeline, baseband_output
 from qcvz.qubit import Trajectory, ground_state, propagate
-from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, make_if_program
+from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, Tone, make_if_program
 from qcvz.svgplot import PlotError, emit_plot
 
 
@@ -118,7 +118,7 @@ def test_cable_config_matches_tone_k_to_mixer_k(tmp_path):
     for tone, r, mixer in zip(cfg.lo.tones, cfg.resonators, cfg.mixers):
         g = resonator_gain(r, tone.freq_hz)
         assert abs(g) < 1.0
-        assert mixer.channel == ChannelTone(
+        assert mixer.channel == Tone(
             tone.freq_hz, tone.amp * abs(g), tone.phase_rad + float(np.angle(g))
         )
 

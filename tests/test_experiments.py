@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qcvz.calibration import CalibratedPulse
 from qcvz.compiler import Gate, Program, ideal_unitary, schedule
-from qcvz.demux import ChannelTone
 from qcvz.experiments import (
     ExperimentError,
     _cycle_maps,
@@ -18,7 +17,7 @@ from qcvz.experiments import (
 )
 from qcvz.mixer import BitTimeline, MixerConfig, MixerError, Nonlinearity, baseband_output
 from qcvz.qubit import QubitError, QubitParams, delay_maps, ground_state, propagate
-from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, SignalError, make_if_program
+from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, SignalError, Tone, make_if_program
 
 F_Q = 4.53202e9
 F_LO = 8.0e9
@@ -94,7 +93,7 @@ def test_run_experiment_matches_per_point_loop(
     vz_delay_s,
 ):
     q = QubitParams.from_t2(F_Q + qubit_offset_hz, t1, 2.0 * t1 * t2_frac)
-    cfg = MixerConfig(ChannelTone(F_LO, 0.5, lo_phase), 4.0e7)
+    cfg = MixerConfig(Tone(F_LO, 0.5, lo_phase), 4.0e7)
     x90 = CalibratedPulse(F_LO, F_LO - F_Q, amps[0], tau_s, 0.5 * math.pi)
     x180 = CalibratedPulse(F_LO, F_LO - F_Q, amps[1], tau_s, math.pi)
     grid = np.array([0.0] + sorted(delays))
@@ -171,7 +170,7 @@ def build_cable(mode, rows, qubits):
     program = Program(tuple(tuple(Gate.parse(g) for g in row) for row in rows))
     qs = [QubitParams(d["f_q"], d["t1"], d["tphi"]) for d in qubits]
     cfgs = [
-        MixerConfig(ChannelTone(d["f_lo"], 0.5, d["lo_phase"]), d["gain"], d["ratio"],
+        MixerConfig(Tone(d["f_lo"], 0.5, d["lo_phase"]), d["gain"], d["ratio"],
                     d["nonlinearity"])
         for d in qubits
     ]
@@ -251,7 +250,7 @@ def _outcome(fn, *args, **kwargs):
 
 def test_run_experiment_rejects_what_the_loop_rejects():
     q = QubitParams.from_t2(F_Q, 2e-5, 1.5e-5)
-    cfg = MixerConfig(ChannelTone(F_LO, 0.5, 0.0), 4.0e7)
+    cfg = MixerConfig(Tone(F_LO, 0.5, 0.0), 4.0e7)
     good = CalibratedPulse(F_LO, F_LO - F_Q, 0.5, 15e-9, 0.5 * math.pi)
     bad_fields = [("a_if", 1.5), ("a_if", math.nan), ("tau_if_s", 0.0), ("tau_if_s", math.nan),
                   ("f_if_hz", F_LO), ("f_if_hz", 9.0e9), ("f_if_hz", 0.0),
@@ -314,7 +313,7 @@ def test_chevron_matches_per_column_loop(
     t1, tphi, gain, nonlinearity, ratio, lo_phase, f_lo, f_if_offsets, taus, mixer_on, a_if,
 ):
     q = QubitParams(F_Q, t1, tphi)
-    cfg = MixerConfig(ChannelTone(F_LO, 0.5, lo_phase), gain, ratio, nonlinearity)
+    cfg = MixerConfig(Tone(F_LO, 0.5, lo_phase), gain, ratio, nonlinearity)
     f_if = (f_lo - F_Q) + np.array(f_if_offsets)
     try:
         want = reference_chevron(q, cfg, f_lo, f_if, taus, mixer_on, a_if)
@@ -333,7 +332,7 @@ def test_chevron_matches_per_column_loop(
                          ids=["closed", "open"])
 def test_chevron_at_zero_amplitude_reads_the_delay_p1(q):
     # A zero sample is drive-free time, so each column waits from ground.
-    cfg = MixerConfig(ChannelTone(F_LO, 0.5, 0.3), 4.0e7)
+    cfg = MixerConfig(Tone(F_LO, 0.5, 0.3), 4.0e7)
     f_if = (F_LO - F_Q) + np.array([0.0, 3e6, -8e6])
     taus = np.linspace(0.0, 3e-6, 7)
     for mixer_on in (True, False):
@@ -346,7 +345,7 @@ def test_chevron_at_zero_amplitude_reads_the_delay_p1(q):
 
 def test_chevron_rejects_what_the_loop_rejects():
     q = QubitParams.from_t2(F_Q, 2e-5, 1.5e-5)
-    cfg = MixerConfig(ChannelTone(F_LO, 0.5, 0.3), 4.0e7)
+    cfg = MixerConfig(Tone(F_LO, 0.5, 0.3), 4.0e7)
     center = F_LO - F_Q
     taus = np.linspace(1e-7, 1e-6, 4)
     cases = [

@@ -1,7 +1,7 @@
 """Every name a qcvz module imports is read somewhere in that module, every
-module-level private name is read somewhere in the package, every error
-message has one source, and neither importing qcvz nor running a command loads
-scipy."""
+module imports only modules below it, every module-level private name is read
+somewhere in the package, every error message has one source, and neither
+importing qcvz nor running a command loads scipy."""
 import ast
 import json
 import os
@@ -38,6 +38,38 @@ def test_every_import_is_read(path):
 def test_unused_import_is_found():
     assert _unused_imports(ast.parse("import os\nfrom math import pi, tau\nprint(tau)")) == {
         "os", "pi"}
+
+
+# The package's layers, lowest first. __init__.py imports them all.
+LAYERS = ("signals", "compiler", "svgplot", "mixer", "demux", "resources", "qubit", "calibration",
+          "experiments", "cli")
+
+
+def _upward_imports(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
+    """(module, imported) for each ``from .x import`` or ``from . import x``
+    of a module that is not below the importer in LAYERS."""
+    found = set()
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                found |= {(name, t) for t in targets if LAYERS.index(t) >= LAYERS.index(name)}
+    return found
+
+
+def test_modules_import_only_lower_layers():
+    paths = {p.stem: p for p in SRC.glob("*.py") if p.name != "__init__.py"}
+    assert sorted(paths) == sorted(LAYERS)
+    assert _upward_imports({n: ast.parse(p.read_text()) for n, p in paths.items()}) == set()
+    for path in sorted(SRC.glob("*.py")):
+        assert "TYPE_CHECKING" not in path.read_text(), path.name
+
+
+def test_upward_import_is_found():
+    trees = {"mixer": ast.parse("from .demux import Resonator\nfrom .signals import Tone\n"),
+             "qubit": ast.parse("from . import experiments, mixer\nfrom .qubit import x\n")}
+    assert _upward_imports(trees) == {("mixer", "demux"), ("qubit", "experiments"),
+                                      ("qubit", "qubit")}
 
 
 def _unread_private_names(trees: list[ast.Module]) -> set[str]:

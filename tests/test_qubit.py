@@ -10,7 +10,6 @@ from scipy.optimize import OptimizeWarning, curve_fit
 
 from qcvz.calibration import CalibratedPulse
 from qcvz.compiler import Gate, Program, schedule
-from qcvz.demux import ChannelTone
 from qcvz.experiments import simulate_schedule
 from qcvz.mixer import DriveEnvelope, MixerConfig
 from qcvz.qubit import (
@@ -28,6 +27,7 @@ from qcvz.qubit import (
     rabi_analytic,
     validate_density_matrix,
 )
+from qcvz.signals import Tone
 
 TWO_PI = 2.0 * math.pi
 F_Q = 4.53202e9
@@ -206,7 +206,7 @@ def test_propagate_properties(f_rabi, df, t1, tphi, codes, split, fracs, bloch, 
     assert np.array_equal(empty.rho_final, rho0)
     program = Program((tuple(Gate.parse(g) for g in z_gates),))
     f_lo = 8.0e9
-    cfg = MixerConfig(ChannelTone(f_lo, 0.5, 0.0), 4.0e7)
+    cfg = MixerConfig(Tone(f_lo, 0.5, 0.0), 4.0e7)
     x90 = CalibratedPulse(f_lo, f_lo - F_Q, 0.3, 15e-9, math.pi / 2)
     sim, ideal = simulate_schedule(schedule(program, "free"), program, [q], [cfg], [x90], 15e-9)
     assert sim[0] == ideal[0] == 0.0

@@ -26,10 +26,11 @@ def test_tone_validation():
         Tone(1e9, 1.5)
     with pytest.raises(SignalError):
         Tone(1e9, -0.1)
-    for args in ((math.nan, 0.5), (math.inf, 0.5), (1e9, math.nan), (1e9, 0.5, math.nan),
-                 (1e9, 0.5, math.inf)):
+    for args in ((math.nan, 0.5), (math.inf, 0.5), (0.0, 0.5), (1e9, math.nan), (1e9, math.inf),
+                 (1e9, 0.5, math.nan), (1e9, 0.5, math.inf)):
         with pytest.raises(SignalError):
             Tone(*args)
+    assert Tone(8e9, 0.0, -1.0).amp == 0.0
 
 
 @given(st.floats(-100.0, 100.0, allow_nan=False))
