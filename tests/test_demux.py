@@ -127,6 +127,16 @@ def test_demux_matches_closed_form_and_brute_force(bank):
         assert abs(math.remainder(dphi, 2.0 * math.pi)) < 1e-12
 
 
+def test_channel_tone_validation():
+    # A channel is a signals.Tone, so it takes Tone's checks.
+    for args in ((math.nan, 0.5, 0.0), (math.inf, 0.5, 0.0), (0.0, 0.5, 0.0), (-8e9, 0.5, 0.0),
+                 (8e9, math.nan, 0.0), (8e9, math.inf, 0.0), (8e9, -0.1, 0.0),
+                 (8e9, 0.5, math.nan), (8e9, 0.5, math.inf)):
+        with pytest.raises(SignalError):
+            Tone(*args)
+    assert Tone(8e9, 0.0, -1.0).amp == 0.0
+
+
 def test_gain_takes_its_limit_when_the_detuning_term_overflows():
     # 2 Q (f - f_r) / f_r overflows: the gain is 0, or 1 on resonance, with no
     # warning (warnings are errors in this suite).

@@ -465,10 +465,28 @@ _CURVES = {
 }
 
 
+def _partials(t, a, tau, f, phi):
+    """d/da, d/dtau, d/df, d/dphi and d/dc of a exp(-t/tau) cos(2 pi f t + phi) + c."""
+    e = np.exp(-t / tau)
+    ec, es = e * np.cos(TWO_PI * f * t + phi), e * np.sin(TWO_PI * f * t + phi)
+    return ec, a * ec * t / tau**2, -TWO_PI * a * es * t, -a * es, np.ones_like(t)
+
+
+_JACOBIANS = {
+    FitModel.EXP_DECAY: lambda t, a, tau, c: np.column_stack(
+        _partials(t, a, tau, 0.0, 0.0))[:, [0, 1, 4]],
+    FitModel.DAMPED_COSINE: lambda t, a, tau, f, phi, c: np.column_stack(
+        _partials(t, a, tau, f, phi)),
+    FitModel.RABI_SINUSOID: lambda t, a, f, phi, c: np.column_stack(
+        _partials(t, a, math.inf, f, phi))[:, [0, 2, 3, 4]],
+}
+
+
 def reference_curve_fit(model: FitModel, t, y):
     """scipy's curve_fit of ``model`` from the initial guesses fit_curve gave it
-    before it fitted with numpy: (parameters by name, residual), or None where
-    curve_fit fails."""
+    before it fitted with numpy, then again from there with the exact Jacobian
+    at tolerances of 1e-12 (a finite-difference Jacobian stops short of a flat
+    minimum): (parameters by name, residual), or None where curve_fit fails."""
     span = t[-1] - t[0]
     spectrum = np.abs(np.fft.rfft(y - y.mean()))
     f0 = max(np.fft.rfftfreq(len(t), span / (len(t) - 1))[np.argmax(spectrum[1:]) + 1], 1 / span)
@@ -482,6 +500,11 @@ def reference_curve_fit(model: FitModel, t, y):
             popt, _ = curve_fit(curve, t, y, p0=p0, maxfev=20000)
         except RuntimeError:
             return None
+        try:  # on a flat minimum, go on from where the default tolerances stopped
+            popt, _ = curve_fit(curve, t, y, p0=popt, jac=_JACOBIANS[model], maxfev=20000,
+                                ftol=1e-12, xtol=1e-12, gtol=1e-12)
+        except RuntimeError:
+            pass
         residual = float(np.linalg.norm(curve(t, *popt) - y))
     names = curve.__code__.co_varnames[1:curve.__code__.co_argcount]
     return dict(zip(names, popt)), residual
@@ -499,6 +522,15 @@ def reference_curve_fit(model: FitModel, t, y):
          tau_spans=4.0, cycles=0.11, phi=1.0, noise=0.0, seed=0)  # under one cycle
 @example(model=FitModel.DAMPED_COSINE, points=20, log_span=-5.0, a=0.1, a_sign=1, c=0.3,
          tau_spans=0.2, cycles=0.3, phi=-1.5, noise=1e-3, seed=20)  # best fit at f -> 0
+@example(model=FitModel.DAMPED_COSINE, points=105, log_span=-4.0, a=0.75, a_sign=1, c=0.0,
+         tau_spans=1.0, cycles=0.109375, phi=0.0, noise=1e-6, seed=50)  # f 4e-3 Hz apart
+@example(model=FitModel.DAMPED_COSINE, points=82, log_span=-6.0, a=0.173828125, a_sign=-1,
+         c=0.0, tau_spans=2.0, cycles=0.25, phi=2.0625, noise=1e-3,
+         seed=4241)  # curve_fit's default tolerances stop 7e-7 short of the minimum
+@example(model=FitModel.RABI_SINUSOID, points=101, log_span=-5.261089007186792,
+         a=0.6363218822609966, a_sign=1, c=4.922705198845414e-283, tau_spans=0.6363218822609966,
+         cycles=0.1, phi=-2.5479455237006468, noise=1e-6,
+         seed=101)  # and a finite-difference Jacobian 1.1e-6 short
 def test_fit_matches_curve_fit(model, points, log_span, a, a_sign, c, tau_spans, cycles, phi,
                                noise, seed):
     # Decays, fringes and sinusoids, noise-free and noisy: the fit's residual is
@@ -524,7 +556,7 @@ def test_fit_matches_curve_fit(model, points, log_span, a, a_sign, c, tau_spans,
     if fit.sigma.get("f") == math.inf:
         return  # f = 0 leaves f and phi undetermined, so curve_fit's are arbitrary
     # Agreement to 1e-6 of the trace's size, or to 1e-2 of a standard error:
-    # on a flat minimum curve_fit stops once a step is 1.5e-8 of its parameters.
+    # on a flat minimum curve_fit stops once a step is 1e-12 of its parameters.
     size = abs(fit.params["a"]) + abs(fit.params["c"])
     sigma = fit.sigma
     if model is FitModel.EXP_DECAY:
