@@ -16,7 +16,6 @@ from .mixer import (
     Nonlinearity,
     BitTimeline,
     DriveEnvelope,
-    amplitude_map,
     baseband_output,
     output_spectrum,
 )

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 config error, 3 numerical failure, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -20,7 +21,7 @@ import numpy as np
 from . import qubit as qb
 from .calibration import CalibratedPulse, CalibrationError, calibrate_pulse
 from .compiler import CompileError, Program, schedule, parallelism_stats
-from .demux import Resonator, demux, matched_channels
+from .demux import Resonator, crosstalk_db, matched_channels
 from .experiments import ExperimentError, chevron, run_experiment
 from .mixer import SAMPLES_PER_CYCLE, BitTimeline, MixerConfig, MixerError, output_spectrum
 from .qubit import FitError, FitModel, QubitParams, fit_curve
@@ -89,6 +90,10 @@ def _qubit_from_dict(d: dict) -> QubitParams:
     return QubitParams(f, t1, d.get("tphi_s", math.inf))
 
 
+# The optional keys of a config's mixer; MixerConfig holds their defaults.
+_MIXER_KEYS = ("on_off_ratio_db", "nonlinearity", "bpf_stopband_db")
+
+
 def load_config(path: str | None) -> DeviceConfig:
     """Parse and cross-validate the device description."""
     if path is None:
@@ -114,13 +119,7 @@ def load_config(path: str | None) -> DeviceConfig:
         if not qubits:
             raise ConfigError("device has no qubits")
         mixers = [
-            MixerConfig(
-                channel=channel,
-                gain_hz_per_unit=m["gain_hz_per_unit"],
-                on_off_ratio_db=m.get("on_off_ratio_db", 28.5),
-                nonlinearity=m.get("nonlinearity", "sine_saturating"),
-                bpf_stopband_db=m.get("bpf_stopband_db", 60.0),
-            )
+            MixerConfig(channel, m["gain_hz_per_unit"], **{k: m[k] for k in _MIXER_KEYS if k in m})
             for channel, m in zip(matched_channels(resonators, lo), raw["mixers"])
         ]
         defaults = raw.get("if_defaults", {})
@@ -216,20 +215,25 @@ def _get_pulses(
     return x90, x180
 
 
+def _sized(what: str, make) -> np.ndarray:
+    """``make()``, an array whose length a flag sets. numpy refuses a length
+    past its index range (ValueError) or past memory (MemoryError), and either
+    is a numerical failure, not a traceback."""
+    try:
+        return make()
+    except (ValueError, MemoryError) as exc:
+        raise ExperimentError(f"cannot allocate {what}: {exc}") from exc
+
+
 def cmd_chevron(cfg: DeviceConfig, args, out: _Artifacts) -> None:
     k = args.qubit
     q = cfg.qubits[k]
     f_lo = cfg.mixers[k].channel.freq_hz
     center = f_lo - q.f_qubit_hz
-    try:
-        f_grid = center + np.arange(
-            -args.span_hz / 2, args.span_hz / 2 + args.step_hz / 2, args.step_hz
-        )
-    except (ValueError, MemoryError) as exc:  # more columns than an array can hold
-        raise ExperimentError(
-            f"cannot sweep {args.span_hz} Hz in {args.step_hz} Hz steps: {exc}"
-        ) from exc
-    tau_grid = np.linspace(args.tau_max_s / args.tau_points, args.tau_max_s, args.tau_points)
+    f_grid = _sized(f"a sweep of {args.span_hz} Hz in {args.step_hz} Hz steps", lambda: (
+        center + np.arange(-args.span_hz / 2, args.span_hz / 2 + args.step_hz / 2, args.step_hz)))
+    tau_grid = _sized(f"{args.tau_points} taus", lambda: np.linspace(
+        args.tau_max_s / args.tau_points, args.tau_max_s, args.tau_points))
     p1 = chevron(q, cfg.mixers[k], f_lo, f_grid, tau_grid, mixer_on=not args.off, a_if=args.a_if)
     out.csv("chevron", ["f_if_hz", "tau_s", "p1"],
             [np.repeat(f_grid, len(tau_grid)), np.tile(tau_grid, len(f_grid)), p1.ravel()],
@@ -252,7 +256,8 @@ def _coherence_cmd(kind: str, model: FitModel):
         k = args.qubit
         x90, x180 = _get_pulses(cfg, k, args.tau_s, args.pulses)
         qb.check_delays(args.max_delay_s)  # before linspace, which warns on inf
-        delays = np.linspace(0.0, args.max_delay_s, args.points)
+        delays = _sized(f"{args.points} delays",
+                        lambda: np.linspace(0.0, args.max_delay_s, args.points))
         traj = run_experiment(
             kind,
             cfg.qubits[k],
@@ -274,7 +279,8 @@ def _coherence_cmd(kind: str, model: FitModel):
 def cmd_vz_ramsey(cfg: DeviceConfig, args, out: _Artifacts) -> None:
     k = args.qubit
     x90, _ = _get_pulses(cfg, k, args.tau_s, args.pulses)
-    thetas = np.arange(args.points) * (360.0 / args.points)
+    thetas = _sized(f"{args.points} phases",
+                    lambda: np.arange(args.points) * (360.0 / args.points))
     _, p1 = run_experiment(
         "vz_ramsey", cfg.qubits[k], cfg.mixers[k], x90, dtheta_deg=thetas
     )
@@ -293,11 +299,11 @@ def cmd_spectrum(cfg: DeviceConfig, args, out: _Artifacts) -> None:
     prog = make_if_program(cfg.f_if_hz, cfg.cycle_period_s, [CycleSpec(0.0, env)])
     tones = output_spectrum(mix, prog, BitTimeline((0 if args.off else 1,)))
     out.csv("spectrum", ["freq_hz", "power_db"], np.array(tones, dtype=float).reshape(-1, 2).T)
-    _, xtalk = demux(cfg.resonators, cfg.lo)
+    xtalk = crosstalk_db(cfg.resonators, cfg.lo)
     out.csv(
         "crosstalk",
         ["resonator"] + [f"tone{j}_db" for j in range(xtalk.shape[1])],
-        [np.arange(len(xtalk)), *np.asarray(xtalk, dtype=float).T],
+        [np.arange(len(xtalk)), *xtalk.T],
     )
 
 
@@ -340,15 +346,18 @@ def cmd_plot(cfg: DeviceConfig, args, out: _Artifacts) -> None:
 
 
 def _finite(kind, positive: bool = False):
-    """argparse type: a finite ``kind`` value, above zero if ``positive``."""
+    """argparse type: a finite ``kind`` value, above zero if ``positive``. An
+    integer that a float cannot hold is not finite (``_json_int``'s rule); its
+    OverflowError, which argparse would not catch, becomes a usage error."""
     low = 0 if positive else -math.inf
 
     def parse(text: str):
         value = kind(text)
-        if not low < value < math.inf:
-            need = "positive and finite" if positive else "finite"
-            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
-        return value
+        with contextlib.suppress(OverflowError):
+            if low < float(value) < math.inf:
+                return value
+        need = "positive and finite" if positive else "finite"
+        raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
 
     parse.__name__ = kind.__name__  # argparse names the type in its messages
     return parse
@@ -404,7 +413,7 @@ COMMANDS = {
         ("--mode", dict(choices=["quantized45", "free"], default="quantized45")),
     )),
     "resources": (cmd_resources, (
-        ("-n", dict(type=int, required=True)),
+        ("-n", dict(type=_finite(int), required=True)),
         ("--q-factor", dict(type=_finite(float), default=1.0e4)),
         ("--bandwidth-hz", dict(type=_finite(float), default=2.0e9)),
         ("--ref-freq-hz", dict(type=_finite(float), default=5.0e9)),

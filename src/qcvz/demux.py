@@ -79,8 +79,7 @@ def matched_channels(resonators: list[Resonator], lo: MultiToneLo) -> list[Tone]
         raise SignalError("resonator list is empty")
     if not lo.tones:
         raise SignalError("LO line has no tones")
-    freqs = np.array([t.freq_hz for t in lo.tones])
-    q, f_r = _bank(resonators)
+    q, f_r, freqs = _bank(resonators, lo)
     nearest = np.concatenate([np.abs(freqs - f_r[rows, None]).argmin(axis=1)
                               for rows in _row_blocks(len(f_r), len(freqs))])
     tones = [lo.tones[j] for j in nearest.tolist()]
@@ -98,29 +97,28 @@ def _row_blocks(rows: int, cols: int) -> list[slice]:
     return [slice(k, k + step) for k in range(0, rows, step)]
 
 
-def _bank(resonators: list[Resonator]) -> tuple[np.ndarray, np.ndarray]:
-    """(Q, f_r) of every resonator."""
+def _bank(resonators: list[Resonator], lo: MultiToneLo) -> tuple[np.ndarray, ...]:
+    """(Q, f_r) of every resonator, and the frequency of every LO tone."""
     return (np.array([r.q for r in resonators], dtype=float),
-            np.array([r.f_r_hz for r in resonators], dtype=float))
+            np.array([r.f_r_hz for r in resonators], dtype=float),
+            np.array([t.freq_hz for t in lo.tones]))
 
 
-def demux(
-    resonators: list[Resonator], lo: MultiToneLo
-) -> tuple[list[Tone], np.ndarray]:
-    """Filter the LO line through each resonator.
-
-    Returns ``(channels, crosstalk_db)``: ``channels`` is
-    ``matched_channels(resonators, lo)`` and ``crosstalk_db[k, j]`` is
-    20 log10 |gain of tone j through resonator k|, from |gain|^2 alone:
-    -10 log10(1 + x^2), +0.0 on resonance and -inf where x^2 overflows.
-    """
-    channels = matched_channels(resonators, lo)
-    q, f_r = _bank(resonators)
-    freqs = np.array([t.freq_hz for t in lo.tones])
-    crosstalk_db = np.empty((len(resonators), len(freqs)))
+def crosstalk_db(resonators: list[Resonator], lo: MultiToneLo) -> np.ndarray:
+    """``crosstalk_db[k, j]`` = 20 log10 |gain of tone j through resonator k|,
+    from |gain|^2 alone: -10 log10(1 + x^2), +0.0 on resonance and -inf where
+    x^2 overflows."""
+    q, f_r, freqs = _bank(resonators, lo)
+    out = np.empty((len(resonators), len(freqs)))
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in _row_blocks(len(f_r), len(freqs)):
             x = _detuning(q[rows, None], f_r[rows, None], freqs)
             # 0 - y, not -y: a cell on resonance is +0.0, not -0.0.
-            crosstalk_db[rows] = 0.0 - 10.0 * np.log10(1.0 + x * x)
-    return channels, crosstalk_db
+            out[rows] = 0.0 - 10.0 * np.log10(1.0 + x * x)
+    return out
+
+
+def demux(resonators: list[Resonator], lo: MultiToneLo) -> tuple[list[Tone], np.ndarray]:
+    """Filter the LO line through each resonator:
+    ``(matched_channels(resonators, lo), crosstalk_db(resonators, lo))``."""
+    return matched_channels(resonators, lo), crosstalk_db(resonators, lo)

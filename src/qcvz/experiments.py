@@ -16,18 +16,11 @@ import numpy as np
 from . import qubit as qb
 from .calibration import CalibratedPulse, CalibrationError
 from .compiler import Program, Schedule, ideal_unitary
-from .mixer import (CARRIER_CHECKS, DRIVE_CHECKS, SAMPLES_PER_CYCLE, MixerConfig, amplitude_map,
-                    rabi_rates)
+from .mixer import CARRIER_CHECKS, DRIVE_CHECKS, SAMPLES_PER_CYCLE, MixerConfig, rabi_rates
 from .qubit import FitModel, QubitParams, Trajectory, fit_curve
 from .signals import CYCLE_CHECKS, ENVELOPE_CHECKS, IF_CHECKS, raise_first
 
 TWO_PI = 2.0 * math.pi
-
-# What building a drive of flat pulses, each in one cycle at phase 0, checks
-# in the constructors' order: Envelope, make_if_program (its cycle checks only
-# with cycles to check), baseband_output and DriveEnvelope.
-_PULSE_CHECKS = ENVELOPE_CHECKS + IF_CHECKS
-_DRIVE_CHECKS = CARRIER_CHECKS + DRIVE_CHECKS
 
 
 class ExperimentError(RuntimeError):
@@ -66,19 +59,13 @@ def chevron(
     if f_if.size == 0 or tau_grid.size == 0:
         raise ExperimentError("empty sweep grid")
     tau_max = tau_grid.max()
-    carrier = f_lo_hz - f_if
-    with np.errstate(divide="ignore", over="ignore"):  # DRIVE_CHECKS reject an infinite rate
-        rate = SAMPLES_PER_CYCLE / tau_max
-    raise_first(_PULSE_CHECKS + CYCLE_CHECKS + _DRIVE_CHECKS, duration_s=tau_max, peak=a_if,
-                f_if_hz=f_if, cycle_period_s=tau_max, cycle=0, quantized=True, theta_if_deg=0.0,
-                carrier_hz=carrier, envelope_rate_hz=rate)
+    delta, rate, rabi = _flat_pulses([q], [cfg], f_lo_hz, f_if, a_if, tau_max, tau_max)
     duration = SAMPLES_PER_CYCLE / rate  # can end an ulp short of tau_max
     taus = np.clip(tau_grid, 0.0, duration)  # a tau <= 0 reads p1(0)
     cuts = np.union1d([0.0, duration], taus)
     dts, which = np.unique(np.diff(cuts), return_inverse=True)
     scale = 1.0 if mixer_on else cfg.off_leakage
-    sample = scale * rabi_rates([cfg], [a_if])[0] * np.exp(1j * cfg.channel.phase_rad)
-    delta = TWO_PI * (carrier - q.f_qubit_hz)
+    sample = scale * rabi[0] * np.exp(1j * cfg.channel.phase_rad)
     steps = qb._held_maps(q.t1_s, q.tphi_s, delta[:, None], sample, dts)
     states = np.empty((len(cuts), len(f_if), 4))
     states[0] = qb.BLOCH_GROUND
@@ -107,7 +94,7 @@ def residual_ratio(
     for a in np.asarray(a_if_grid, dtype=float):
         if not 0.0 <= a <= 1.0:
             raise CalibrationError(f"a_if grid value {a} outside [0, 1]")
-        f_on = amplitude_map(cfg, float(a))
+        f_on = rabi_rates([cfg], a)[0]
         if f_on <= 0 or eps * f_on <= 0:
             out.append((float(a), math.nan))
             continue
@@ -248,23 +235,15 @@ def _cycle_maps(qs, cfgs, pulses, cycle_period_s, has_cycles=True, idle=(0,)) ->
     the drive would."""
     tau = np.array([p.tau_if_s for p in pulses], dtype=float)
     a_if = np.array([p.a_if for p in pulses], dtype=float)
+    f_lo = np.array([p.f_lo_hz for p in pulses], dtype=float)
     f_if = np.array([p.f_if_hz for p in pulses], dtype=float)
-    # Infinite f_lo and f_if give a NaN carrier, which DRIVE_CHECKS reject;
-    # an absurd finite carrier overflows the detuning into NaN populations.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        carrier = np.array([p.f_lo_hz for p in pulses], dtype=float) - f_if
-        delta = TWO_PI * (carrier - np.array([q.f_qubit_hz for q in qs], dtype=float))
-        rate = SAMPLES_PER_CYCLE / np.float64(cycle_period_s)
-    checks = _PULSE_CHECKS + (CYCLE_CHECKS if has_cycles else ()) + _DRIVE_CHECKS
-    raise_first(checks, duration_s=tau, peak=a_if, f_if_hz=f_if, cycle_period_s=cycle_period_s,
-                cycle=0, quantized=True, theta_if_deg=0.0, carrier_hz=carrier,
-                envelope_rate_hz=rate)
+    delta, rate, rabi = _flat_pulses(qs, cfgs, f_lo, f_if, a_if, tau, cycle_period_s, has_cycles)
     # Samples inside [0, tau] hold the pulse (Envelope.value's inside test);
     # the rest of the cycle is drive-free.
     t_sample = np.arange(SAMPLES_PER_CYCLE) / rate
     n_in = np.count_nonzero(t_sample <= tau[:, None], axis=1)
     lo_phase = np.array([c.channel.phase_rad for c in cfgs], dtype=float)
-    on = rabi_rates(cfgs, a_if) * np.exp(1j * lo_phase)
+    on = rabi * np.exp(1j * lo_phase)
     off = np.array([c.off_leakage for c in cfgs]) * on
     t1 = np.array([q.t1_s for q in qs], dtype=float)
     tphi = np.array([q.tphi_s for q in qs], dtype=float)
@@ -274,6 +253,26 @@ def _cycle_maps(qs, cfgs, pulses, cycle_period_s, has_cycles=True, idle=(0,)) ->
     if not idle.any():
         return maps[None].repeat(len(idle), axis=0)
     return maps @ qb._drive_free_maps(t1, tphi, delta, idle * cycle_period_s)[:, None]
+
+
+def _flat_pulses(qs, cfgs, f_lo, f_if, a_if, tau, cycle_period_s, has_cycles=True):
+    """(delta, rate, rabi) of flat pulse k, in one cycle at phase 0: the
+    detuning (rad/s) of carrier f_lo - f_if from qs[k], the envelope sample
+    rate, and the Rabi rate of a_if[k] through cfgs[k]. Raises what building
+    the drives would: Envelope, make_if_program (its cycle checks only with
+    ``has_cycles``), baseband_output and DriveEnvelope, in that order."""
+    # Infinite f_lo and f_if give a NaN carrier, which DRIVE_CHECKS reject;
+    # an absurd finite carrier overflows the detuning into NaN populations.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        carrier = f_lo - f_if
+        delta = TWO_PI * (carrier - np.array([q.f_qubit_hz for q in qs], dtype=float))
+        rate = SAMPLES_PER_CYCLE / np.float64(cycle_period_s)
+    checks = (ENVELOPE_CHECKS + IF_CHECKS + (CYCLE_CHECKS if has_cycles else ())
+              + CARRIER_CHECKS + DRIVE_CHECKS)
+    raise_first(checks, duration_s=tau, peak=a_if, f_if_hz=f_if, cycle_period_s=cycle_period_s,
+                cycle=0, quantized=True, theta_if_deg=0.0, carrier_hz=carrier,
+                envelope_rate_hz=rate)
+    return delta, rate, rabi_rates(cfgs, a_if)
 
 
 def _populations(p1: np.ndarray) -> np.ndarray:

@@ -126,42 +126,21 @@ class DriveEnvelope:
         return np.arange(len(self.samples) + 1) / self.envelope_rate_hz
 
 
-def _response(gain, saturating, x, inverse: bool = False):
-    """The two response curves, broadcast over mixers: rate = gain f(a), or
-    with ``inverse`` a = f^-1(min(rate / gain, 1)). f(a) = a (linear) or
-    sin(pi a / 2) (saturating)."""
-    if inverse:
-        x = np.minimum(x / gain, 1.0)
-        return np.where(saturating, 2.0 / math.pi * np.arcsin(x), x)
-    return np.where(saturating, gain * np.sin(0.5 * math.pi * x), gain * x)
-
-
-def amplitude_map(cfg: MixerConfig, a_if: float) -> float:
-    """Peak Rabi rate (Hz) produced at IF amplitude a_if in [0, 1].
-
-    Linear mode: gain * a_if. Saturating mode: gain * sin(pi a_if / 2),
-    monotone and concave with saturation at a_if = 1. The one-mixer case of
-    rabi_rates.
-    """
-    out = rabi_rates([cfg], a_if)
-    return float(out[0]) if np.isscalar(a_if) else out
-
-
-def inverse_amplitude_map(cfg: MixerConfig, rabi_hz: float) -> float:
-    """Inverse of amplitude_map; raises if the rate is unreachable at a_if <= 1."""
-    return float(rabi_rates([cfg], [rabi_hz], inverse=True)[0])
-
-
 def rabi_rates(cfgs, values, inverse: bool = False) -> np.ndarray:
-    """The rate at IF amplitude values[k] through mixer cfgs[k], for every k
-    at once, or with ``inverse`` the amplitude giving rate values[k]; values
-    broadcast against the mixers. An a_if outside [0, 1], or a rate outside
-    [0, gain], raises MixerError for the first bad entry."""
+    """The mixers' amplitude map: rate = gain f(a), with f(a) = a (linear) or
+    sin(pi a / 2) (saturating), at IF amplitude values[k] through mixer
+    cfgs[k] for every k at once, or with ``inverse`` the amplitude
+    a = f^-1(min(rate / gain, 1)) giving rate values[k]; values broadcast
+    against the mixers. An a_if outside [0, 1], or a rate outside [0, gain],
+    raises MixerError for the first bad entry."""
     gain = np.array([c.gain_hz_per_unit for c in cfgs], dtype=float)
     saturating = np.array([c.nonlinearity is Nonlinearity.SINE_SATURATING for c in cfgs])
     v = np.asarray(values, dtype=float)
     raise_first(_RATE_CHECKS if inverse else _AMPLITUDE_CHECKS, value=v, gain=gain)
-    return _response(gain, saturating, v, inverse)
+    if inverse:
+        x = np.minimum(v / gain, 1.0)
+        return np.where(saturating, 2.0 / math.pi * np.arcsin(x), x)
+    return np.where(saturating, gain * np.sin(0.5 * math.pi * v), gain * v)
 
 
 def baseband_output(
@@ -171,7 +150,7 @@ def baseband_output(
 ) -> DriveEnvelope:
     """Mix the channel tone with the IF program into a drive envelope.
 
-    For cycle i: env(t) = s(a_i) * amplitude_map(A_i(t)) * exp(1j*(-theta_i + phi_ch))
+    For cycle i: env(t) = s(a_i) * rabi_rates([cfg], A_i(t)) * exp(1j*(-theta_i + phi_ch))
     with s(1) = 1 and s(0) = off_leakage. Carrier is f_lo - f_if.
     """
     if len(bits) != len(prog.cycles):
@@ -188,7 +167,7 @@ def baseband_output(
             chunks.append(np.zeros(SAMPLES_PER_CYCLE, dtype=complex))
             continue
         scale = 1.0 if bits.bits[i] else cfg.off_leakage
-        amp = amplitude_map(cfg, cyc.envelope.value(tloc))
+        amp = rabi_rates([cfg], cyc.envelope.value(tloc))
         phase = -prog.theta_rad(i) + cfg.channel.phase_rad
         chunks.append(scale * amp * np.exp(1j * phase))
     samples = np.concatenate(chunks) if chunks else np.zeros(0, dtype=complex)

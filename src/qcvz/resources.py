@@ -17,14 +17,15 @@ class ResourceError(ValueError):
     """Invalid resource-estimate inputs."""
 
 
-def power_estimate(
-    n_qubits: int, standby_pw: float = STANDBY_PW, peak_pw: float = PEAK_PW
-) -> tuple[float, float]:
+def power_estimate(n_qubits: int) -> tuple[float, float]:
     """(average pW per qubit, total average W); average of standby and peak."""
     if n_qubits < 1:
         raise ResourceError(f"need at least one qubit, got {n_qubits}")
-    avg_pw = 0.5 * (standby_pw + peak_pw)
-    return avg_pw, n_qubits * avg_pw * 1e-12
+    avg_pw = 0.5 * (STANDBY_PW + PEAK_PW)
+    total_w = n_qubits * avg_pw * 1e-12
+    if total_w == math.inf:
+        raise ResourceError(f"total power of {n_qubits} qubits overflows")
+    return avg_pw, total_w
 
 
 def max_tones(
@@ -84,18 +85,16 @@ class ResourceReport:
 
 def resource_report(
     n_qubits: int,
-    standby_pw: float = STANDBY_PW,
-    peak_pw: float = PEAK_PW,
     q: float = DEFAULT_Q,
     bandwidth_hz: float = DEFAULT_BANDWIDTH_HZ,
     ref_freq_hz: float = DEFAULT_REF_FREQ_HZ,
 ) -> ResourceReport:
-    avg_pw, total_w = power_estimate(n_qubits, standby_pw, peak_pw)
+    avg_pw, total_w = power_estimate(n_qubits)
     tones = max_tones(q, bandwidth_hz, ref_freq_hz)
     return ResourceReport(
         n_qubits=n_qubits,
-        standby_pw_per_qubit=standby_pw,
-        peak_pw_per_qubit=peak_pw,
+        standby_pw_per_qubit=STANDBY_PW,
+        peak_pw_per_qubit=PEAK_PW,
         avg_pw_per_qubit=avg_pw,
         total_avg_w=total_w,
         max_tones_per_cable=tones,

@@ -21,9 +21,7 @@ from qcvz.mixer import (
     BitTimeline,
     MixerConfig,
     Nonlinearity,
-    amplitude_map,
     baseband_output,
-    inverse_amplitude_map,
     rabi_rates,
 )
 from qcvz.qubit import FitModel, QubitParams, fit_curve, ground_state, propagate
@@ -112,7 +110,7 @@ def reference_residual_ratio(q, cfg, a_if_grid, f_lo_hz, periods=3.0):
     eps = cfg.off_leakage
     out = []
     for a in a_if_grid:
-        f_on = amplitude_map(cfg, float(a))
+        f_on = rabi_rates([cfg], float(a))[0]
         freqs = {}
         for bit, f_eff in ((1, f_on), (0, eps * f_on)):
             pulse = CalibratedPulse(f_lo_hz, f_lo_hz - q.f_qubit_hz, a, periods / f_eff, math.pi)
@@ -169,7 +167,7 @@ def reference_checks(q, cfg, target_angle_rad, tau_if_s, f_lo_hz):
         raise CalibrationError(f"f_lo={f_lo_hz} below qubit frequency {q.f_qubit_hz}")
     if target_angle_rad == 0.0:
         return
-    max_angle = TWO_PI * amplitude_map(cfg, 1.0) * tau_if_s
+    max_angle = TWO_PI * rabi_rates([cfg], 1.0)[0] * tau_if_s
     if max_angle < target_angle_rad:
         raise CalibrationError(
             f"target {target_angle_rad:.4f} rad unreachable: max angle "
@@ -241,7 +239,7 @@ def test_calibrate_pulses_raises_like_per_qubit_loop():
     for qs, cfgs, angle in (([leaky], [make_cfg(gain=4e7)], math.pi / 2),
                             ([q], [turned], 0.5)):
         pulse = calibrate_pulse(qs[0], cfgs[0], angle, 50e-9, F_LO)
-        assert pulse.a_if == inverse_amplitude_map(cfgs[0], angle / (TWO_PI * 50e-9))
+        assert pulse.a_if == rabi_rates([cfgs[0]], angle / (TWO_PI * 50e-9), inverse=True)[0]
         assert_calibrates(qs, cfgs, angle, 50e-9, [F_LO])
     for qs, cfgs, angle, f_los in (
         ([q], [make_cfg()], 4.0, [F_LO]),  # angle outside [0, pi]

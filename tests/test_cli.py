@@ -23,7 +23,7 @@ from qcvz.cli import (
     load_config,
     main,
 )
-from qcvz.demux import resonator_gain
+from qcvz.demux import demux, resonator_gain
 from qcvz.mixer import BitTimeline, baseband_output
 from qcvz.qubit import Trajectory, ground_state, propagate
 from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, Tone, make_if_program
@@ -228,6 +228,27 @@ def test_default_crosstalk_reads_positive_zero(tmp_path):
     # The default qubit's tone sits on its resonance: 0 dB, written 0, not -0.
     assert run(tmp_path, "spectrum") == EXIT_OK
     assert (tmp_path / "crosstalk.csv").read_text().splitlines() == ["resonator,tone0_db", "0,0"]
+
+
+def test_multi_tone_crosstalk_is_the_demux_matrix(tmp_path):
+    # Three tones, each 50 kHz above its resonance and 2 MHz from the next.
+    f_r = 6.0e9 + 2.0e6 * np.arange(3)
+    raw = dict(
+        cli.DEFAULT_CONFIG,
+        lo_tones=[{"freq_hz": f + 5.0e4, "amp_phi0": 0.5, "phase_rad": 0.1} for f in f_r],
+        resonators=[{"f_r_hz": f, "q": 1.0e4} for f in f_r],
+        mixers=cli.DEFAULT_CONFIG["mixers"] * 3,
+        qubits=cli.DEFAULT_CONFIG["qubits"] * 3,
+    )
+    path = tmp_path / "cable.json"
+    path.write_text(json.dumps(raw))
+    assert run(tmp_path, "spectrum", "--config", str(path)) == EXIT_OK
+    cfg = load_config(str(path))
+    _, xtalk = demux(cfg.resonators, cfg.lo)
+    rows = [line.split(",") for line in (tmp_path / "crosstalk.csv").read_text().splitlines()]
+    assert rows[0] == ["resonator", "tone0_db", "tone1_db", "tone2_db"]
+    assert rows[1:] == [[str(k), *("%.12g" % v for v in row)] for k, row in enumerate(xtalk)]
+    assert (xtalk < 0).all()  # no tone sits on a resonance
 
 
 def row_csv(header, rows):
@@ -717,6 +738,26 @@ def test_program_files_end_in_documented_exit_codes(program):
             code, text = run_clean("compile", "--program", str(path), "--mode", mode,
                                    "--out", tmp)
             assert code is not None, (mode, program, text)
+
+
+def test_counts_past_what_a_float_or_an_array_holds(tmp_path):
+    # An integer past the float range is a usage error. A count that parses
+    # but that numpy refuses before allocating (10**14 floats are 728 TiB) is
+    # a numerical failure, and so is a total power that overflows.
+    big, huge = str(10**400), str(10**14)
+    for argv, want in (
+        (("t1", "--points", big), EXIT_USAGE),
+        (("vz-ramsey", "--points", big), EXIT_USAGE),
+        (("chevron", "--tau-points", big), EXIT_USAGE),
+        (("resources", "-n", big), EXIT_USAGE),
+        (("t1", "--points", huge), EXIT_NUMERIC),
+        (("vz-ramsey", "--points", huge), EXIT_NUMERIC),
+        (("chevron", "--tau-points", huge), EXIT_NUMERIC),
+        (("chevron", "--span-hz", "1e300"), EXIT_NUMERIC),
+        (("resources", "-n", str(10**308)), EXIT_NUMERIC),
+    ):
+        code, text = run_clean(*argv, "--out", str(tmp_path))
+        assert code == want, (argv, text)
 
 
 def test_integers_past_the_digit_limit_are_config_errors(tmp_path):

@@ -13,10 +13,9 @@ from qcvz.mixer import (
     MixerConfig,
     MixerError,
     Nonlinearity,
-    amplitude_map,
     baseband_output,
-    inverse_amplitude_map,
     output_spectrum,
+    rabi_rates,
 )
 from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, Tone, make_if_program
 
@@ -72,13 +71,13 @@ def test_off_leakage_from_ratio():
 def test_amplitude_map_endpoints():
     lin = make_cfg(nonlinearity=Nonlinearity.LINEAR)
     sat = make_cfg()
-    assert amplitude_map(lin, 0.0) == 0.0
-    assert amplitude_map(lin, 1.0) == pytest.approx(4.0e7)
-    assert amplitude_map(lin, 0.5) == pytest.approx(2.0e7)
-    assert amplitude_map(sat, 1.0) == pytest.approx(4.0e7)
-    assert amplitude_map(sat, 0.5) == pytest.approx(4.0e7 * math.sin(math.pi / 4))
+    assert rabi_rates([lin], 0.0)[0] == 0.0
+    assert rabi_rates([lin], 1.0)[0] == pytest.approx(4.0e7)
+    assert rabi_rates([lin], 0.5)[0] == pytest.approx(2.0e7)
+    assert rabi_rates([sat], 1.0)[0] == pytest.approx(4.0e7)
+    assert rabi_rates([sat], 0.5)[0] == pytest.approx(4.0e7 * math.sin(math.pi / 4))
     with pytest.raises(MixerError):
-        amplitude_map(lin, 1.2)
+        rabi_rates([lin], 1.2)
 
 
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
@@ -86,21 +85,21 @@ def test_amplitude_map_endpoints():
 def test_amplitude_map_monotone(a, b):
     cfg = make_cfg()
     lo, hi = sorted((a, b))
-    assert amplitude_map(cfg, lo) <= amplitude_map(cfg, hi) + 1e-12
+    assert rabi_rates([cfg], lo)[0] <= rabi_rates([cfg], hi)[0] + 1e-12
 
 
 @given(st.floats(0.0, 1.0))
 @settings(max_examples=60, deadline=None)
 def test_amplitude_map_roundtrip(a):
     for cfg in (make_cfg(), make_cfg(nonlinearity=Nonlinearity.LINEAR)):
-        assert inverse_amplitude_map(cfg, amplitude_map(cfg, a)) == pytest.approx(
+        assert rabi_rates([cfg], rabi_rates([cfg], a), inverse=True)[0] == pytest.approx(
             a, abs=1e-9
         )
 
 
 def test_inverse_amplitude_map_unreachable():
     with pytest.raises(MixerError):
-        inverse_amplitude_map(make_cfg(), 5.0e7)
+        rabi_rates([make_cfg()], 5.0e7, inverse=True)
 
 
 def test_drive_envelope_value_holds_final_sample():
@@ -123,7 +122,7 @@ def test_baseband_output_flat_cycle():
     prog = flat_prog([0.0], a_if=0.5)
     drive = baseband_output(cfg, prog, BitTimeline((1,)))
     assert drive.carrier_hz == pytest.approx(F_LO - F_IF)
-    expect = amplitude_map(cfg, 0.5) * np.exp(1j * 0.2)
+    expect = rabi_rates([cfg], 0.5)[0] * np.exp(1j * 0.2)
     assert np.allclose(drive.samples, expect)
 
 
