@@ -23,10 +23,10 @@ from .calibration import CalibratedPulse, CalibrationError, calibrate_pulse
 from .compiler import CompileError, Program, schedule, parallelism_stats
 from .demux import Resonator, crosstalk_db, matched_channels
 from .experiments import ExperimentError, chevron, run_experiment
-from .mixer import SAMPLES_PER_CYCLE, BitTimeline, MixerConfig, MixerError, output_spectrum
+from .mixer import SAMPLES_PER_CYCLE, MixerConfig, MixerError, output_spectrum
 from .qubit import FitError, FitModel, QubitParams, fit_curve
 from .resources import ResourceError, resource_report
-from .signals import CycleSpec, Envelope, MultiToneLo, SignalError, Tone, make_if_program
+from .signals import MultiToneLo, SignalError, Tone
 from .svgplot import PlotError, emit_plot
 
 EXIT_OK = 0
@@ -293,11 +293,7 @@ def cmd_calibrate(cfg: DeviceConfig, args, out: _Artifacts) -> None:
 
 
 def cmd_spectrum(cfg: DeviceConfig, args, out: _Artifacts) -> None:
-    k = args.qubit
-    mix = cfg.mixers[k]
-    env = Envelope("flat", cfg.cycle_period_s, 1.0)
-    prog = make_if_program(cfg.f_if_hz, cfg.cycle_period_s, [CycleSpec(0.0, env)])
-    tones = output_spectrum(mix, prog, BitTimeline((0 if args.off else 1,)))
+    tones = output_spectrum(cfg.mixers[args.qubit], cfg.f_if_hz, not args.off)
     out.csv("spectrum", ["freq_hz", "power_db"], np.array(tones, dtype=float).reshape(-1, 2).T)
     xtalk = crosstalk_db(cfg.resonators, cfg.lo)
     out.csv(

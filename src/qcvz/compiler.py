@@ -49,6 +49,8 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 QUARTER = 0.25 * math.pi
+# Largest phase_distance at which equivalent calls two unitaries equal.
+EQUIVALENCE_TOL = 1e-9
 
 
 class CompileError(ValueError):
@@ -277,8 +279,8 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.linalg.norm(u - np.exp(1j * alpha) * v))
 
 
-def equivalent(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> bool:
-    return phase_distance(u, v) < tol
+def equivalent(u: np.ndarray, v: np.ndarray) -> bool:
+    return phase_distance(u, v) < EQUIVALENCE_TOL
 
 
 class ScheduleMode(str, Enum):

@@ -21,6 +21,8 @@ from .qubit import FitModel, QubitParams, Trajectory, fit_curve
 from .signals import CYCLE_CHECKS, ENVELOPE_CHECKS, IF_CHECKS, raise_first
 
 TWO_PI = 2.0 * math.pi
+# Rabi periods in each trace residual_ratio fits.
+RABI_PERIODS = 3.0
 
 
 class ExperimentError(RuntimeError):
@@ -79,7 +81,6 @@ def residual_ratio(
     cfg: MixerConfig,
     a_if_grid,
     f_lo_hz: float,
-    periods: float = 3.0,
 ) -> list[tuple[float, float]]:
     """Off/on Rabi-frequency ratio across IF amplitudes.
 
@@ -100,7 +101,7 @@ def residual_ratio(
             continue
         freqs = {}
         for on, f_scale in ((True, 1.0), (False, eps)):
-            tau = periods / (f_scale * f_on)
+            tau = RABI_PERIODS / (f_scale * f_on)
             t = np.arange(SAMPLES_PER_CYCLE + 1) / (SAMPLES_PER_CYCLE / tau)  # sample edges
             p1 = chevron(q, cfg, f_lo_hz, [f_if], t, mixer_on=on, a_if=float(a))[0]
             try:

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .signals import EnvelopeShape, IfProgram, Tone, raise_first
+from .signals import IF_CHECKS, IfProgram, Tone, raise_first
 
 # Reported maximum mixer output power; metadata for resource tables only.
 MAX_OUTPUT_POWER_PW = 4.11
@@ -30,7 +30,8 @@ class MixerError(ValueError):
     """Invalid mixer configuration or drive request."""
 
 
-# baseband_output's check of the difference frequency, then DriveEnvelope's.
+# The difference-frequency check of baseband_output and output_spectrum,
+# then DriveEnvelope's.
 CARRIER_CHECKS = (
     (MixerError, "difference frequency {carrier_hz} Hz is not positive (f_if >= f_lo)",
      lambda f: np.logical_not(f["carrier_hz"] <= 0)),
@@ -174,29 +175,17 @@ def baseband_output(
     return DriveEnvelope(carrier, samples, rate)
 
 
-def output_spectrum(
-    cfg: MixerConfig,
-    prog: IfProgram,
-    bits: BitTimeline,
-) -> list[tuple[float, float]]:
-    """CW tone table for a flat-envelope program: (freq_hz, power_db rel. carrier).
+def output_spectrum(cfg: MixerConfig, f_if_hz: float, on: bool) -> list[tuple[float, float]]:
+    """CW tone table of the mixer fed a flat IF tone: (freq_hz, power_db rel. carrier).
 
-    The difference tone sits at 0 dB when on and at -on_off_ratio_db when
-    off; LO, IF and sum components sit at -bpf_stopband_db.
+    The difference tone f_lo - f_if sits at 0 dB when ``on`` and at
+    -on_off_ratio_db when off; IF, LO and sum components sit at
+    -bpf_stopband_db. f_if is checked as make_if_program checks it, then the
+    difference frequency as baseband_output checks it.
     """
-    if not prog.cycles:
-        raise MixerError("empty program has no CW spectrum")
-    active = [c for c in prog.cycles if not c.idle]
-    if not active or any(c.envelope.shape is not EnvelopeShape.FLAT for c in active):
-        raise MixerError("CW spectrum analysis requires flat envelopes")
-    if len(set(bits.bits)) != 1:
-        raise MixerError("CW spectrum analysis requires a uniform bit timeline")
     f_lo = cfg.channel.freq_hz
-    f_if = prog.f_if_hz
-    diff_db = 0.0 if bits.bits[0] else -cfg.on_off_ratio_db
-    return [
-        (f_lo - f_if, diff_db),
-        (f_if, -cfg.bpf_stopband_db),
-        (f_lo, -cfg.bpf_stopband_db),
-        (f_lo + f_if, -cfg.bpf_stopband_db),
-    ]
+    raise_first(IF_CHECKS[:1], f_if_hz=f_if_hz)
+    raise_first(CARRIER_CHECKS, carrier_hz=f_lo - f_if_hz)
+    stop = -cfg.bpf_stopband_db
+    return [(f_lo - f_if_hz, 0.0 if on else -cfg.on_off_ratio_db),
+            (f_if_hz, stop), (f_lo, stop), (f_lo + f_if_hz, stop)]

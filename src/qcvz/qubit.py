@@ -30,6 +30,9 @@ from .signals import raise_first
 
 TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
+# validate_density_matrix's bound on trace error, anti-Hermitian part and
+# negative eigenvalues.
+DENSITY_TOL = 1e-9
 
 # The Bloch vector (1, x, y, z) of the ground state, and the readout row that
 # takes a Bloch vector to its excited-state population p1 = (1 - z)/2.
@@ -100,15 +103,15 @@ def excited_state() -> np.ndarray:
     return np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 
-def validate_density_matrix(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise QubitError(f"density matrix must be 2x2, got shape {rho.shape}")
-    if abs(np.trace(rho) - 1.0) > max(tol, 1e-12):
+    if abs(np.trace(rho) - 1.0) > DENSITY_TOL:
         raise QubitError(f"trace {np.trace(rho)} != 1")
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
+    if np.max(np.abs(rho - rho.conj().T)) > DENSITY_TOL:
         raise QubitError("density matrix is not Hermitian")
-    if np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))) < -tol:
+    if np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))) < -DENSITY_TOL:
         raise QubitError("density matrix is not positive semidefinite")
     return rho
 

@@ -224,6 +224,20 @@ def test_spectrum_outputs(tmp_path):
     assert (tmp_path / "crosstalk.csv").exists()
 
 
+def test_spectrum_with_if_above_lo_is_numeric_error(tmp_path, capsys):
+    # A 9-GHz IF against the default 8-GHz tone: no positive difference tone.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(cli.DEFAULT_CONFIG,
+                                    if_defaults={"f_if_hz": 9e9, "cycle_period_s": 1.5e-8})))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(out, "spectrum", "--config", str(path)) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "difference frequency -1000000000.0 Hz is not positive" in err, err
+    assert "Traceback" not in err
+    assert not (out / "spectrum.csv").exists()
+
+
 def test_default_crosstalk_reads_positive_zero(tmp_path):
     # The default qubit's tone sits on its resonance: 0 dB, written 0, not -0.
     assert run(tmp_path, "spectrum") == EXIT_OK

@@ -1,6 +1,7 @@
 """Every name a qcvz module imports is read somewhere in that module, every
-module imports only modules below it, every module-level private name is read
-somewhere in the package, every error message has one source, and neither
+layer imports as a module, every module imports only modules below it, every
+module-level private name is read somewhere in the package, every error
+message has one source, the README's library example runs, and neither
 importing qcvz nor running a command loads scipy."""
 import ast
 import json
@@ -8,9 +9,11 @@ import os
 import re
 import subprocess
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qcvz"
@@ -28,9 +31,7 @@ def _unused_imports(tree: ast.Module) -> set[str]:
     return imported - read
 
 
-# __init__.py re-exports what it imports.
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert _unused_imports(ast.parse(path.read_text())) == set()
 
@@ -40,9 +41,28 @@ def test_unused_import_is_found():
         "os", "pi"}
 
 
-# The package's layers, lowest first. __init__.py imports them all.
+# The package's layers, lowest first. __init__.py imports none of them.
 LAYERS = ("signals", "compiler", "svgplot", "mixer", "demux", "resources", "qubit", "calibration",
           "experiments", "cli")
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_every_layer_is_a_module(name):
+    # `import qcvz.<name> as m` binds the package's attribute <name>, which a
+    # name re-exported by __init__.py would shadow.
+    scope = {}
+    exec(f"import qcvz.{name} as m", scope)
+    assert isinstance(scope["m"], types.ModuleType)
+    assert scope["m"].__name__ == f"qcvz.{name}"
+
+
+def test_readme_example_runs():
+    blocks = re.findall(r"```python\n(.*?)```", (SRC.parents[1] / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    scope = {}
+    exec(blocks[0], scope)
+    assert np.array_equal(scope["traj"].times_s, np.arange(41) * 1e-6)
+    assert ((scope["traj"].p1 >= 0) & (scope["traj"].p1 <= 1)).all()
 
 
 def _upward_imports(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from qcvz.mixer import (
     output_spectrum,
     rabi_rates,
 )
-from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, Tone, make_if_program
+from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, SignalError, Tone, make_if_program
 
 F_LO = 8.0e9
 F_IF = 3.46798e9
@@ -169,9 +170,8 @@ def test_baseband_output_errors():
 
 def test_output_spectrum_tones():
     cfg = make_cfg(on_off_ratio_db=28.5, bpf_stopband_db=60.0)
-    prog = flat_prog([0.0])
-    on = dict(output_spectrum(cfg, prog, BitTimeline((1,))))
-    off = dict(output_spectrum(cfg, prog, BitTimeline((0,))))
+    on = dict(output_spectrum(cfg, F_IF, True))
+    off = dict(output_spectrum(cfg, F_IF, False))
     f_diff = F_LO - F_IF
     assert on[f_diff] == pytest.approx(0.0)
     assert off[f_diff] == pytest.approx(-28.5)
@@ -179,12 +179,14 @@ def test_output_spectrum_tones():
         assert on[f] == pytest.approx(-60.0)
 
 
-def test_output_spectrum_requires_flat_cw():
-    cfg = make_cfg()
-    env = Envelope(EnvelopeShape.TRIANGULAR, 15e-9, 1.0)
-    prog = make_if_program(F_IF, 15e-9, [CycleSpec(0.0, env)])
-    with pytest.raises(MixerError):
-        output_spectrum(cfg, prog, BitTimeline((1,)))
-    mixed = flat_prog([0.0, 0.0])
-    with pytest.raises(MixerError):
-        output_spectrum(cfg, mixed, BitTimeline((1, 0)))
+@pytest.mark.parametrize("f_if, error, message", [
+    (F_LO, MixerError, "difference frequency 0.0 Hz is not positive"),
+    (9.0e9, MixerError, "difference frequency -1000000000.0 Hz is not positive"),
+    (0.0, SignalError, "IF frequency must be positive and finite, got 0.0"),
+    (math.inf, SignalError, "IF frequency must be positive and finite, got inf"),
+    (math.nan, SignalError, "IF frequency must be positive and finite, got nan"),
+])
+def test_output_spectrum_checks_if_then_carrier(f_if, error, message):
+    # make_if_program's IF check, then the carrier check of baseband_output.
+    with pytest.raises(error, match=re.escape(message)):
+        output_spectrum(make_cfg(), f_if, True)
