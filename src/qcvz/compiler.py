@@ -319,6 +319,11 @@ class Schedule:
     def __post_init__(self):
         for a in (self.slot, self.theta_if_deg, self.offsets, self.fired):
             a.setflags(write=False)
+        c, offsets = len(self.slot), self.offsets
+        if not (len(self.theta_if_deg) == c and len(offsets) == c + 1 and offsets[0] == 0
+                and offsets[-1] == self.fired.size and (np.diff(offsets) >= 0).all()):
+            raise CompileError("schedule arrays disagree: need one theta per slot and "
+                               "len(slot) + 1 nondecreasing offsets from 0 to fired.size")
         if self.fired.size and not (0 <= self.fired.min() and self.fired.max() < self.n_qubits):
             raise CompileError(f"fired qubit index out of range({self.n_qubits})")
 
@@ -349,20 +354,52 @@ class Schedule:
 
     def to_json(self) -> str:
         """``json.dumps(self.to_dict(), indent=2, sort_keys=True,
-        allow_nan=False) + "\\n"``, byte for byte, written from the arrays."""
-        if not np.isfinite(self.theta_if_deg).all():
+        allow_nan=False) + "\\n"``, byte for byte, written from the arrays as
+        one join over a table of strings: the fixed separators, each qubit's
+        entry with and without a leading comma, the repr of each distinct
+        theta and each slot. One index array lays the table out, so no Python
+        code runs per cycle or per fired qubit."""
+        theta, offsets = self.theta_if_deg, self.offsets
+        if not np.isfinite(theta).all():
             raise ValueError("Out of range float values are not JSON compliant")
-        digits = [str(k) for k in range(self.n_qubits)]  # indexing beats str() per pulse
-        cycles = ",\n".join(
-            '    {\n      "fired": '
-            + ("[\n        " + ",\n        ".join(map(digits.__getitem__, fired)) + "\n      ]"
-               if fired else "[]")
-            + f',\n      "slot": {slot},\n      "theta_if": {theta!r}\n    }}'
-            for theta, fired, slot in self._rows()
-        )
-        cycles = f"[\n{cycles}\n  ]" if cycles else "[]"
-        return (f'{{\n  "cycles": {cycles},\n  "mode": "{self.mode.value}",\n'
-                f'  "n_qubits": {self.n_qubits}\n}}\n')
+        n, counts = self.n_qubits, np.diff(offsets)
+        c, cycle = counts.size, np.arange(counts.size)
+        # Distinct thetas by bit pattern: unique values would merge -0.0 and
+        # 0.0, which json prints differently.
+        _, first, theta_code = np.unique(theta.view(f"u{theta.itemsize}"),
+                                         return_index=True, return_inverse=True)
+        tail = f'"mode": "{self.mode.value}",\n  "n_qubits": {n}\n}}\n'
+        # Entry 0 opens the document; 1-4 open the first or a later cycle,
+        # with fired qubits or none; 5 and 6 are the slot key after qubits or
+        # none; 7 is the theta key; 8 and 9 close a document with cycles or none.
+        fixed = ('{\n  "cycles": [',
+                 '\n    {\n      "fired": [', '\n    {\n      "fired": []',
+                 '\n    },\n    {\n      "fired": [', '\n    },\n    {\n      "fired": []',
+                 '\n      ],\n      "slot": ', ',\n      "slot": ', ',\n      "theta_if": ',
+                 '\n    }\n  ],\n  ' + tail, '],\n  ' + tail)
+        qubit0 = len(fixed)
+        theta0 = qubit0 + 2 * n
+        slot0 = theta0 + first.size
+        table = np.array([*fixed, *(f",\n        {q}" for q in range(n)),
+                          *(f"\n        {q}" for q in range(n)),
+                          *map(repr, theta[first].tolist()), *map(str, self.slot.tolist())],
+                         dtype=object)
+        # Cycle i spans 5 + counts[i] entries from start[i]: its opening, its
+        # fired qubits, the slot key, the slot, the theta key and the theta.
+        idx = np.empty(2 + 5 * c + self.fired.size, np.intp)
+        idx[0], idx[-1] = 0, 8 + (c == 0)
+        empty = counts == 0
+        start = 1 + 5 * cycle + offsets[:-1]
+        end = start + counts
+        idx[start] = 1 + 2 * (cycle > 0) + empty
+        idx[end + 1] = 5 + empty
+        idx[end + 2] = slot0 + cycle
+        idx[end + 3] = 7
+        idx[end + 4] = theta0 + theta_code
+        fired = np.add(self.fired, qubit0, dtype=np.intp)
+        fired[offsets[:-1][~empty]] += n  # a cycle's first qubit has no comma
+        idx[2 + np.arange(fired.size) + 5 * np.repeat(cycle, counts)] = fired
+        return "".join(table[idx].tolist())
 
 
 def schedule(program: Program, mode: ScheduleMode | str = ScheduleMode.QUANTIZED45) -> Schedule:
@@ -453,9 +490,10 @@ def parallelism_stats(s: Schedule) -> ParallelismStats:
     counts = np.diff(s.offsets)
     if not counts.size:
         return ParallelismStats(0, 0.0, 0, 0)
+    nonzero = counts[counts > 0]
     return ParallelismStats(
         cycles=counts.size,
         mean_fired=float(np.mean(counts)),
         max_fired=int(counts.max()),
-        min_nonzero_fired=int(counts[counts > 0].min()),
+        min_nonzero_fired=int(nonzero.min()) if nonzero.size else 0,
     )

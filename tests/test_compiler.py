@@ -378,6 +378,65 @@ def test_schedule_rejects_nonfinite_theta_and_bad_qubits():
             Schedule(np.array([0]), np.array([0.0]), one, np.array([k]), ScheduleMode.FREE, 1)
 
 
+def _sched(slot, theta, offsets, fired, n_qubits=1, mode=ScheduleMode.FREE):
+    return Schedule(np.array(slot, np.int64), np.array(theta, float),
+                    np.array(offsets, np.int64), np.array(fired, np.int64), mode, n_qubits)
+
+
+@pytest.mark.parametrize("slot, theta, offsets, fired", [
+    ([0, 3], [0.0], [0, 5], [0]),          # one theta, two offsets, five fired for two slots
+    ([0, 3], [0.0], [0, 1, 1], [0]),       # one theta for two slots
+    ([0], [0.0], [0, 0, 1], [0]),          # three offsets for one slot
+    ([], [], [], []),                      # no offsets
+    ([0], [0.0], [1, 1], [0]),             # offsets start past 0
+    ([0], [0.0], [1, 0], []),              # offsets start past 0 and decrease
+    ([0, 1], [0.0, 0.0], [0, 2, 1], [0]),  # offsets decrease
+    ([0], [0.0], [0, 1], [0, 0]),          # offsets end before the last fired
+])
+def test_schedule_rejects_arrays_that_disagree(slot, theta, offsets, fired):
+    with pytest.raises(CompileError, match="schedule arrays disagree"):
+        _sched(slot, theta, offsets, fired)
+
+
+def test_parallelism_stats_skips_empty_cycles():
+    assert parallelism_stats(_sched([0, 1], [0.0, 45.0], [0, 0, 0], [])) == \
+        ParallelismStats(2, 0.0, 0, 0)
+    assert parallelism_stats(_sched([0, 1, 2], [0.0] * 3, [0, 0, 2, 2], [0, 0])) == \
+        ParallelismStats(3, 2 / 3, 2, 2)
+
+
+def _dumps(sched):
+    return json.dumps(sched.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+# Hand-built schedules: no cycles, empty cycles in every position, qubit ids
+# of 1 to 5 digits, and thetas whose reprs differ from their unique values
+# (-0.0 and 0.0) or need up to 17 significant digits.
+@pytest.mark.parametrize("case", [
+    ([], [], [0], [], 1),
+    ([], [], [0], [], 12000),
+    ([0], [0.0], [0, 0], [], 1),
+    ([0, 1, 2, 3, 4], [0.0, 45.0, 90.0, 45.0, 0.0], [0, 0, 2, 2, 3, 3], [1, 0, 2], 3),
+    ([0, 5, 9], [-0.0, 0.0, -0.0], [0, 6, 7, 11],
+     [0, 7, 42, 999, 1000, 11999, 5, 10000, 12, 345, 6789], 12000),
+    ([2, 3, 4, 6, 7], [1e-7, 359.99999999999994, 0.30000000000000004, 123.45678901234567, 1e-7],
+     [0, 1, 2, 3, 4, 5], [0, 1, 0, 1, 1], 2),
+])
+@pytest.mark.parametrize("mode", list(ScheduleMode))
+def test_to_json_matches_json_dumps_on_edge_cases(case, mode):
+    sched = _sched(*case, mode=mode)
+    assert sched.to_json() == _dumps(sched)
+    negative_zeros = sum(t == 0.0 and math.copysign(1.0, t) < 0 for t in case[1])
+    assert sched.to_json().count('"theta_if": -0.0\n') == negative_zeros
+
+
+@pytest.mark.parametrize("mode, names", [("quantized45", Q45_NAMES), ("free", EDGE_NAMES)])
+def test_to_json_matches_json_dumps_on_a_random_program(mode, names):
+    rng = np.random.default_rng(11)
+    sched = schedule(Program.from_names(rng.choice(names, (2000, 50)).tolist()), mode)
+    assert sched.fired.size > 5_000 and sched.to_json() == _dumps(sched)
+
+
 # -- reference: the id-coded lowering and the per-cycle scans ---------------
 # The lowering is a copy of the compiler before programs held integer codes:
 # gates were grouped by object identity. Quantized45 slots come from a lexsort
