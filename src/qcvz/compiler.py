@@ -225,21 +225,17 @@ def lower(gates, quantized: bool = True) -> LoweredQubit:
     return LoweredQubit(tuple(thetas.tolist()), float(final[0]))
 
 
-# Ideal gate matrices (global phase irrelevant to equivalence checks).
+# Ideal gate matrices (global phase irrelevant to equivalence checks). Every
+# other kind is diag(1, e^{i angle}): its _Z_ANGLE, or a Z gate's own angle.
 _X90 = np.array([[1.0, -1.0j], [-1.0j, 1.0]], dtype=complex) / math.sqrt(2.0)
-_H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+_MATRICES = {GateKind.X90: _X90, GateKind.X180: _X90 @ _X90,
+             GateKind.H: np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)}
 
 
 def _gate_matrix(g: Gate) -> np.ndarray:
-    if g.kind is GateKind.X90:
-        return _X90
-    if g.kind is GateKind.X180:
-        return _X90 @ _X90
-    if g.kind is GateKind.H:
-        return _H
-    if g.kind is GateKind.Z:
-        return np.array([[1.0, 0.0], [0.0, np.exp(1j * g.angle_rad)]], dtype=complex)
-    return np.array([[1.0, 0.0], [0.0, np.exp(1j * _Z_ANGLE[g.kind])]], dtype=complex)
+    if g.kind in _MATRICES:
+        return _MATRICES[g.kind]
+    return np.diag([1.0, np.exp(1j * _Z_ANGLE.get(g.kind, g.angle_rad))])
 
 
 def ideal_unitary(gates) -> np.ndarray:

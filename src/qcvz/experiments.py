@@ -251,8 +251,6 @@ def _cycle_maps(qs, cfgs, pulses, cycle_period_s, has_cycles=True, idle=(0,)) ->
     held = qb._held_maps(t1, tphi, delta, np.stack([off, on]), n_in / rate)
     maps = qb._drive_free_maps(t1, tphi, delta, (SAMPLES_PER_CYCLE - n_in) / rate) @ held
     idle = np.asarray(idle, dtype=float)[:, None]
-    if not idle.any():
-        return maps[None].repeat(len(idle), axis=0)
     return maps @ qb._drive_free_maps(t1, tphi, delta, idle * cycle_period_s)[:, None]
 
 
@@ -260,7 +258,7 @@ def _flat_pulses(qs, cfgs, f_lo, f_if, a_if, tau, cycle_period_s, has_cycles=Tru
     """(delta, rate, rabi) of flat pulse k, in one cycle at phase 0: the
     detuning (rad/s) of carrier f_lo - f_if from qs[k], the envelope sample
     rate, and the Rabi rate of a_if[k] through cfgs[k]. Raises what building
-    the drives would: Envelope, make_if_program (its cycle checks only with
+    the drives would: Envelope, IfProgram (its cycle checks only with
     ``has_cycles``), baseband_output and DriveEnvelope, in that order."""
     # Infinite f_lo and f_if give a NaN carrier, which DRIVE_CHECKS reject;
     # an absurd finite carrier overflows the detuning into NaN populations.

@@ -169,7 +169,7 @@ def baseband_output(
             continue
         scale = 1.0 if bits.bits[i] else cfg.off_leakage
         amp = rabi_rates([cfg], cyc.envelope.value(tloc))
-        phase = -prog.theta_rad(i) + cfg.channel.phase_rad
+        phase = -math.radians(cyc.theta_if_deg) + cfg.channel.phase_rad
         chunks.append(scale * amp * np.exp(1j * phase))
     samples = np.concatenate(chunks) if chunks else np.zeros(0, dtype=complex)
     return DriveEnvelope(carrier, samples, rate)
@@ -180,7 +180,7 @@ def output_spectrum(cfg: MixerConfig, f_if_hz: float, on: bool) -> list[tuple[fl
 
     The difference tone f_lo - f_if sits at 0 dB when ``on`` and at
     -on_off_ratio_db when off; IF, LO and sum components sit at
-    -bpf_stopband_db. f_if is checked as make_if_program checks it, then the
+    -bpf_stopband_db. f_if is checked as IfProgram checks it, then the
     difference frequency as baseband_output checks it.
     """
     f_lo = cfg.channel.freq_hz

@@ -127,6 +127,8 @@ class Trajectory:
     def __post_init__(self):
         self.times_s = np.asarray(self.times_s, dtype=float)
         self.p1 = np.asarray(self.p1, dtype=float)
+        if not np.all(np.isfinite(self.times_s)):
+            raise QubitError("trajectory times must be finite")
         if np.any(np.diff(self.times_s) < 0):
             raise QubitError("trajectory times must be monotone")
         raise_first(POPULATION_CHECKS, p1=self.p1)
@@ -255,23 +257,6 @@ def _held_maps(t1_s, tphi_s, delta_rad, sample_hz, dt_s) -> np.ndarray:
     return maps
 
 
-def _held_steps(q: QubitParams, drive: DriveEnvelope, times: np.ndarray):
-    """Cut the drive at its sample-run starts, its end and ``times``: (cuts, steps,
-    which), where the exponential steps[which[j]] propagates cuts[j] -> cuts[j + 1]."""
-    s = drive.samples
-    starts = np.concatenate(([0], np.flatnonzero(s[1:] != s[:-1]) + 1))  # runs of equal samples
-    t_starts = starts / drive.envelope_rate_hz
-    cuts = np.union1d(np.append(t_starts, drive.duration_s), times)
-    held = s[starts[np.searchsorted(t_starts, cuts[:-1], side="right") - 1]]
-    dt = np.diff(cuts)
-    _, first, which = np.unique(
-        np.stack([held.real, held.imag, dt], axis=1), axis=0, return_index=True,
-        return_inverse=True,
-    )
-    delta = TWO_PI * (drive.carrier_hz - q.f_qubit_hz)
-    return cuts, _held_maps(q.t1_s, q.tphi_s, delta, held[first], dt[first]), which
-
-
 def propagate(
     q: QubitParams,
     drive: DriveEnvelope,
@@ -281,8 +266,7 @@ def propagate(
     """Exact Lindblad propagation of a sample-and-hold drive.
 
     Each maximal run of equal samples between report times is one held
-    map of ``_held_maps``; equal (sample, duration) pairs share one
-    exponential. p1 is reported at ``times_s`` (sorted, inside [0,
+    map of ``_held_maps``. p1 is reported at ``times_s`` (sorted, inside [0,
     duration]; default: start and end of the drive) and ``rho_final`` is the
     state at the end of the drive (``rho0`` itself if the drive is empty).
     rho0 becomes a Bloch vector on entry, and back on exit.
@@ -294,14 +278,21 @@ def propagate(
         raise QubitError(f"report times must lie in [0, {duration:.6g}] s")
     if np.any(np.diff(times) < 0):
         raise QubitError("report times must be sorted")
-    cuts, steps, which = _held_steps(q, drive, times)
+    # Cut the drive at its sample-run starts, its end and the report times.
+    s = drive.samples
+    starts = np.concatenate(([0], np.flatnonzero(s[1:] != s[:-1]) + 1))  # runs of equal samples
+    t_starts = starts / drive.envelope_rate_hz
+    cuts = np.union1d(np.append(t_starts, drive.duration_s), times)
+    held = s[starts[np.searchsorted(t_starts, cuts[:-1], side="right") - 1]]
+    delta = TWO_PI * (drive.carrier_hz - q.f_qubit_hz)
+    steps = _held_maps(q.t1_s, q.tphi_s, delta, held, np.diff(cuts))
     (r00, r01), (r10, r11) = rho0
     states = np.empty((len(cuts), 4))
     states[0] = np.array([r00 + r11, r01 + r10, 1j * (r01 - r10), r00 - r11]).real
-    for j, k in enumerate(which):
-        states[j + 1] = steps[k] @ states[j]
+    for j, step in enumerate(steps):
+        states[j + 1] = step @ states[j]
     p1 = states[np.searchsorted(cuts, times)] @ BLOCH_P1
-    if len(which):
+    if len(steps):
         v, x, y, z = states[-1]
         rho0 = 0.5 * np.array([[v + z, x - 1j * y], [x + 1j * y, v - z]])
     return Trajectory(times, np.clip(p1, 0.0, 1.0), rho0)

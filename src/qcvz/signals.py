@@ -159,36 +159,27 @@ class CycleSpec:
 
 @dataclass(frozen=True)
 class IfProgram:
-    """IF frequency plus the per-cycle (theta_if, envelope) schedule."""
+    """IF frequency plus the per-cycle (theta_if, envelope) schedule.
+
+    Cycle i starts at time i * cycle_period_s. In quantized mode every cycle
+    phase must sit on the 45 degree grid.
+    """
 
     f_if_hz: float
     cycle_period_s: float
     cycles: tuple[CycleSpec, ...]
+    quantized: bool = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "cycles", tuple(self.cycles))
+        raise_first(IF_CHECKS, f_if_hz=self.f_if_hz, cycle_period_s=self.cycle_period_s)
+        raise_first(
+            CYCLE_CHECKS, cycle=np.arange(len(self.cycles)), quantized=self.quantized,
+            theta_if_deg=np.array([c.theta_if_deg for c in self.cycles], dtype=float),
+            duration_s=np.array([0.0 if c.idle else c.envelope.duration_s for c in self.cycles]),
+            cycle_period_s=self.cycle_period_s,
+        )
 
     @property
     def duration_s(self) -> float:
         return len(self.cycles) * self.cycle_period_s
-
-    def theta_rad(self, i: int) -> float:
-        return math.radians(self.cycles[i].theta_if_deg)
-
-
-def make_if_program(
-    f_if_hz: float,
-    cycle_period_s: float,
-    cycles: list[CycleSpec] | tuple[CycleSpec, ...],
-    quantized: bool = True,
-) -> IfProgram:
-    """Validate and assemble an IF program.
-
-    In quantized mode every cycle phase must sit on the 45 degree grid.
-    Cycle i starts at time i * cycle_period_s.
-    """
-    raise_first(IF_CHECKS, f_if_hz=f_if_hz, cycle_period_s=cycle_period_s)
-    raise_first(
-        CYCLE_CHECKS, cycle=np.arange(len(cycles)), quantized=quantized,
-        theta_if_deg=np.array([c.theta_if_deg for c in cycles], dtype=float),
-        duration_s=np.array([0.0 if c.idle else c.envelope.duration_s for c in cycles]),
-        cycle_period_s=cycle_period_s,
-    )
-    return IfProgram(f_if_hz, cycle_period_s, tuple(cycles))

@@ -29,9 +29,9 @@ from qcvz.signals import (
     CycleSpec,
     Envelope,
     EnvelopeShape,
+    IfProgram,
     SignalError,
     Tone,
-    make_if_program,
     raise_first,
 )
 
@@ -143,8 +143,8 @@ TWO_PI = 2.0 * math.pi
 def _pulse_drive(cfg, pulse, a_if, bits):
     """The drive of one flat pulse per bit, each filling its cycle."""
     env = Envelope(EnvelopeShape.FLAT, pulse.tau_if_s, a_if)
-    prog = make_if_program(pulse.f_if_hz, pulse.tau_if_s, [CycleSpec(0.0, env)] * len(bits),
-                           quantized=False)
+    prog = IfProgram(pulse.f_if_hz, pulse.tau_if_s, [CycleSpec(0.0, env)] * len(bits),
+                     quantized=False)
     cfg = replace(cfg, channel=replace(cfg.channel, freq_hz=pulse.f_lo_hz))
     return baseband_output(cfg, prog, BitTimeline(bits))
 

@@ -26,7 +26,7 @@ from qcvz.cli import (
 from qcvz.demux import demux, resonator_gain
 from qcvz.mixer import BitTimeline, baseband_output
 from qcvz.qubit import Trajectory, ground_state, propagate
-from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, Tone, make_if_program
+from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, IfProgram, Tone
 from qcvz.svgplot import PlotError, emit_plot
 
 
@@ -348,8 +348,8 @@ def reference_rabi(cfg, args):
     cycle, from baseband_output, propagated and read at its sample edges."""
     q, mixer = cfg.qubits[args.qubit], cfg.mixers[args.qubit]
     env = Envelope(EnvelopeShape.FLAT, args.tau_max_s, args.a_if)
-    prog = make_if_program(mixer.channel.freq_hz - q.f_qubit_hz, args.tau_max_s,
-                           [CycleSpec(0.0, env)], quantized=False)
+    prog = IfProgram(mixer.channel.freq_hz - q.f_qubit_hz, args.tau_max_s,
+                     [CycleSpec(0.0, env)], quantized=False)
     drive = baseband_output(mixer, prog, BitTimeline((0 if args.off else 1,)))
     return propagate(q, drive, ground_state(), drive.edges_s)
 

@@ -17,7 +17,7 @@ from qcvz.experiments import (
 )
 from qcvz.mixer import BitTimeline, MixerConfig, MixerError, Nonlinearity, baseband_output
 from qcvz.qubit import QubitError, QubitParams, delay_maps, ground_state, propagate
-from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, SignalError, Tone, make_if_program
+from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, IfProgram, SignalError, Tone
 
 F_Q = 4.53202e9
 F_LO = 8.0e9
@@ -27,8 +27,8 @@ PAULIS = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[
 
 def _apply_pulse(q, cfg, pulse, rho, theta_if_deg=0.0, f_if_hz=None):
     env = Envelope(EnvelopeShape.FLAT, pulse.tau_if_s, pulse.a_if)
-    prog = make_if_program(pulse.f_if_hz if f_if_hz is None else f_if_hz, pulse.tau_if_s,
-                           [CycleSpec(theta_if_deg, env)], quantized=False)
+    prog = IfProgram(pulse.f_if_hz if f_if_hz is None else f_if_hz, pulse.tau_if_s,
+                     [CycleSpec(theta_if_deg, env)], quantized=False)
     cfg = replace(cfg, channel=replace(cfg.channel, freq_hz=pulse.f_lo_hz))
     drive = baseband_output(cfg, prog, BitTimeline((1,)))
     return propagate(q, drive, rho).rho_final
@@ -127,7 +127,7 @@ def reference_simulate_schedule(sched, program, q_list, cfg_list, x90_list, cycl
         cycles = [CycleSpec(at_slot[i].theta_if_deg, env) if i in at_slot
                   else CycleSpec(i % 8 * 45.0) for i in slots]
         bits = BitTimeline(tuple(int(i in at_slot and k in at_slot[i].fired) for i in slots))
-        prog = make_if_program(pulse.f_if_hz, cycle_period_s, cycles, quantized=False)
+        prog = IfProgram(pulse.f_if_hz, cycle_period_s, cycles, quantized=False)
         cfg = replace(cfg_list[k], channel=replace(cfg_list[k].channel, freq_hz=pulse.f_lo_hz))
         drive = baseband_output(cfg, prog, bits)
         sim[k] = propagate(q_list[k], drive, ground_state()).p1[-1]
@@ -285,7 +285,7 @@ def reference_chevron(q, cfg, f_lo_hz, f_if_grid, tau_grid, mixer_on=True, a_if=
     out = np.empty((len(f_if_grid), len(tau_grid)))
     env = Envelope(EnvelopeShape.FLAT, tau_max, a_if)
     for i, f_if in enumerate(f_if_grid):
-        prog = make_if_program(f_if, tau_max, [CycleSpec(0.0, env)], quantized=True)
+        prog = IfProgram(f_if, tau_max, [CycleSpec(0.0, env)], quantized=True)
         drive = baseband_output(cfg, prog, BitTimeline((1 if mixer_on else 0,)))
         # The drive can end an ulp short of tau_max; a tau <= 0 reads p1(0).
         taus = np.clip(tau_grid[order], 0.0, drive.duration_s)

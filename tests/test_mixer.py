@@ -18,7 +18,7 @@ from qcvz.mixer import (
     output_spectrum,
     rabi_rates,
 )
-from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, SignalError, Tone, make_if_program
+from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, IfProgram, SignalError, Tone
 
 F_LO = 8.0e9
 F_IF = 3.46798e9
@@ -38,7 +38,7 @@ def make_cfg(**kw):
 
 def flat_prog(thetas_deg, period=15e-9, a_if=1.0, f_if=F_IF):
     env = Envelope(EnvelopeShape.FLAT, period, a_if)
-    return make_if_program(f_if, period, [CycleSpec(t, env) for t in thetas_deg])
+    return IfProgram(f_if, period, [CycleSpec(t, env) for t in thetas_deg])
 
 
 def test_max_output_constants():
@@ -152,7 +152,7 @@ def test_baseband_output_bit_gating():
 def test_baseband_output_idle_cycle_is_silent():
     cfg = make_cfg()
     env = Envelope(EnvelopeShape.FLAT, 15e-9, 1.0)
-    prog = make_if_program(F_IF, 15e-9, [CycleSpec(0.0, env), CycleSpec(45.0, None)])
+    prog = IfProgram(F_IF, 15e-9, [CycleSpec(0.0, env), CycleSpec(45.0, None)])
     drive = baseband_output(cfg, prog, BitTimeline((1, 1)))
     spc = len(drive.samples) // 2
     assert np.all(drive.samples[spc:] == 0.0)
@@ -187,6 +187,6 @@ def test_output_spectrum_tones():
     (math.nan, SignalError, "IF frequency must be positive and finite, got nan"),
 ])
 def test_output_spectrum_checks_if_then_carrier(f_if, error, message):
-    # make_if_program's IF check, then the carrier check of baseband_output.
+    # IfProgram's IF check, then the carrier check of baseband_output.
     with pytest.raises(error, match=re.escape(message)):
         output_spectrum(make_cfg(), f_if, True)

@@ -17,6 +17,7 @@ from qcvz.qubit import (
     FitModel,
     QubitError,
     QubitParams,
+    Trajectory,
     _bloch_generator,
     _held_maps,
     excited_state,
@@ -154,6 +155,13 @@ def test_propagate_rejects_times_outside_drive():
     for times in ([-1e-12, 5e-8], [0.0, 1.01e-7], [0.0, math.nan], [5e-8, 1e-8]):
         with pytest.raises(QubitError):
             propagate(q, drive, ground_state(), times)
+
+
+def test_trajectory_rejects_non_finite_times():
+    Trajectory([0.0, 0.5, 1.0], [0.1, 0.2, 0.3])
+    for times in ([0.0, math.nan, 1.0], [0.0, math.inf, math.inf], [-math.inf, 0.0, 1.0]):
+        with pytest.raises(QubitError, match="trajectory times must be finite"):
+            Trajectory(times, [0.1, 0.2, 0.3])
 
 
 def bloch_state(r, theta, phi):

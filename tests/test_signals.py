@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from qcvz.signals import (
     MultiToneLo,
     SignalError,
     Tone,
-    make_if_program,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -85,27 +86,57 @@ def test_envelope_validation():
             Envelope(EnvelopeShape.FLAT, duration, 1.0)
 
 
-def test_make_if_program_quantization():
+def test_if_program_quantization():
     env = Envelope(EnvelopeShape.FLAT, 10e-9, 1.0)
-    prog = make_if_program(3e9, 15e-9, [CycleSpec(45.0, env), CycleSpec(90.0, None)])
+    prog = IfProgram(3e9, 15e-9, [CycleSpec(45.0, env), CycleSpec(90.0, None)])
     assert isinstance(prog, IfProgram)
     assert prog.duration_s == pytest.approx(30e-9)
     assert prog.cycles[1].idle
-    assert prog.theta_rad(0) == pytest.approx(math.pi / 4)
     with pytest.raises(SignalError):
-        make_if_program(3e9, 15e-9, [CycleSpec(30.0, env)])
+        IfProgram(3e9, 15e-9, [CycleSpec(30.0, env)])
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(SignalError):
             CycleSpec(bad, env)
         with pytest.raises(SignalError):
-            make_if_program(bad, 15e-9, [CycleSpec(45.0, env)])
+            IfProgram(bad, 15e-9, [CycleSpec(45.0, env)])
         with pytest.raises(SignalError):
-            make_if_program(3e9, bad, [CycleSpec(45.0, env)])
+            IfProgram(3e9, bad, [CycleSpec(45.0, env)])
     # arbitrary phases allowed when not quantized
-    make_if_program(3e9, 15e-9, [CycleSpec(30.0, env)], quantized=False)
+    IfProgram(3e9, 15e-9, [CycleSpec(30.0, env)], quantized=False)
 
 
-def test_make_if_program_envelope_too_long():
+def test_if_program_envelope_too_long():
     env = Envelope(EnvelopeShape.FLAT, 20e-9, 1.0)
     with pytest.raises(SignalError):
-        make_if_program(3e9, 15e-9, [CycleSpec(0.0, env)])
+        IfProgram(3e9, 15e-9, [CycleSpec(0.0, env)])
+
+
+_ENV = Envelope(EnvelopeShape.FLAT, 10e-9, 1.0)
+
+
+@pytest.mark.parametrize("f_if, period, cycles, message", [
+    *((f, 15e-9, [CycleSpec(45.0, _ENV)], f"IF frequency must be positive and finite, got {f}")
+      for f in (math.nan, math.inf, -math.inf, 0.0, -3e9)),
+    *((3e9, p, [CycleSpec(45.0, _ENV)], f"cycle period must be positive and finite, got {p}")
+      for p in (math.nan, math.inf, -math.inf, 0.0, -15e-9)),
+    # the IF frequency is checked before the period, and both before any cycle
+    (math.nan, -1.0, [CycleSpec(30.0, _ENV)], "IF frequency must be positive and finite, got nan"),
+    (3e9, 15e-9, [CycleSpec(45.0, _ENV), CycleSpec(30.0, _ENV)],
+     "cycle 1: theta_if=30.0 deg is not a multiple of 45"),
+    (3e9, 15e-9, [CycleSpec(0.0), CycleSpec(0.0, Envelope(EnvelopeShape.FLAT, 20e-9))],
+     "cycle 1: envelope duration 2e-08 exceeds cycle period 1.5e-08"),
+])
+def test_if_program_checks_itself(f_if, period, cycles, message):
+    with pytest.raises(SignalError, match=f"^{re.escape(message)}$"):
+        IfProgram(f_if, period, cycles)
+
+
+def test_if_program_replace_checks_again():
+    prog = IfProgram(3e9, 15e-9, [CycleSpec(30.0, _ENV)], quantized=False)
+    assert prog.cycles == (CycleSpec(30.0, _ENV),)
+    with pytest.raises(SignalError, match="cycle 0: theta_if=30.0 deg is not a multiple of 45"):
+        replace(prog, quantized=True)
+    with pytest.raises(SignalError, match="IF frequency must be positive and finite, got nan"):
+        replace(prog, f_if_hz=math.nan)
+    with pytest.raises(SignalError, match="cycle 0: envelope duration 1e-08 exceeds"):
+        replace(prog, cycle_period_s=5e-9)
