@@ -2,7 +2,7 @@
 compilations, emit CSV/JSON artifacts with reproducibility sidecars and
 optional SVG plots.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure, 64 usage error.
+Exit codes: 0 success, 2 config or output error, 3 numerical failure, 64 usage error.
 """
 from __future__ import annotations
 
@@ -25,7 +25,8 @@ from .demux import Resonator, crosstalk_db, matched_channels
 from .experiments import ExperimentError, chevron, run_experiment
 from .mixer import SAMPLES_PER_CYCLE, MixerConfig, MixerError, output_spectrum
 from .qubit import FitError, FitModel, QubitParams, fit_curve
-from .resources import ResourceError, resource_report
+from .resources import (DEFAULT_BANDWIDTH_HZ, DEFAULT_Q, DEFAULT_REF_FREQ_HZ, ResourceError,
+                        resource_report)
 from .signals import MultiToneLo, SignalError, Tone
 from .svgplot import PlotError, emit_plot
 
@@ -73,11 +74,22 @@ def _json_int(text: str) -> int:
     return value
 
 
-def _read_json(path: str, what: str):
-    """The JSON in ``path``. An unreadable file, bad JSON, or an integer past
+def _no_booleans(pairs: list) -> dict:
+    """A config's JSON object. No config value is a boolean, and Python would
+    take JSON true or false as the number 1 or 0, so either is refused."""
+    for key, value in pairs:
+        if isinstance(value, bool):
+            raise ValueError(f"{key} is {json.dumps(value)}; no config value is a boolean")
+    return dict(pairs)
+
+
+def _read_json(path: str, what: str, object_pairs_hook=None):
+    """The JSON in ``path``, each object passed through ``object_pairs_hook``.
+    An unreadable file, bad JSON, a value the hook refuses, or an integer past
     the float range or Python's digit limit is a ConfigError."""
     try:
-        return json.loads(Path(path).read_text(), parse_int=_json_int)
+        return json.loads(Path(path).read_text(), parse_int=_json_int,
+                          object_pairs_hook=object_pairs_hook)
     except (OSError, ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
@@ -101,7 +113,7 @@ def load_config(path: str | None) -> DeviceConfig:
     else:
         if not Path(path).is_file():
             raise ConfigError(f"config file not found: {path}")
-        raw = _read_json(path, "config")
+        raw = _read_json(path, "config", _no_booleans)
     try:
         lo = MultiToneLo(
             tuple(
@@ -410,9 +422,9 @@ COMMANDS = {
     )),
     "resources": (cmd_resources, (
         ("-n", dict(type=_finite(int), required=True)),
-        ("--q-factor", dict(type=_finite(float), default=1.0e4)),
-        ("--bandwidth-hz", dict(type=_finite(float), default=2.0e9)),
-        ("--ref-freq-hz", dict(type=_finite(float), default=5.0e9)),
+        ("--q-factor", dict(type=_finite(float), default=DEFAULT_Q)),
+        ("--bandwidth-hz", dict(type=_finite(float), default=DEFAULT_BANDWIDTH_HZ)),
+        ("--ref-freq-hz", dict(type=_finite(float), default=DEFAULT_REF_FREQ_HZ)),
     )),
     "plot": (cmd_plot, (
         ("--csv", dict(required=True)),
@@ -426,9 +438,11 @@ class _UsageError(ValueError):
     """A flag value the parser accepted but the device cannot take."""
 
 
-# Each error class a command may raise, and its exit code.
+# Each error class a command may raise, and its exit code. Inputs are read
+# into ConfigErrors, so an OSError is an artifact that cannot be written.
 _EXIT_CODES = {
     ConfigError: EXIT_CONFIG,
+    OSError: EXIT_CONFIG,
     _UsageError: EXIT_USAGE,
     **dict.fromkeys((FitError, CalibrationError, ExperimentError, PlotError, CompileError,
                      MixerError, SignalError, ResourceError, qb.QubitError), EXIT_NUMERIC),

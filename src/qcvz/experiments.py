@@ -239,7 +239,7 @@ def _cycle_maps(qs, cfgs, pulses, cycle_period_s, has_cycles=True, idle=(0,)) ->
     f_lo = np.array([p.f_lo_hz for p in pulses], dtype=float)
     f_if = np.array([p.f_if_hz for p in pulses], dtype=float)
     delta, rate, rabi = _flat_pulses(qs, cfgs, f_lo, f_if, a_if, tau, cycle_period_s, has_cycles)
-    # Samples inside [0, tau] hold the pulse (Envelope.value's inside test);
+    # Samples at t <= tau hold the pulse (baseband_output's window);
     # the rest of the cycle is drive-free.
     t_sample = np.arange(SAMPLES_PER_CYCLE) / rate
     n_in = np.count_nonzero(t_sample <= tau[:, None], axis=1)

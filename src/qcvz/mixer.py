@@ -151,8 +151,9 @@ def baseband_output(
 ) -> DriveEnvelope:
     """Mix the channel tone with the IF program into a drive envelope.
 
-    For cycle i: env(t) = s(a_i) * rabi_rates([cfg], A_i(t)) * exp(1j*(-theta_i + phi_ch))
-    with s(1) = 1 and s(0) = off_leakage. Carrier is f_lo - f_if.
+    For cycle i: env(t) = s(a_i) * rabi_rates([cfg], A_i) * exp(1j*(-theta_i + phi_ch))
+    for t <= duration_i and 0 after, with s(1) = 1 and s(0) = off_leakage; an
+    idle cycle is 0 throughout. Carrier is f_lo - f_if.
     """
     if len(bits) != len(prog.cycles):
         raise MixerError(
@@ -161,18 +162,15 @@ def baseband_output(
     carrier = cfg.channel.freq_hz - prog.f_if_hz
     raise_first(CARRIER_CHECKS, carrier_hz=carrier)
     rate = SAMPLES_PER_CYCLE / prog.cycle_period_s
-    tloc = np.arange(SAMPLES_PER_CYCLE) / rate
-    chunks = []
-    for i, cyc in enumerate(prog.cycles):
-        if cyc.idle:
-            chunks.append(np.zeros(SAMPLES_PER_CYCLE, dtype=complex))
-            continue
-        scale = 1.0 if bits.bits[i] else cfg.off_leakage
-        amp = rabi_rates([cfg], cyc.envelope.value(tloc))
-        phase = -math.radians(cyc.theta_if_deg) + cfg.channel.phase_rad
-        chunks.append(scale * amp * np.exp(1j * phase))
-    samples = np.concatenate(chunks) if chunks else np.zeros(0, dtype=complex)
-    return DriveEnvelope(carrier, samples, rate)
+    pulsed = [i for i, cyc in enumerate(prog.cycles) if not cyc.idle]
+    envs = [prog.cycles[i].envelope for i in pulsed]
+    scale = np.where(np.array(bits.bits)[pulsed], 1.0, cfg.off_leakage)
+    window = np.arange(SAMPLES_PER_CYCLE) / rate <= np.array([e.duration_s for e in envs])[:, None]
+    amp = np.where(window, rabi_rates([cfg], [e.peak for e in envs])[:, None], 0.0)
+    phase = -np.radians([prog.cycles[i].theta_if_deg for i in pulsed]) + cfg.channel.phase_rad
+    samples = np.zeros((len(prog.cycles), SAMPLES_PER_CYCLE), dtype=complex)
+    samples[pulsed] = scale[:, None] * amp * np.exp(1j * phase)[:, None]
+    return DriveEnvelope(carrier, samples.reshape(-1), rate)
 
 
 def output_spectrum(cfg: MixerConfig, f_if_hz: float, on: bool) -> list[tuple[float, float]]:

@@ -11,7 +11,6 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -67,12 +66,6 @@ CYCLE_CHECKS = (
 )
 
 
-class EnvelopeShape(str, Enum):
-    FLAT = "flat"
-    TRIANGULAR = "triangular"
-    GAUSSIAN = "gaussian"
-
-
 @dataclass(frozen=True)
 class Tone:
     """One LO tone: frequency, flux amplitude (Phi_0 units) and fixed phase."""
@@ -110,32 +103,14 @@ class MultiToneLo:
 
 @dataclass(frozen=True)
 class Envelope:
-    """Pulse envelope within one control cycle.
+    """Flat pulse within one control cycle: the IF amplitude ``peak`` (A_if,
+    dimensionless in [0, 1]) held from the cycle start for ``duration_s``."""
 
-    ``peak`` is the dimensionless IF amplitude A_if in [0, 1]. The
-    triangular shape is symmetric with its peak at duration/2.
-    """
-
-    shape: EnvelopeShape
     duration_s: float
     peak: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", EnvelopeShape(self.shape))
         raise_first(ENVELOPE_CHECKS, duration_s=self.duration_s, peak=self.peak)
-
-    def value(self, t):
-        """Envelope amplitude at time t (seconds from cycle start); array-aware."""
-        t = np.asarray(t, dtype=float)
-        inside = (t >= 0.0) & (t <= self.duration_s)
-        if self.shape is EnvelopeShape.FLAT:
-            v = np.full_like(t, self.peak)
-        elif self.shape is EnvelopeShape.TRIANGULAR:
-            v = self.peak * (1.0 - np.abs(2.0 * t / self.duration_s - 1.0))
-        else:  # gaussian, sigma = duration/6 so the tails sit near zero
-            sigma = self.duration_s / 6.0
-            v = self.peak * np.exp(-0.5 * ((t - self.duration_s / 2.0) / sigma) ** 2)
-        return np.where(inside, v, 0.0)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ formatting, no timestamps.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 WIDTH, HEIGHT = 720, 480
@@ -55,6 +56,9 @@ def _read_csv(path: str | Path, n_cols: int) -> tuple[list[str], list[list[float
         data = [[float(v) for v in r] for r in rows[1:] if r]
     except ValueError as exc:
         raise PlotError(f"{path}: non-numeric cell: {exc}") from exc
+    for r in data:
+        if len(r) != n_cols or not all(map(math.isfinite, r)):
+            raise PlotError(f"{path}: row {r} is not {n_cols} finite numbers")
     return header, data
 
 
@@ -110,9 +114,9 @@ def heatmap(csv_path: str | Path, svg_path: str | Path) -> Path:
     header, data = _read_csv(csv_path, 3)
     xs = sorted({r[0] for r in data})
     ys = sorted({r[1] for r in data})
-    if len(xs) * len(ys) != len(data):
-        raise PlotError(f"{csv_path}: rows do not form a full rectangular grid")
     vals = {(r[0], r[1]): r[2] for r in data}
+    if not len(xs) * len(ys) == len(vals) == len(data):
+        raise PlotError(f"{csv_path}: rows do not form a full rectangular grid")
     vmin = min(v for v in vals.values())
     vmax = max(v for v in vals.values())
     vspan = (vmax - vmin) or 1.0

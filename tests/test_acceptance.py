@@ -41,7 +41,7 @@ from qcvz.qubit import (
     rabi_analytic,
 )
 from qcvz.resources import cable_count, max_tones, power_estimate
-from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, IfProgram, Tone
+from qcvz.signals import CycleSpec, Envelope, IfProgram, Tone
 
 TWO_PI = 2.0 * math.pi
 F_LO = 8.0e9
@@ -377,7 +377,7 @@ def test_criterion_6_switching():
 def test_criterion_7_phase_slope():
     cfg = make_cfg()
     thetas = [45.0 * k for k in range(8)]
-    env = Envelope(EnvelopeShape.FLAT, 15e-9, 1.0)
+    env = Envelope(15e-9, 1.0)
     prog = IfProgram(F_IF_CENTER, 15e-9, [CycleSpec(t, env) for t in thetas])
     drive = baseband_output(cfg, prog, BitTimeline(tuple(1 for _ in thetas)))
     spc = len(drive.samples) // len(thetas)

@@ -28,7 +28,6 @@ from qcvz.qubit import FitModel, QubitParams, fit_curve, ground_state, propagate
 from qcvz.signals import (
     CycleSpec,
     Envelope,
-    EnvelopeShape,
     IfProgram,
     SignalError,
     Tone,
@@ -142,7 +141,7 @@ TWO_PI = 2.0 * math.pi
 
 def _pulse_drive(cfg, pulse, a_if, bits):
     """The drive of one flat pulse per bit, each filling its cycle."""
-    env = Envelope(EnvelopeShape.FLAT, pulse.tau_if_s, a_if)
+    env = Envelope(pulse.tau_if_s, a_if)
     prog = IfProgram(pulse.f_if_hz, pulse.tau_if_s, [CycleSpec(0.0, env)] * len(bits),
                      quantized=False)
     cfg = replace(cfg, channel=replace(cfg.channel, freq_hz=pulse.f_lo_hz))

@@ -26,7 +26,7 @@ from qcvz.cli import (
 from qcvz.demux import demux, resonator_gain
 from qcvz.mixer import BitTimeline, baseband_output
 from qcvz.qubit import Trajectory, ground_state, propagate
-from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, IfProgram, Tone
+from qcvz.signals import CycleSpec, Envelope, IfProgram, Tone
 from qcvz.svgplot import PlotError, emit_plot
 
 
@@ -329,6 +329,8 @@ def test_heatmap_is_deterministic_and_rejects_a_ragged_grid(tmp_path):
         assert first.count(b'fill="' + color + b'"') == (2 if color == b"#21918c" else 1)
     with pytest.raises(PlotError, match="rectangular"):
         render("ragged", rows[:-1])
+    with pytest.raises(PlotError, match="rectangular"):  # one cell twice, one missing
+        render("repeated", rows[:-1] + rows[:1])
     assert run(tmp_path, "chevron", "--plot") == EXIT_OK
     assert (tmp_path / "chevron.svg").read_bytes().count(b"<rect x=") == 41 * 26
 
@@ -347,7 +349,7 @@ def reference_rabi(cfg, args):
     """The Rabi trace through the drive: one flat resonant pulse filling its
     cycle, from baseband_output, propagated and read at its sample edges."""
     q, mixer = cfg.qubits[args.qubit], cfg.mixers[args.qubit]
-    env = Envelope(EnvelopeShape.FLAT, args.tau_max_s, args.a_if)
+    env = Envelope(args.tau_max_s, args.a_if)
     prog = IfProgram(mixer.channel.freq_hz - q.f_qubit_hz, args.tau_max_s,
                      [CycleSpec(0.0, env)], quantized=False)
     drive = baseband_output(mixer, prog, BitTimeline((0 if args.off else 1,)))
@@ -387,8 +389,16 @@ def test_carrier_lost_to_rounding_is_a_calibration_error(tmp_path, capsys):
 
 def test_plot_bad_csv_is_numeric_error(tmp_path):
     bad = tmp_path / "bad.csv"
-    bad.write_text("a,b\n1,2\nx,y\n")
-    assert run(tmp_path, "plot", "--csv", str(bad), "--kind", "line") == EXIT_NUMERIC
+    for kind, text in (
+        ("line", "a,b\n1,2\nx,y\n"),
+        ("line", "a,b\n1,2\n2,nan\n"),  # non-finite cells
+        ("heatmap", "x,y,v\n0,0,0.5\n0,1,inf\n"),
+        ("line", "a,b\n1,2\n2,3,4\n"),  # rows longer or shorter than the header
+        ("line", "a,b\n1,2\n2\n"),
+    ):
+        bad.write_text(text)
+        code, err = run_clean("plot", "--csv", str(bad), "--kind", kind, "--out", str(tmp_path))
+        assert code == EXIT_NUMERIC and str(bad) in err, (text, err)
 
 
 def test_calibrate_then_t1(tmp_path):
@@ -556,6 +566,20 @@ def test_each_command_parses_its_flags():
         assert vars(args) == want, cmd
 
 
+def test_unwritable_artifacts_are_config_errors(tmp_path, monkeypatch):
+    # Every command with its output directory (and plot with its SVG) under a
+    # regular file: one "qcvz:" line naming the path, exit 2, no traceback.
+    monkeypatch.chdir(tmp_path)
+    Path("p.json").write_text('{"qubits": [["x90"]]}')
+    Path("a.csv").write_text("a,b\n0,0\n1,1\n")
+    Path("file").write_text("")
+    for cmd in cli.COMMANDS:
+        svg = ["--svg", "file/a.svg"] if cmd == "plot" else []
+        code, text = run_clean(cmd, *REQUIRED_FLAGS.get(cmd, []), *svg, "--out", "file/out")
+        assert (code == EXIT_CONFIG and text.startswith("qcvz: ") and text.count("\n") == 1
+                and "file/" in text), (cmd, text)
+
+
 # The numeric flags of each command that takes any, from the command table,
 # each drawn from the values that have ended in tracebacks or warnings (None
 # keeps the default).
@@ -648,6 +672,24 @@ def test_config_numbers_end_in_documented_exit_codes(tmp_path, path):
             if code is None:
                 failures.append((value, cmd, text))
     assert not failures
+
+
+@pytest.mark.parametrize("path", [("lo_tones", 0, "amp_phi0"), ("resonators", 0, "q"),
+                                  ("qubits", 0, "t1_s"), ("if_defaults", "f_if_hz")],
+                         ids=lambda p: ".".join(map(str, p)))
+def test_config_booleans_are_config_errors(tmp_path, path):
+    # Python would take JSON true and false as the numbers 1 and 0; a config
+    # refuses both, naming the key.
+    for value in (True, False):
+        raw = copy.deepcopy(cli.DEFAULT_CONFIG)
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        code, text = run_clean("calibrate", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == EXIT_CONFIG and f"{path[-1]} is {json.dumps(value)}" in text, text
 
 
 PULSE_NUMBERS = [(pulse, field) for pulse in ("x90", "x180")

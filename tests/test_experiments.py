@@ -17,7 +17,7 @@ from qcvz.experiments import (
 )
 from qcvz.mixer import BitTimeline, MixerConfig, MixerError, Nonlinearity, baseband_output
 from qcvz.qubit import QubitError, QubitParams, delay_maps, ground_state, propagate
-from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, IfProgram, SignalError, Tone
+from qcvz.signals import CycleSpec, Envelope, IfProgram, SignalError, Tone
 
 F_Q = 4.53202e9
 F_LO = 8.0e9
@@ -26,7 +26,7 @@ PAULIS = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[
 
 
 def _apply_pulse(q, cfg, pulse, rho, theta_if_deg=0.0, f_if_hz=None):
-    env = Envelope(EnvelopeShape.FLAT, pulse.tau_if_s, pulse.a_if)
+    env = Envelope(pulse.tau_if_s, pulse.a_if)
     prog = IfProgram(pulse.f_if_hz if f_if_hz is None else f_if_hz, pulse.tau_if_s,
                      [CycleSpec(theta_if_deg, env)], quantized=False)
     cfg = replace(cfg, channel=replace(cfg.channel, freq_hz=pulse.f_lo_hz))
@@ -123,7 +123,7 @@ def reference_simulate_schedule(sched, program, q_list, cfg_list, x90_list, cycl
     slots = range(max(at_slot) + 1 if at_slot else 0)
     for k in range(n):
         pulse = x90_list[k]
-        env = Envelope(EnvelopeShape.FLAT, pulse.tau_if_s, pulse.a_if)
+        env = Envelope(pulse.tau_if_s, pulse.a_if)
         cycles = [CycleSpec(at_slot[i].theta_if_deg, env) if i in at_slot
                   else CycleSpec(i % 8 * 45.0) for i in slots]
         bits = BitTimeline(tuple(int(i in at_slot and k in at_slot[i].fired) for i in slots))
@@ -283,7 +283,7 @@ def reference_chevron(q, cfg, f_lo_hz, f_if_grid, tau_grid, mixer_on=True, a_if=
     tau_max = float(tau_grid.max())
     order = np.argsort(tau_grid)
     out = np.empty((len(f_if_grid), len(tau_grid)))
-    env = Envelope(EnvelopeShape.FLAT, tau_max, a_if)
+    env = Envelope(tau_max, a_if)
     for i, f_if in enumerate(f_if_grid):
         prog = IfProgram(f_if, tau_max, [CycleSpec(0.0, env)], quantized=True)
         drive = baseband_output(cfg, prog, BitTimeline((1 if mixer_on else 0,)))

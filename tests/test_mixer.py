@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qcvz.mixer import (
     MAX_OUTPUT_POWER_DBM,
     MAX_OUTPUT_POWER_PW,
+    SAMPLES_PER_CYCLE,
     BitTimeline,
     DriveEnvelope,
     MixerConfig,
@@ -18,7 +19,7 @@ from qcvz.mixer import (
     output_spectrum,
     rabi_rates,
 )
-from qcvz.signals import CycleSpec, Envelope, EnvelopeShape, IfProgram, SignalError, Tone
+from qcvz.signals import CycleSpec, Envelope, IfProgram, SignalError, Tone
 
 F_LO = 8.0e9
 F_IF = 3.46798e9
@@ -37,7 +38,7 @@ def make_cfg(**kw):
 
 
 def flat_prog(thetas_deg, period=15e-9, a_if=1.0, f_if=F_IF):
-    env = Envelope(EnvelopeShape.FLAT, period, a_if)
+    env = Envelope(period, a_if)
     return IfProgram(f_if, period, [CycleSpec(t, env) for t in thetas_deg])
 
 
@@ -127,6 +128,42 @@ def test_baseband_output_flat_cycle():
     assert np.allclose(drive.samples, expect)
 
 
+_CYCLES = st.lists(st.one_of(
+    st.none(),  # idle
+    st.tuples(st.one_of(st.floats(1e-6, 1.0),  # duration / period
+                        st.integers(1, 256).map(lambda k: k / 256)),
+              st.one_of(st.just(0.0), st.floats(0.0, 1.0)),  # peak
+              st.floats(-720.0, 720.0),  # theta_if_deg
+              st.integers(0, 1)),  # bit
+), max_size=6)
+
+
+@given(_CYCLES, st.sampled_from(list(Nonlinearity)), st.floats(-7.0, 7.0),
+       st.floats(10.0, 40.0), st.sampled_from([7e-9, 15e-9, 2.3e-8]))
+@settings(max_examples=100, deadline=None)
+def test_baseband_output_cycle_arrays(draws, nonlinearity, phi, ratio_db, period):
+    cfg = make_cfg(channel=Tone(F_LO, 0.5, phi), nonlinearity=nonlinearity,
+                   on_off_ratio_db=ratio_db)
+    cycles = [CycleSpec(0.0) if d is None else CycleSpec(d[2], Envelope(d[0] * period, d[1]))
+              for d in draws]
+    bits = [1 if d is None else d[3] for d in draws]
+    prog = IfProgram(F_IF, period, cycles, quantized=False)
+    drive = baseband_output(cfg, prog, BitTimeline(bits))
+    assert drive.samples.dtype == complex
+    per_cycle = drive.samples.reshape(len(cycles), SAMPLES_PER_CYCLE)
+    t = np.arange(SAMPLES_PER_CYCLE) / drive.envelope_rate_hz
+    for row, cyc, bit in zip(per_cycle, cycles, bits):
+        if cyc.idle:
+            assert not np.any(row) and not np.signbit(row.view(float)).any()
+            continue
+        scale = 1.0 if bit else cfg.off_leakage
+        phase = cfg.channel.phase_rad - math.radians(cyc.theta_if_deg)
+        inside = t <= cyc.envelope.duration_s
+        expect = scale * rabi_rates([cfg], cyc.envelope.peak)[0] * np.exp(1j * phase)
+        assert np.all(row[inside] == expect)
+        assert not np.any(row[~inside])
+
+
 def test_baseband_output_phase_is_minus_theta():
     cfg = make_cfg()
     thetas = [0.0, 45.0, 90.0, 135.0, 180.0, 225.0, 270.0, 315.0]
@@ -151,7 +188,7 @@ def test_baseband_output_bit_gating():
 
 def test_baseband_output_idle_cycle_is_silent():
     cfg = make_cfg()
-    env = Envelope(EnvelopeShape.FLAT, 15e-9, 1.0)
+    env = Envelope(15e-9, 1.0)
     prog = IfProgram(F_IF, 15e-9, [CycleSpec(0.0, env), CycleSpec(45.0, None)])
     drive = baseband_output(cfg, prog, BitTimeline((1, 1)))
     spc = len(drive.samples) // 2

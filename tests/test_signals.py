@@ -2,7 +2,6 @@ import math
 import re
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 from qcvz.signals import (
     CycleSpec,
     Envelope,
-    EnvelopeShape,
     IfProgram,
     MultiToneLo,
     SignalError,
@@ -53,41 +51,18 @@ def test_lo_tones_strictly_increasing():
         MultiToneLo((a, a))
 
 
-def test_envelope_shapes():
-    d = 10e-9
-    flat = Envelope(EnvelopeShape.FLAT, d, 0.7)
-    assert flat.value(d / 3) == pytest.approx(0.7)
-    assert flat.value(-1e-12) == 0.0
-    assert flat.value(d + 1e-12) == 0.0
-
-    tri = Envelope(EnvelopeShape.TRIANGULAR, d, 1.0)
-    assert tri.value(d / 2) == pytest.approx(1.0)
-    assert tri.value(0.0) == pytest.approx(0.0)
-    # symmetric about the midpoint
-    ts = np.linspace(0.0, d / 2, 11)
-    assert np.allclose(tri.value(ts), tri.value(d - ts))
-    # area of a triangle: peak * duration / 2
-    ts = np.linspace(0.0, d, 20001)
-    area = np.trapezoid(tri.value(ts), ts)
-    assert area == pytest.approx(0.5 * d, rel=1e-6)
-
-    g = Envelope("gaussian", d, 1.0)
-    assert g.value(d / 2) == pytest.approx(1.0)
-    assert g.value(0.0) == pytest.approx(math.exp(-0.5 * 3.0**2))
-
-
 def test_envelope_validation():
     with pytest.raises(SignalError):
-        Envelope(EnvelopeShape.FLAT, 0.0, 1.0)
+        Envelope(0.0, 1.0)
     with pytest.raises(SignalError):
-        Envelope(EnvelopeShape.FLAT, 1e-9, 1.5)
+        Envelope(1e-9, 1.5)
     for duration in (math.nan, math.inf):
         with pytest.raises(SignalError):
-            Envelope(EnvelopeShape.FLAT, duration, 1.0)
+            Envelope(duration, 1.0)
 
 
 def test_if_program_quantization():
-    env = Envelope(EnvelopeShape.FLAT, 10e-9, 1.0)
+    env = Envelope(10e-9, 1.0)
     prog = IfProgram(3e9, 15e-9, [CycleSpec(45.0, env), CycleSpec(90.0, None)])
     assert isinstance(prog, IfProgram)
     assert prog.duration_s == pytest.approx(30e-9)
@@ -106,12 +81,12 @@ def test_if_program_quantization():
 
 
 def test_if_program_envelope_too_long():
-    env = Envelope(EnvelopeShape.FLAT, 20e-9, 1.0)
+    env = Envelope(20e-9, 1.0)
     with pytest.raises(SignalError):
         IfProgram(3e9, 15e-9, [CycleSpec(0.0, env)])
 
 
-_ENV = Envelope(EnvelopeShape.FLAT, 10e-9, 1.0)
+_ENV = Envelope(10e-9, 1.0)
 
 
 @pytest.mark.parametrize("f_if, period, cycles, message", [
@@ -123,7 +98,7 @@ _ENV = Envelope(EnvelopeShape.FLAT, 10e-9, 1.0)
     (math.nan, -1.0, [CycleSpec(30.0, _ENV)], "IF frequency must be positive and finite, got nan"),
     (3e9, 15e-9, [CycleSpec(45.0, _ENV), CycleSpec(30.0, _ENV)],
      "cycle 1: theta_if=30.0 deg is not a multiple of 45"),
-    (3e9, 15e-9, [CycleSpec(0.0), CycleSpec(0.0, Envelope(EnvelopeShape.FLAT, 20e-9))],
+    (3e9, 15e-9, [CycleSpec(0.0), CycleSpec(0.0, Envelope(20e-9))],
      "cycle 1: envelope duration 2e-08 exceeds cycle period 1.5e-08"),
 ])
 def test_if_program_checks_itself(f_if, period, cycles, message):
