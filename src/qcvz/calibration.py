@@ -20,7 +20,6 @@ from .mixer import MixerConfig, rabi_rates
 from .qubit import QubitParams
 from .signals import ENVELOPE_CHECKS, IF_CHECKS, raise_first
 
-TWO_PI = 2.0 * math.pi
 
 
 class CalibrationError(RuntimeError):
@@ -57,10 +56,6 @@ class CalibratedPulse:
     a_if: float
     tau_if_s: float
     target_angle_rad: float
-
-    @property
-    def carrier_hz(self) -> float:
-        return self.f_lo_hz - self.f_if_hz
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -120,13 +115,13 @@ def calibrate_pulses(
     # An absurd duration reaches any angle. At tau = 0 a 2 pi gain that overflows
     # gives inf * 0 = NaN, which passes the reach check for the envelope's to reject.
     with np.errstate(over="ignore", invalid="ignore"):
-        max_angle = TWO_PI * gain * tau
+        max_angle = math.tau * gain * tau
     # A nonzero target's drive: an envelope of peak 1 filling a cycle of tau.
     raise_first(_LO_CHECKS + (_TARGET_CHECKS if target else ()), f_lo_hz=f_lo, f_qubit_hz=f_q,
                 f_if_hz=f_if, carrier_hz=f_lo - f_if, target=target, max_angle=max_angle,
                 duration_s=tau, peak=1.0, cycle_period_s=tau)
     # On the closed qubit the resonant held sample turns by 2 pi rate(a_if) tau.
-    rate = target / (TWO_PI * tau) if target else 0.0
+    rate = target / (math.tau * tau) if target else 0.0
     a = rabi_rates(cfgs, np.full(n, rate), inverse=True)
     return [
         CalibratedPulse(f_lo_hz_list[k], float(f_if[k]), float(a[k]), tau, target)

@@ -85,12 +85,13 @@ def _no_booleans(pairs: list) -> dict:
 
 def _read_json(path: str, what: str, object_pairs_hook=None):
     """The JSON in ``path``, each object passed through ``object_pairs_hook``.
-    An unreadable file, bad JSON, a value the hook refuses, or an integer past
-    the float range or Python's digit limit is a ConfigError."""
+    An unreadable file, bad JSON, JSON nested past the recursion limit, a value
+    the hook refuses, or an integer past the float range or Python's digit
+    limit is a ConfigError."""
     try:
         return json.loads(Path(path).read_text(), parse_int=_json_int,
                           object_pairs_hook=object_pairs_hook)
-    except (OSError, ValueError, OverflowError) as exc:
+    except (OSError, ValueError, OverflowError, RecursionError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
@@ -212,7 +213,7 @@ class _Artifacts:
 def _get_pulses(
     cfg: DeviceConfig, k: int, tau_s: float | None, pulses_path: str | None
 ) -> tuple[CalibratedPulse, CalibratedPulse]:
-    """Load persisted pulses or calibrate x90/x180 on the closed-system twin."""
+    """Load persisted pulses or calibrate x90/x180."""
     if pulses_path:
         d = _read_json(pulses_path, "pulses")
         try:
@@ -220,7 +221,7 @@ def _get_pulses(
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"cannot read pulses {pulses_path}: {exc}") from exc
     tau = cfg.cycle_period_s if tau_s is None else tau_s
-    q = cfg.qubits[k].closed()
+    q = cfg.qubits[k]
     f_lo = cfg.mixers[k].channel.freq_hz
     x90 = calibrate_pulse(q, cfg.mixers[k], 0.5 * math.pi, tau, f_lo)
     x180 = calibrate_pulse(q, cfg.mixers[k], math.pi, tau, f_lo)

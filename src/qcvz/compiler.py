@@ -47,7 +47,6 @@ from enum import Enum
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
 QUARTER = 0.25 * math.pi
 # Largest phase_distance at which equivalent calls two unitaries equal.
 EQUIVALENCE_TOL = 1e-9
@@ -70,11 +69,11 @@ class GateKind(str, Enum):
 
 def _norm_angle(phi: float) -> float:
     """Normalize to (-pi, pi]."""
-    phi = math.fmod(phi, TWO_PI)
+    phi = math.fmod(phi, math.tau)
     if phi > math.pi:
-        phi -= TWO_PI
+        phi -= math.tau
     elif phi <= -math.pi:
-        phi += TWO_PI
+        phi += math.tau
     return phi
 
 
@@ -143,12 +142,6 @@ class Program:
             names = dict.fromkeys(itertools.chain.from_iterable(rows))
         return cls(rows, {name: Gate.parse(name) for name in names})
 
-    @functools.cached_property
-    def gates(self) -> tuple[tuple[Gate, ...], ...]:
-        """Each qubit's gates, rebuilt from the codes."""
-        return tuple(tuple(map(self.table.__getitem__, row[:n]))
-                     for row, n in zip(self.codes.tolist(), self.lens.tolist()))
-
 
 @dataclass(frozen=True)
 class LoweredQubit:
@@ -207,10 +200,10 @@ def _lower(program: Program, quantized: bool) -> tuple[np.ndarray, np.ndarray, n
         return phases % 8, n_pulses.sum(axis=1), (final % 8) * QUARTER
     # In place, so a 500 x 100 program's lowering holds one copy of its phases.
     deg = np.remainder(np.degrees(phases, out=phases), 360.0, out=phases)
-    frame = final % TWO_PI
+    frame = final % math.tau
     # A tiny negative value rounds up to the modulus itself; that is 0.
     deg[deg == 360.0] = 0.0
-    frame[frame == TWO_PI] = 0.0
+    frame[frame == math.tau] = 0.0
     return deg, n_pulses.sum(axis=1), frame
 
 

@@ -30,10 +30,6 @@ class Resonator:
         if not 0 < self.q < math.inf:
             raise SignalError(f"quality factor must be positive and finite, got {self.q}")
 
-    @property
-    def linewidth_hz(self) -> float:
-        return self.f_r_hz / self.q
-
 
 def _detuning(q, f_r, f):
     """x = 2 q (f - f_r) / f_r, broadcast, and exactly 0 on resonance whatever

@@ -20,9 +20,10 @@ from .mixer import CARRIER_CHECKS, DRIVE_CHECKS, SAMPLES_PER_CYCLE, MixerConfig,
 from .qubit import FitModel, QubitParams, Trajectory, fit_curve
 from .signals import CYCLE_CHECKS, ENVELOPE_CHECKS, IF_CHECKS, raise_first
 
-TWO_PI = 2.0 * math.pi
 # Rabi periods in each trace residual_ratio fits.
 RABI_PERIODS = 3.0
+# vz_ramsey's free evolution between its two X90 pulses.
+VZ_DELAY_S = 1e-8
 
 
 class ExperimentError(RuntimeError):
@@ -121,14 +122,13 @@ def run_experiment(
     delays_s=None,
     detuning_hz: float = 0.0,
     dtheta_deg=None,
-    vz_delay_s: float = 1e-8,
 ):
     """Coherence and virtual-Z experiment driver.
 
     t1: X180 then delay. ramsey: X90, delay, X90 with the drive carrier
     detuned by ``detuning_hz``. echo: X90, delay/2, X180, delay/2, X90.
     vz_ramsey: two X90 pulses with the second pulse's theta_if shifted by
-    each value of ``dtheta_deg`` across a fixed short delay; returns
+    each value of ``dtheta_deg`` across the delay ``VZ_DELAY_S``; returns
     (dtheta_deg, p1) arrays instead of a Trajectory.
     Each pulse map is the on map of ``_cycle_maps``, the pulse filling its
     own cycle, and each delay map comes from ``delay_maps``; every map is
@@ -146,7 +146,7 @@ def run_experiment(
             raise ExperimentError("vz_ramsey needs a dtheta grid")
         thetas = np.asarray(dtheta_deg, dtype=float)
         s90 = on_map(x90)
-        state = qb.delay_maps(q, vz_delay_s)[0] @ s90 @ g
+        state = qb.delay_maps(q, VZ_DELAY_S)[0] @ s90 @ g
         r = _frame_rotations(thetas)
         return thetas, _populations(r @ s90 @ np.swapaxes(r, -1, -2) @ state @ p1_row)
 
@@ -165,7 +165,7 @@ def run_experiment(
         # delta is then constant through pulses and delays.
         if detuning_hz:
             x90 = replace(x90, f_if_hz=x90.f_lo_hz - (q.f_qubit_hz + detuning_hz))
-        waits = qb.delay_maps(q, delays, TWO_PI * detuning_hz)
+        waits = qb.delay_maps(q, delays, math.tau * detuning_hz)
         s90 = on_map(x90)
         p1 = np.einsum("j,njk,k->n", p1_row @ s90, waits, s90 @ g)
     else:  # echo
@@ -264,7 +264,7 @@ def _flat_pulses(qs, cfgs, f_lo, f_if, a_if, tau, cycle_period_s, has_cycles=Tru
     # an absurd finite carrier overflows the detuning into NaN populations.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         carrier = f_lo - f_if
-        delta = TWO_PI * (carrier - np.array([q.f_qubit_hz for q in qs], dtype=float))
+        delta = math.tau * (carrier - np.array([q.f_qubit_hz for q in qs], dtype=float))
         rate = SAMPLES_PER_CYCLE / np.float64(cycle_period_s)
     checks = (ENVELOPE_CHECKS + IF_CHECKS + (CYCLE_CHECKS if has_cycles else ())
               + CARRIER_CHECKS + DRIVE_CHECKS)

@@ -121,11 +121,6 @@ class DriveEnvelope:
     def duration_s(self) -> float:
         return len(self.samples) / self.envelope_rate_hz
 
-    @property
-    def edges_s(self) -> np.ndarray:
-        """Sample edges k / envelope_rate_hz for k = 0 .. len(samples)."""
-        return np.arange(len(self.samples) + 1) / self.envelope_rate_hz
-
 
 def rabi_rates(cfgs, values, inverse: bool = False) -> np.ndarray:
     """The mixers' amplitude map: rate = gain f(a), with f(a) = a (linear) or

@@ -28,7 +28,6 @@ import numpy as np
 from .mixer import DriveEnvelope
 from .signals import raise_first
 
-TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
 # validate_density_matrix's bound on trace error, anti-Hermitian part and
 # negative eigenvalues.
@@ -91,16 +90,12 @@ class QubitParams:
         return cls(f_qubit_hz, t1_s, math.inf if rphi == 0.0 else 1.0 / rphi)
 
     def closed(self) -> "QubitParams":
-        """Decoherence-free twin (used for calibration)."""
+        """Decoherence-free twin."""
         return QubitParams(self.f_qubit_hz, math.inf, math.inf)
 
 
 def ground_state() -> np.ndarray:
     return np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-
-
-def excited_state() -> np.ndarray:
-    return np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
@@ -170,7 +165,7 @@ def _bloch_generator(t1_s, tphi_s, delta_rad, sample_hz, dt_s) -> np.ndarray:
     (2 pi Re s, 2 pi Im s, delta); z relaxes to 1 at 1/T1; x and y decay at 1/T2."""
     s, dt = np.asarray(sample_hz), np.asarray(dt_s)
     decay, dephase = dt / t1_s, dt / tphi_s
-    wx, wy, wz = TWO_PI * dt * s.real, TWO_PI * dt * s.imag, dt * delta_rad
+    wx, wy, wz = math.tau * dt * s.real, math.tau * dt * s.imag, dt * delta_rad
     gen = np.zeros(np.broadcast(decay, dephase, wx, wy, wz).shape + (4, 4))
     gen[..., 3, 2], gen[..., 1, 3], gen[..., 2, 1] = wx, wy, wz
     gen -= np.swapaxes(gen, -1, -2)  # the rotation is antisymmetric
@@ -284,7 +279,7 @@ def propagate(
     t_starts = starts / drive.envelope_rate_hz
     cuts = np.union1d(np.append(t_starts, drive.duration_s), times)
     held = s[starts[np.searchsorted(t_starts, cuts[:-1], side="right") - 1]]
-    delta = TWO_PI * (drive.carrier_hz - q.f_qubit_hz)
+    delta = math.tau * (drive.carrier_hz - q.f_qubit_hz)
     steps = _held_maps(q.t1_s, q.tphi_s, delta, held, np.diff(cuts))
     (r00, r01), (r10, r11) = rho0
     states = np.empty((len(cuts), 4))
@@ -375,7 +370,7 @@ def _project(model: FitModel, theta: np.ndarray, u: np.ndarray, y: np.ndarray):
         cols = [e, u * e]  # the linear column, then the derivative columns
     else:
         nu = theta[-1]
-        cos, sin = e * np.cos((TWO_PI * nu) * u), e * np.sin((TWO_PI * nu) * u) / (TWO_PI * nu)
+        cos, sin = e * np.cos((math.tau * nu) * u), e * np.sin((math.tau * nu) * u) / (math.tau * nu)
         cols = [cos, sin, u * cos, u * sin, (u * cos - sin) / nu]
         if model is FitModel.RABI_SINUSOID:
             del cols[2]  # no rate
@@ -395,7 +390,7 @@ def _project(model: FitModel, theta: np.ndarray, u: np.ndarray, y: np.ndarray):
     if model is FitModel.EXP_DECAY:
         dw = -beta[:, None]
     else:
-        dw = np.array([[-beta[0], 0.0], [-beta[1], -TWO_PI**2 * nu * beta[0]], [0.0, beta[1]]])
+        dw = np.array([[-beta[0], 0.0], [-beta[1], -math.tau**2 * nu * beta[0]], [0.0, beta[1]]])
         dw = dw[1:, 1:] if model is FitModel.RABI_SINUSOID else dw
     normal = dw.T @ (gram[k:-1, k:-1] - gram[:k, k:-1].T @ sol[:, :-1]) @ dw
     grad = dw.T @ (x[:, k:-1].T @ r)
@@ -479,12 +474,12 @@ def fit_curve(model: FitModel | str, times_s, values) -> FitResult:
     a, nu, phi = beta[0], 0.0, 0.0
     if model is not FitModel.EXP_DECAY:  # a cos(w + phi) = a cos(phi) cos(w) - a sin(phi) sin(w)
         nu = abs(theta[-1])
-        a_sin = -beta[1] / (TWO_PI * nu)
+        a_sin = -beta[1] / (math.tau * nu)
         a, phi = math.hypot(a, a_sin), math.atan2(a_sin, a)
     # The Jacobian at the solution, in the fit's units (the rate g for tau).
-    e, psi = np.exp(-g * u), (TWO_PI * nu) * u + phi
+    e, psi = np.exp(-g * u), (math.tau * nu) * u + phi
     d_a, d_phi = e * np.cos(psi), -a * e * np.sin(psi)
-    jac = {"a": d_a, "tau": -a * u * d_a, "f": TWO_PI * u * d_phi, "phi": d_phi, "c": np.ones(m)}
+    jac = {"a": d_a, "tau": -a * u * d_a, "f": math.tau * u * d_phi, "phi": d_phi, "c": np.ones(m)}
     _, sv, vt = np.linalg.svd(np.column_stack([jac[k] for k in names]), full_matrices=False)
     cost = float(r @ r)
     sig = unit = np.full(len(names), math.inf)  # unit: sigma at a noise of 1

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
 
 
 class SignalError(ValueError):
@@ -81,9 +80,9 @@ class Tone:
             raise SignalError(f"tone amplitude must be in [0, 1] Phi_0, got {self.amp}")
         if not math.isfinite(self.phase_rad):
             raise SignalError(f"tone phase must be finite, got {self.phase_rad}")
-        phase = self.phase_rad % TWO_PI
+        phase = self.phase_rad % math.tau
         # float modulo can round a tiny negative phase up to exactly 2 pi
-        if phase >= TWO_PI:
+        if phase >= math.tau:
             phase = 0.0
         object.__setattr__(self, "phase_rad", phase)
 
@@ -154,7 +153,3 @@ class IfProgram:
             duration_s=np.array([0.0 if c.idle else c.envelope.duration_s for c in self.cycles]),
             cycle_period_s=self.cycle_period_s,
         )
-
-    @property
-    def duration_s(self) -> float:
-        return len(self.cycles) * self.cycle_period_s

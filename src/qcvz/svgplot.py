@@ -45,7 +45,7 @@ def _read_csv(path: str | Path, n_cols: int) -> tuple[list[str], list[list[float
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise PlotError(f"cannot read {path}: {exc}") from exc
     if not rows or len(rows) < 2:
         raise PlotError(f"{path}: empty CSV")

@@ -50,7 +50,7 @@ def make_cfg(gain=1.0e7, nonlinearity=Nonlinearity.LINEAR, ratio=28.5):
 
 def test_pulse_roundtrip():
     p = CalibratedPulse(F_LO, F_LO - F_Q, 0.5, 25e-9, math.pi / 2)
-    assert p.carrier_hz == pytest.approx(F_Q)
+    assert p.f_lo_hz - p.f_if_hz == pytest.approx(F_Q)
     assert CalibratedPulse.from_dict(p.to_dict()) == p
 
 
@@ -114,7 +114,8 @@ def reference_residual_ratio(q, cfg, a_if_grid, f_lo_hz, periods=3.0):
         for bit, f_eff in ((1, f_on), (0, eps * f_on)):
             pulse = CalibratedPulse(f_lo_hz, f_lo_hz - q.f_qubit_hz, a, periods / f_eff, math.pi)
             drive = _pulse_drive(cfg, pulse, a, (bit,))
-            traj = propagate(q, drive, ground_state(), drive.edges_s)
+            edges = np.arange(len(drive.samples) + 1) / drive.envelope_rate_hz
+            traj = propagate(q, drive, ground_state(), edges)
             freqs[bit] = fit_curve(FitModel.RABI_SINUSOID, traj.times_s, traj.p1).params["f"]
         out.append((a, freqs[0] / freqs[1]))
     return out

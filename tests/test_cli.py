@@ -353,7 +353,8 @@ def reference_rabi(cfg, args):
     prog = IfProgram(mixer.channel.freq_hz - q.f_qubit_hz, args.tau_max_s,
                      [CycleSpec(0.0, env)], quantized=False)
     drive = baseband_output(mixer, prog, BitTimeline((0 if args.off else 1,)))
-    return propagate(q, drive, ground_state(), drive.edges_s)
+    edges = np.arange(len(drive.samples) + 1) / drive.envelope_rate_hz
+    return propagate(q, drive, ground_state(), edges)
 
 
 @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
@@ -400,6 +401,17 @@ def test_plot_bad_csv_is_numeric_error(tmp_path):
         code, err = run_clean("plot", "--csv", str(bad), "--kind", kind, "--out", str(tmp_path))
         assert code == EXIT_NUMERIC and str(bad) in err, (text, err)
 
+
+
+@pytest.mark.parametrize("data", [b"a,b\n1,2\n\xff,3\n", b"a,b\n1," + b"2" * 131073 + b"\n"],
+                         ids=["not-utf8", "field-over-csv-limit"])
+def test_plot_unreadable_csv_is_numeric_error(tmp_path, data):
+    # Bytes that do not decode, and a cell past the csv module's field size
+    # limit, fail like an unreadable path: exit 3, naming the file.
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(data)
+    code, err = run_clean("plot", "--csv", str(bad), "--kind", "line", "--out", str(tmp_path))
+    assert code == EXIT_NUMERIC and f"cannot read {bad}" in err, err
 
 def test_calibrate_then_t1(tmp_path):
     assert run(tmp_path, "calibrate") == EXIT_OK
@@ -825,3 +837,15 @@ def test_integers_past_the_digit_limit_are_config_errors(tmp_path):
     for argv in (("calibrate", "--config"), ("compile", "--program"), ("t1", "--pulses")):
         code, text = run_clean(*argv, str(path), "--out", str(tmp_path))
         assert code == EXIT_CONFIG and "cannot read" in text, (argv, text)
+
+
+@pytest.mark.parametrize("flag", [("calibrate", "--config"), ("compile", "--program"),
+                                  ("t1", "--pulses")], ids=lambda f: f[1])
+def test_json_nested_past_the_recursion_limit_is_config_error(tmp_path, flag):
+    # json raises RecursionError on nesting deeper than the interpreter's
+    # recursion limit; in a config, program or pulses file that is a
+    # configuration error.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, text = run_clean(*flag, str(path), "--out", str(tmp_path))
+    assert code == EXIT_CONFIG and "cannot read" in text, text

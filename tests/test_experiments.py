@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qcvz.calibration import CalibratedPulse
 from qcvz.compiler import Gate, Program, ideal_unitary, schedule
 from qcvz.experiments import (
+    VZ_DELAY_S,
     ExperimentError,
     _cycle_maps,
     chevron,
@@ -42,13 +43,13 @@ def _free(q, rho, t_s, delta_rad=0.0):
     return 0.5 * (v[0] * np.eye(2) + sum(c * p for c, p in zip(v[1:], PAULIS)))
 
 
-def reference_experiment(kind, q, cfg, x90, x180, delays, detuning_hz, thetas, vz_delay_s):
+def reference_experiment(kind, q, cfg, x90, x180, delays, detuning_hz, thetas):
     """Per-point loop: every pulse and delay rebuilt and propagated at each point."""
     if kind == "vz_ramsey":
         p1 = []
         for dth in thetas:
             rho = _apply_pulse(q, cfg, x90, ground_state())
-            rho = _free(q, rho, vz_delay_s)
+            rho = _free(q, rho, VZ_DELAY_S)
             rho = _apply_pulse(q, cfg, x90, rho, theta_if_deg=float(dth))
             p1.append(rho[1, 1].real)
         return np.array(p1)
@@ -85,22 +86,19 @@ def reference_experiment(kind, q, cfg, x90, x180, delays, detuning_hz, thetas, v
     amps=st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 1.0)),
     tau_s=st.floats(5e-9, 3e-8),
     lo_phase=st.floats(0.0, TWO_PI),
-    vz_delay_s=st.floats(0.0, 1e-6),
 )
 @settings(max_examples=60, deadline=None)
 def test_run_experiment_matches_per_point_loop(
     kind, t1, t2_frac, detuning_hz, qubit_offset_hz, delays, thetas, amps, tau_s, lo_phase,
-    vz_delay_s,
 ):
     q = QubitParams.from_t2(F_Q + qubit_offset_hz, t1, 2.0 * t1 * t2_frac)
     cfg = MixerConfig(Tone(F_LO, 0.5, lo_phase), 4.0e7)
     x90 = CalibratedPulse(F_LO, F_LO - F_Q, amps[0], tau_s, 0.5 * math.pi)
     x180 = CalibratedPulse(F_LO, F_LO - F_Q, amps[1], tau_s, math.pi)
     grid = np.array([0.0] + sorted(delays))
-    want = reference_experiment(kind, q, cfg, x90, x180, grid, detuning_hz, thetas, vz_delay_s)
+    want = reference_experiment(kind, q, cfg, x90, x180, grid, detuning_hz, thetas)
     if kind == "vz_ramsey":
-        got_thetas, got = run_experiment(kind, q, cfg, x90, dtheta_deg=thetas,
-                                         vz_delay_s=vz_delay_s)
+        got_thetas, got = run_experiment(kind, q, cfg, x90, dtheta_deg=thetas)
         assert np.array_equal(got_thetas, np.asarray(thetas, dtype=float))
     else:
         traj = run_experiment(kind, q, cfg, x90, x180, delays_s=grid, detuning_hz=detuning_hz)
@@ -131,7 +129,8 @@ def reference_simulate_schedule(sched, program, q_list, cfg_list, x90_list, cycl
         cfg = replace(cfg_list[k], channel=replace(cfg_list[k].channel, freq_hz=pulse.f_lo_hz))
         drive = baseband_output(cfg, prog, bits)
         sim[k] = propagate(q_list[k], drive, ground_state()).p1[-1]
-        ideal[k] = abs(ideal_unitary(program.gates[k])[1, 0]) ** 2
+        row = program.codes[k, :program.lens[k]]
+        ideal[k] = abs(ideal_unitary(program.table[c] for c in row)[1, 0]) ** 2
     return sim, ideal
 
 
@@ -267,7 +266,7 @@ def test_run_experiment_rejects_what_the_loop_rejects():
                 else:
                     x180 = replace(x180, **{field: value})
                 want = _outcome(reference_experiment, kind, q, cfg, x90, x180, delays, 0.0,
-                                thetas, 1e-8)
+                                thetas)
                 got = _outcome(run_experiment, kind, q, cfg, x90, x180, delays_s=delays,
                                dtheta_deg=thetas)
                 assert want is not None and got == want, (kind, which, field, value, got)
