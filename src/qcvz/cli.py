@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -450,7 +451,11 @@ _EXIT_CODES = {
 }
 
 
+@functools.cache
 def _build_parser(cmd: str) -> argparse.ArgumentParser:
+    """``cmd``'s parser, built on first use and then reused: it reads only the
+    static ``COMMANDS`` table, no flag has a mutable default, and each parse
+    returns a fresh Namespace."""
     p = argparse.ArgumentParser(prog=f"qcvz {cmd}")
     p.add_argument("--config", default=None, help="device config JSON")
     p.add_argument("--out", default=None, help="output directory (or QCVZ_OUT_DIR)")

@@ -75,6 +75,39 @@ def test_bad_flag_is_usage_error(tmp_path):
         assert run(tmp_path, *argv) == EXIT_USAGE, argv
 
 
+@pytest.mark.parametrize("cmd, flag, value, code, err", [
+    ("ramsey", "--detuning-hz", "-3.4e5", EXIT_OK, ""),
+    ("chevron", "--span-hz", "-8e6", EXIT_NUMERIC, "qcvz: empty sweep grid\n"),  # sweeps nothing
+])
+def test_negative_exponent_values_need_the_equals_form(tmp_path, cmd, flag, value, code, err):
+    # argparse reads "-3.4e5" after a space as a flag, not a value, so it
+    # must be written "--flag=-3.4e5".
+    spaced, text = run_clean(cmd, flag, value, "--out", str(tmp_path))
+    assert spaced == EXIT_USAGE and f"argument {flag}: expected one argument" in text, text
+    assert run_clean(cmd, f"{flag}={value}", "--out", str(tmp_path)) == (code, err)
+
+
+def test_parser_reuse_is_stateless(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["t1", "--out", "out"]) == EXIT_OK
+    Path("out").rename("first")
+    assert main(["t1", "--out", "out", "--points", "0"]) == EXIT_USAGE
+    assert main(["t1", "--help"]) == EXIT_OK
+    assert main(["chevron", "--out", "chevron"]) == EXIT_OK
+    assert main(["t1", "--out", "out"]) == EXIT_OK
+    names = sorted(p.name for p in Path("first").iterdir())
+    assert names == ["t1.csv", "t1.csv.meta.json", "t1_fit.json"]
+    assert names == sorted(p.name for p in Path("out").iterdir())
+    for name in names:
+        assert (Path("first") / name).read_bytes() == (Path("out") / name).read_bytes(), name
+    assert cli._build_parser("t1") is cli._build_parser("t1")
+    first, second = (cli._build_parser("t1").parse_args([]) for _ in range(2))
+    assert first is not second and vars(first) == vars(second)
+    cached = cli._build_parser.cache_info().currsize
+    assert main(["nonsense"]) == EXIT_USAGE
+    assert cli._build_parser.cache_info().currsize == cached <= len(cli.COMMANDS)
+
+
 def test_bad_config(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text("{not json")

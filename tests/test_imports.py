@@ -1,8 +1,9 @@
 """Every name a qcvz module imports is read somewhere in that module, every
 layer imports as a module, every module imports only modules below it, every
 module-level private name is read somewhere in the package, every error
-message has one source, the README's library example runs, and neither
-importing qcvz nor running a command loads scipy."""
+message has one source, the README's library example runs, neither
+importing qcvz nor running a command loads scipy, and importing the CLI
+builds no command parser."""
 import ast
 import json
 import os
@@ -179,19 +180,28 @@ def test_duplicate_message_is_found():
     assert _duplicate_messages([tree]) == {"bad #, got #": 3, "bad": 4, "neg": 2}
 
 
-def _scipy_modules_after(code: str) -> list[str]:
-    """scipy modules loaded by ``code`` in a fresh interpreter."""
+def _last_line(probe: str) -> str:
+    """The last line that ``probe`` prints in a fresh interpreter."""
     path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
-    probe = (code + "\nimport json, sys\n"
-             "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          timeout=120, check=True)
-    return json.loads(out.stdout.splitlines()[-1])
+    return out.stdout.splitlines()[-1]
+
+
+def _scipy_modules_after(code: str) -> list[str]:
+    """scipy modules loaded by ``code`` in a fresh interpreter."""
+    return json.loads(_last_line(
+        code + "\nimport json, sys\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))"))
 
 
 def test_import_loads_no_scipy():
     assert _scipy_modules_after("import qcvz, qcvz.cli") == []
+
+
+def test_import_builds_no_parser():
+    assert _last_line("import qcvz.cli as c; print(c._build_parser.cache_info().currsize)") == "0"
 
 
 def test_compile_loads_no_scipy(tmp_path):
