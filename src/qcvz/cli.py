@@ -320,17 +320,14 @@ def cmd_spectrum(cfg: DeviceConfig, args, out: _Artifacts) -> None:
 def cmd_compile(cfg: DeviceConfig, args, out: _Artifacts) -> None:
     prog_raw = _read_json(args.program, "program")
     qubits = prog_raw.get("qubits") if isinstance(prog_raw, dict) else None
-    names = None
-    if isinstance(qubits, list) and all(isinstance(gates, list) for gates in qubits):
-        try:  # distinct names in first-seen order, so the first bad one is reported
-            names = dict.fromkeys(itertools.chain.from_iterable(qubits))
-        except TypeError:  # a JSON list or object where a gate name belongs
-            pass
-    if names is None or not all(isinstance(name, str) for name in names):
+    try:  # from_names raises TypeError for a name that is not a JSON string
+        if not (isinstance(qubits, list) and all(isinstance(gates, list) for gates in qubits)):
+            raise TypeError
+        program = Program.from_names(qubits)
+    except TypeError:
         raise ConfigError(
             f'program {args.program} is not {{"qubits": [[gate name, ...], ...]}}'
-        )
-    program = Program.from_names(qubits, names)
+        ) from None
     sched = schedule(program, args.mode)
     stats = parallelism_stats(sched)
     out.write("schedule.json", sched.to_json())

@@ -39,6 +39,7 @@ argmax over the c cluster counts: O(n + c).
 """
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -115,32 +116,42 @@ class Program:
     ``table[codes[i, j]]`` for j < ``lens[i]``, and ``len(table)`` pads the
     short rows. ``table`` holds each distinct gate once, in first-seen order,
     and the arrays are read-only. ``rows`` is a sequence of gate sequences:
-    of Gates, or of keys that ``gate_of`` maps to Gates.
+    of Gates, or of keys that ``parse`` maps to Gates. ``parse`` gets the
+    distinct keys once, in first-seen order, and returns their Gates in order.
+
+    One pass, run in C, numbers each key by its first sighting; Python then
+    works only on the distinct keys, and a small remap array turns their
+    numbers into codes (keys with equal Gates share one).
     """
 
-    def __init__(self, rows, gate_of: dict | None = None):
+    def __init__(self, rows, parse=list):
         if len(rows) < 1:
             raise CompileError("program needs at least one qubit")
-        if gate_of is None:
-            gate_of = {g: g for g in itertools.chain.from_iterable(rows)}
-        code_of: dict[Gate, int] = {}  # keys with equal gates share a code
-        code = {key: code_of.setdefault(g, len(code_of)) for key, g in gate_of.items()}
+        self.lens = np.fromiter(map(len, rows), np.int64, count=len(rows))
+        number = collections.defaultdict(itertools.count().__next__)
+        ids = np.fromiter(map(number.__getitem__, itertools.chain.from_iterable(rows)),
+                          np.uint32, count=int(self.lens.sum()))
+        code_of: dict[Gate, int] = {}
+        remap = [code_of.setdefault(g, len(code_of)) for g in parse(number)]
         self.table, self.n_qubits = tuple(code_of), len(rows)
-        self.lens = np.fromiter(map(len, rows), np.int64, count=self.n_qubits)
-        flat = np.fromiter(map(code.__getitem__, itertools.chain.from_iterable(rows)),
-                           np.min_scalar_type(len(code_of)), count=int(self.lens.sum()))
+        flat = np.array(remap, np.min_scalar_type(len(code_of)))[ids]
         self.codes = np.full((self.n_qubits, self.lens.max()), len(code_of), flat.dtype)
         self.codes[np.arange(self.codes.shape[1]) < self.lens[:, None]] = flat
         self.lens.setflags(write=False)
         self.codes.setflags(write=False)
 
     @classmethod
-    def from_names(cls, rows, names=None) -> "Program":
-        """Program from rows of gate names; the distinct ``names`` (collected here
-        if not given) are parsed in first-seen order, so the first bad one raises."""
-        if names is None:
-            names = dict.fromkeys(itertools.chain.from_iterable(rows))
-        return cls(rows, {name: Gate.parse(name) for name in names})
+    def from_names(cls, rows) -> "Program":
+        """Program from rows of gate names. A name that is not a str raises
+        TypeError; the distinct names are then parsed in first-seen order, so
+        the first bad one raises."""
+        return cls(rows, _parse_names)
+
+
+def _parse_names(names) -> list[Gate]:
+    if not all(isinstance(name, str) for name in names):
+        raise TypeError("gate names must be str")
+    return [Gate.parse(name) for name in names]
 
 
 @dataclass(frozen=True)

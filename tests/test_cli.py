@@ -219,6 +219,10 @@ def test_compile_bad_gate_is_numeric_error(tmp_path):
     ([["x90"], "x90"], EXIT_CONFIG, 'is not {"qubits": [[gate name, ...], ...]}'),
     ([], EXIT_NUMERIC, "program needs at least one qubit"),
     ([["x90", "z:nan"]], EXIT_NUMERIC, "Z angle must be finite, got nan"),
+    # a name that is not a string is refused before any name is parsed
+    ([["bogus", 3]], EXIT_CONFIG, 'is not {"qubits": [[gate name, ...], ...]}'),
+    ([["bogus", ["x90"]]], EXIT_CONFIG, 'is not {"qubits": [[gate name, ...], ...]}'),
+    ([["x90", True]], EXIT_CONFIG, 'is not {"qubits": [[gate name, ...], ...]}'),
 ])
 def test_compile_bad_program_exit_code_and_message(tmp_path, capsys, qubits, code, message):
     prog = tmp_path / "prog.json"

@@ -664,3 +664,57 @@ def test_program_from_names_matches_gate_rows(rows):
             except CompileError as exc:
                 outs.append(str(exc))
         assert outs[0] == outs[1]
+
+
+def _ref_coder(rows, parse):
+    """(table, codes, lens) built key by key: distinct keys by dict.fromkeys,
+    each parsed, equal gates sharing a code through setdefault."""
+    code_of = {}
+    code = {key: code_of.setdefault(parse(key), len(code_of))
+            for key in dict.fromkeys(itertools.chain.from_iterable(rows))}
+    lens = np.array([len(row) for row in rows], np.int64)
+    codes = np.full((len(rows), lens.max()), len(code_of), np.min_scalar_type(len(code_of)))
+    for i, row in enumerate(rows):
+        codes[i, :len(row)] = [code[key] for key in row]
+    return tuple(code_of), codes, lens
+
+
+# Aliases that parse to equal gates: case and blanks, a full turn, and -0.
+ALIAS_NAMES = EDGE_NAMES + ["X90", " x90 ", "Z45", "z:0", "z:6.283185307179586", "z:-0.0"]
+
+
+@given(_programs(ALIAS_NAMES))
+@example([[], ["x90", "X90", " x90 "], [], ["z:0", "z:6.283185307179586"]])
+@example([["z:-0.0", "z:0", "s"], ["x90"]])
+@example([[]])
+@settings(max_examples=200, deadline=None)
+def test_program_codes_match_reference_coder(rows):
+    gate_rows = [[Gate.parse(name) for name in row] for row in rows]
+    for prog, ref in ((Program.from_names(rows), _ref_coder(rows, Gate.parse)),
+                      (Program(gate_rows), _ref_coder(gate_rows, lambda g: g))):
+        table, codes, lens = ref
+        assert list(map(repr, prog.table)) == list(map(repr, table))  # -0.0 kept as seen first
+        assert prog.codes.dtype == codes.dtype == np.min_scalar_type(len(table))
+        assert np.array_equal(prog.codes, codes) and np.array_equal(prog.lens, lens)
+        assert prog.lens.dtype == np.int64
+        assert all((row[n:] == len(table)).all() for row, n in zip(prog.codes, prog.lens))
+        assert not prog.codes.flags.writeable and not prog.lens.flags.writeable
+
+
+def test_from_names_parses_each_distinct_name_once(monkeypatch):
+    parsed = []
+    parse = Gate.parse
+
+    def counted(name):
+        parsed.append(name)
+        return parse(name)
+
+    monkeypatch.setattr(Gate, "parse", staticmethod(counted))
+    prog = Program.from_names([["x90", "t", "x90"], [], ["t", "X90", "x90"]] * 100)
+    assert parsed == ["x90", "t", "X90"] and len(prog.table) == 2
+    # a name that is not a str is refused before any name is parsed
+    parsed.clear()
+    for rows in ([["bogus", 3]], [["x90", True]], [["bogus", ["x90"]]]):
+        with pytest.raises(TypeError):
+            Program.from_names(rows)
+    assert parsed == []
