@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .mixer import MixerConfig, rabi_rates
+from .mixer import RATE_CHECKS, MixerConfig, _rate_map
 from .qubit import QubitParams
 from .signals import ENVELOPE_CHECKS, IF_CHECKS, raise_first
 
@@ -99,7 +99,10 @@ def calibrate_pulses(
     """calibrate_pulse for every qubit k (mixer cfgs[k], LO f_lo_hz_list[k]):
     a_if = inverse mixer map of target / (2 pi tau), and 0 for a zero target.
 
-    Raises the error the first failing qubit would raise on its own.
+    Runs every qubit's calibration checks, then the mixer's rate check
+    (mixer.RATE_CHECKS), each raising at the first qubit that fails it. So
+    where 2 pi gain tau overflows, a batch can raise a later qubit's
+    CalibrationError where an earlier qubit alone raises MixerError.
     """
     n = len(qs)
     if not len(cfgs) == len(f_lo_hz_list) == n:
@@ -122,7 +125,10 @@ def calibrate_pulses(
                 duration_s=tau, peak=1.0, cycle_period_s=tau)
     # On the closed qubit the resonant held sample turns by 2 pi rate(a_if) tau.
     rate = target / (math.tau * tau) if target else 0.0
-    a = rabi_rates(cfgs, np.full(n, rate), inverse=True)
+    # Only after every qubit's checks: where 2 pi gain overflows, a rate can
+    # pass the reach check and still exceed the gain.
+    raise_first(RATE_CHECKS, value=rate, gain=gain)
+    a = _rate_map(cfgs, gain, rate, inverse=True)
     return [
         CalibratedPulse(f_lo_hz_list[k], float(f_if[k]), float(a[k]), tau, target)
         for k in range(n)

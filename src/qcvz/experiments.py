@@ -15,8 +15,9 @@ import numpy as np
 
 from . import qubit as qb
 from .calibration import CalibratedPulse, CalibrationError
-from .compiler import Program, Schedule, ideal_unitary
-from .mixer import CARRIER_CHECKS, DRIVE_CHECKS, SAMPLES_PER_CYCLE, MixerConfig, rabi_rates
+from .compiler import Program, Schedule, _gate_matrix
+from .mixer import (CARRIER_CHECKS, DRIVE_CHECKS, SAMPLES_PER_CYCLE, MixerConfig, _rate_map,
+                    rabi_rates)
 from .qubit import FitModel, QubitParams, Trajectory, fit_curve
 from .signals import CYCLE_CHECKS, ENVELOPE_CHECKS, IF_CHECKS, raise_first
 
@@ -70,11 +71,12 @@ def chevron(
     scale = 1.0 if mixer_on else cfg.off_leakage
     sample = scale * rabi[0] * np.exp(1j * cfg.channel.phase_rad)
     steps = qb._held_maps(q.t1_s, q.tphi_s, delta[:, None], sample, dts)
-    states = np.empty((len(cuts), len(f_if), 4))
-    states[0] = qb.BLOCH_GROUND
+    # Column vectors, so each cut is one matmul written in place.
+    states = np.empty((len(cuts), len(f_if), 4, 1))
+    states[0] = qb.BLOCH_GROUND[:, None]
     for j, k in enumerate(which, 1):
-        states[j] = np.einsum("kij,kj->ki", steps[:, k], states[j - 1])
-    return _populations((states[np.searchsorted(cuts, taus)] @ qb.BLOCH_P1).T)
+        np.matmul(steps[:, k], states[j - 1], out=states[j])
+    return _populations((states[np.searchsorted(cuts, taus), ..., 0] @ qb.BLOCH_P1).T)
 
 
 def residual_ratio(
@@ -259,7 +261,9 @@ def _flat_pulses(qs, cfgs, f_lo, f_if, a_if, tau, cycle_period_s, has_cycles=Tru
     detuning (rad/s) of carrier f_lo - f_if from qs[k], the envelope sample
     rate, and the Rabi rate of a_if[k] through cfgs[k]. Raises what building
     the drives would: Envelope, IfProgram (its cycle checks only with
-    ``has_cycles``), baseband_output and DriveEnvelope, in that order."""
+    ``has_cycles``), baseband_output and DriveEnvelope, in that order. The
+    envelope's peak check is stricter than rabi_rates' amplitude check (it
+    also rejects NaN), so the map runs unchecked."""
     # Infinite f_lo and f_if give a NaN carrier, which DRIVE_CHECKS reject;
     # an absurd finite carrier overflows the detuning into NaN populations.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -271,7 +275,8 @@ def _flat_pulses(qs, cfgs, f_lo, f_if, a_if, tau, cycle_period_s, has_cycles=Tru
     raise_first(checks, duration_s=tau, peak=a_if, f_if_hz=f_if, cycle_period_s=cycle_period_s,
                 cycle=0, quantized=True, theta_if_deg=0.0, carrier_hz=carrier,
                 envelope_rate_hz=rate)
-    return delta, rate, rabi_rates(cfgs, a_if)
+    gain = np.array([c.gain_hz_per_unit for c in cfgs], dtype=float)
+    return delta, rate, _rate_map(cfgs, gain, a_if)
 
 
 def _populations(p1: np.ndarray) -> np.ndarray:
@@ -285,7 +290,7 @@ def _ideal_p1(table, codes) -> np.ndarray:
     """|<1|U|0>|^2 per row of gate ``codes`` into ``table`` (``len(table)``
     pads): each gate's matrix is built once, then U|0> is built one gate
     column at a time over all rows."""
-    mats = np.stack([ideal_unitary([g]) for g in table] + [np.eye(2, dtype=complex)])
+    mats = np.stack([_gate_matrix(g) for g in table] + [np.eye(2, dtype=complex)])
     psi = np.zeros((len(codes), 2), dtype=complex)
     psi[:, 0] = 1.0
     for col in codes.T:

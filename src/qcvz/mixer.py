@@ -42,12 +42,13 @@ DRIVE_CHECKS = (
     (MixerError, "envelope rate must be positive and finite, got {envelope_rate_hz}",
      lambda f: (f["envelope_rate_hz"] > 0) & (f["envelope_rate_hz"] < math.inf)),
 )
-# rabi_rates' range checks, forward and inverse.
+# rabi_rates' range checks, forward and inverse; calibrate_pulses runs the
+# inverse one itself.
 _AMPLITUDE_CHECKS = (
     (MixerError, "a_if must be in [0, 1], got {value}",
      lambda f: np.logical_not((f["value"] < 0) | (f["value"] > 1))),
 )
-_RATE_CHECKS = (
+RATE_CHECKS = (
     (MixerError, "Rabi rate {value} Hz unreachable with gain {gain}",
      lambda f: np.logical_not((f["value"] < 0) | (f["value"] > f["gain"] * (1 + 1e-12)))),
 )
@@ -130,13 +131,19 @@ def rabi_rates(cfgs, values, inverse: bool = False) -> np.ndarray:
     against the mixers. An a_if outside [0, 1], or a rate outside [0, gain],
     raises MixerError for the first bad entry."""
     gain = np.array([c.gain_hz_per_unit for c in cfgs], dtype=float)
-    saturating = np.array([c.nonlinearity is Nonlinearity.SINE_SATURATING for c in cfgs])
     v = np.asarray(values, dtype=float)
-    raise_first(_RATE_CHECKS if inverse else _AMPLITUDE_CHECKS, value=v, gain=gain)
+    raise_first(RATE_CHECKS if inverse else _AMPLITUDE_CHECKS, value=v, gain=gain)
+    return _rate_map(cfgs, gain, v, inverse)
+
+
+def _rate_map(cfgs, gain, values, inverse: bool = False) -> np.ndarray:
+    """rabi_rates without its range check, for a fast path that holds the
+    mixers' gains ``gain`` and has checked ``values`` itself."""
+    saturating = np.array([c.nonlinearity is Nonlinearity.SINE_SATURATING for c in cfgs])
     if inverse:
-        x = np.minimum(v / gain, 1.0)
+        x = np.minimum(values / gain, 1.0)
         return np.where(saturating, 2.0 / math.pi * np.arcsin(x), x)
-    return np.where(saturating, gain * np.sin(0.5 * math.pi * v), gain * v)
+    return np.where(saturating, gain * np.sin(0.5 * math.pi * values), gain * values)
 
 
 def baseband_output(

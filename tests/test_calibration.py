@@ -20,6 +20,7 @@ from qcvz.experiments import residual_ratio
 from qcvz.mixer import (
     BitTimeline,
     MixerConfig,
+    MixerError,
     Nonlinearity,
     baseband_output,
     rabi_rates,
@@ -324,6 +325,21 @@ def test_reach_limit_from_the_gain_matches_the_forward_map(case):
         assert str(got.value) == str(exc)
         return
     assert calibrate_pulses(*case) == want
+
+
+def test_a_batch_runs_every_calibration_check_before_the_rate_check():
+    # 2 pi gain overflows, so qubit 0's max angle is inf and passes the reach
+    # check; its rate then exceeds the gain. Alone it raises that MixerError,
+    # but in a batch qubit 1's reach error comes first.
+    cfgs = [make_cfg(gain=g) for g in (2.8611174857570283e307, 1e5)]
+    q, tau = QubitParams(F_Q), 2.2e-309
+    rate = "Rabi rate 7.234315595086159e+307 Hz unreachable with gain 2.8611174857570283e+307"
+    reach = "target 1.0000 rad unreachable: max angle 0.0000 rad at a_if=1"
+    for fn in (reference_calibrate_pulses, calibrate_pulses):
+        with pytest.raises(MixerError, match=re.escape(rate)):
+            fn([q], cfgs[:1], 1.0, tau, [F_LO])
+        with pytest.raises(CalibrationError, match=re.escape(reach)):
+            fn([q, q], cfgs, 1.0, tau, [F_LO, F_LO])
 
 
 def test_zero_duration_with_an_overflowing_gain_raises_only_the_envelope_error():

@@ -231,6 +231,12 @@ def test_simulate_schedule_rejects_what_the_loop_rejects():
         for fn in (reference_simulate_schedule, simulate_schedule):
             with pytest.raises(exc):
                 fn(*args, CYCLE_S)
+    # The fast path leaves the amplitude to the envelope's peak check.
+    for a_if in (1.5, math.nan):
+        args = (sched, program, qs, cfgs, [x90s[0], replace(x90s[1], a_if=a_if)], CYCLE_S)
+        want = _outcome(reference_simulate_schedule, *args)
+        assert want[0] is SignalError
+        assert _outcome(simulate_schedule, *args) == want
     # With no cycles no envelope is checked against the cycle period.
     empty = build_cable("quantized45", [["z45"], []], [qubit] * 2)
     want = reference_simulate_schedule(*empty[:4], [x90s[0], too_long], CYCLE_S)
