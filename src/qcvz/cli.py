@@ -84,14 +84,18 @@ def _no_booleans(pairs: list) -> dict:
     return dict(pairs)
 
 
-def _read_json(path: str, what: str, object_pairs_hook=None):
-    """The JSON in ``path``, each object passed through ``object_pairs_hook``.
-    An unreadable file, bad JSON, JSON nested past the recursion limit, a value
-    the hook refuses, or an integer past the float range or Python's digit
-    limit is a ConfigError."""
+def _read_json(path: str, what: str, refuse_booleans: bool = False):
+    """The JSON in ``path``. An unreadable file, bad JSON, JSON nested past the
+    recursion limit, an integer past the float range or Python's digit limit,
+    or with ``refuse_booleans`` an object member that is true or false
+    (``_no_booleans``), is a ConfigError."""
     try:
-        return json.loads(Path(path).read_text(), parse_int=_json_int,
-                          object_pairs_hook=object_pairs_hook)
+        text = Path(path).read_text()
+        # JSON spells a boolean only as a bare true or false, which no escape
+        # can write, so a text without either substring skips the check.
+        check = refuse_booleans and ("true" in text or "false" in text)
+        return json.loads(text, parse_int=_json_int,
+                          object_pairs_hook=_no_booleans if check else None)
     except (OSError, ValueError, OverflowError, RecursionError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
@@ -115,7 +119,7 @@ def load_config(path: str | None) -> DeviceConfig:
     else:
         if not Path(path).is_file():
             raise ConfigError(f"config file not found: {path}")
-        raw = _read_json(path, "config", _no_booleans)
+        raw = _read_json(path, "config", refuse_booleans=True)
     try:
         lo = MultiToneLo(
             tuple(

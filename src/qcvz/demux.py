@@ -15,7 +15,8 @@ from .signals import MultiToneLo, SignalError, Tone
 
 
 # Elements per block of the nearest-tone and crosstalk passes: a 40-tone bank
-# is one pass, and a 4000-tone bank's temporaries stay in cache.
+# is one pass. A 4000-tone bank's nearest-tone temporaries stay in cache, and
+# the crosstalk pass works in place on each block of its matrix.
 _BLOCK_ELEMENTS = 1 << 14
 
 
@@ -79,7 +80,7 @@ def matched_channels(resonators: list[Resonator], lo: MultiToneLo) -> list[Tone]
     nearest = np.concatenate([np.abs(freqs - f_r[rows, None]).argmin(axis=1)
                               for rows in _row_blocks(len(f_r), len(freqs))])
     tones = [lo.tones[j] for j in nearest.tolist()]
-    g = _gains(q, f_r, np.array([t.freq_hz for t in tones]))
+    g = _gains(q, f_r, freqs[nearest])
     # abs of each Python complex: numpy's vectorised hypot can differ in the last bit.
     return [
         Tone(t.freq_hz, t.amp * abs(gain), t.phase_rad + phase)
@@ -97,7 +98,7 @@ def _bank(resonators: list[Resonator], lo: MultiToneLo) -> tuple[np.ndarray, ...
     """(Q, f_r) of every resonator, and the frequency of every LO tone."""
     return (np.array([r.q for r in resonators], dtype=float),
             np.array([r.f_r_hz for r in resonators], dtype=float),
-            np.array([t.freq_hz for t in lo.tones]))
+            np.array([t.freq_hz for t in lo.tones], dtype=float))
 
 
 def crosstalk_db(resonators: list[Resonator], lo: MultiToneLo) -> np.ndarray:
@@ -108,9 +109,20 @@ def crosstalk_db(resonators: list[Resonator], lo: MultiToneLo) -> np.ndarray:
     out = np.empty((len(resonators), len(freqs)))
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in _row_blocks(len(f_r), len(freqs)):
-            x = _detuning(q[rows, None], f_r[rows, None], freqs)
+            # _detuning's steps, then the dB steps, in the same order (so the
+            # same bits) but in place in the block's rows.
+            x = out[rows]
+            np.subtract(freqs, f_r[rows, None], out=x)
+            on_resonance = x == 0.0
+            np.multiply(2.0 * q[rows, None], x, out=x)
+            np.divide(x, f_r[rows, None], out=x)
+            x[on_resonance] = 0.0
+            np.multiply(x, x, out=x)
+            np.add(1.0, x, out=x)
+            np.log10(x, out=x)
+            np.multiply(10.0, x, out=x)
             # 0 - y, not -y: a cell on resonance is +0.0, not -0.0.
-            out[rows] = 0.0 - 10.0 * np.log10(1.0 + x * x)
+            np.subtract(0.0, x, out=x)
     return out
 
 

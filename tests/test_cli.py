@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcvz import cli
@@ -739,6 +739,80 @@ def test_config_booleans_are_config_errors(tmp_path, path):
         cfg.write_text(json.dumps(raw))
         code, text = run_clean("calibrate", "--config", str(cfg), "--out", str(tmp_path))
         assert code == EXIT_CONFIG and f"{path[-1]} is {json.dumps(value)}" in text, text
+
+
+# Keys and strings that spell true or false without being a boolean. Keys
+# repeat, since a text's object members are written one by one.
+JSON_WORDS = st.sampled_from(["true", "false", "untrue", "falsehood", "q", ""]) | st.text(max_size=4)
+JSON_TEXTS = st.recursive(
+    (st.floats(allow_nan=False, allow_infinity=False) | st.integers() | st.none()
+     | st.booleans() | JSON_WORDS).map(json.dumps),
+    lambda inner: (
+        st.lists(inner, max_size=3).map(lambda items: "[" + ", ".join(items) + "]")
+        | st.lists(st.tuples(JSON_WORDS, inner), max_size=3).map(
+            lambda members: "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in members) + "}")
+    ),
+    max_leaves=8,
+)
+
+
+@given(text=JSON_TEXTS)
+@example(text='{"lo_tones": [true, 1.0]}')  # the check looks at object members only
+@example(text="true")
+@example(text='{"q": 1, "q": 2.5, "q": 3}')  # the last duplicate wins
+@example(text='{"q": false, "q": 1}')
+@settings(max_examples=300, deadline=None)
+def test_config_reads_skip_the_boolean_check_only_where_no_boolean_is_spelled(text):
+    # A text without "true" or "false" is parsed without the per-object hook:
+    # the result, or the ConfigError, is the hook path's.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(text)
+        try:
+            want = json.loads(text, parse_int=cli._json_int, object_pairs_hook=cli._no_booleans)
+        except (ValueError, OverflowError) as exc:
+            want = f"cannot read config {path}: {exc}"
+        try:
+            got = cli._read_json(str(path), "config", refuse_booleans=True)
+        except cli.ConfigError as exc:
+            got = str(exc)
+    assert got == want and repr(got) == repr(want)
+
+
+def _objects(raw):
+    if isinstance(raw, dict):
+        return 1 + sum(_objects(v) for v in raw.values())
+    if isinstance(raw, list):
+        return sum(_objects(v) for v in raw)
+    return 0
+
+
+def test_config_loads_call_the_boolean_check_only_on_texts_that_spell_one(tmp_path, monkeypatch):
+    calls = []
+    check = cli._no_booleans
+
+    def counted(pairs):
+        calls.append(pairs)
+        return check(pairs)
+
+    monkeypatch.setattr(cli, "_no_booleans", counted)
+    n, f_if = 40, cli.DEFAULT_CONFIG["if_defaults"]["f_if_hz"]
+    freqs = [7.0e9 + 2.0e7 * k for k in range(n)]
+    cable = {
+        "lo_tones": [{"freq_hz": f, "amp_phi0": 0.5, "phase_rad": 0.1 * k}
+                     for k, f in enumerate(freqs)],
+        "resonators": [{"f_r_hz": f, "q": 1.0e4} for f in freqs],
+        "mixers": cli.DEFAULT_CONFIG["mixers"] * n,
+        "qubits": [{"f_qubit_hz": f - f_if, "t1_s": 2.5e-5, "t2_s": 1.7e-5} for f in freqs],
+        "if_defaults": cli.DEFAULT_CONFIG["if_defaults"],
+    }
+    noted = {**copy.deepcopy(cli.DEFAULT_CONFIG), "note": "untrue"}
+    cfg = tmp_path / "cfg.json"
+    for raw, want_calls in ((cli.DEFAULT_CONFIG, 0), (cable, 0), (noted, _objects(noted))):
+        cfg.write_text(json.dumps(raw))
+        calls.clear()
+        loaded = load_config(str(cfg))
+        assert loaded.raw == raw and len(calls) == want_calls
 
 
 PULSE_NUMBERS = [(pulse, field) for pulse in ("x90", "x180")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qcvz.demux import (
     _BLOCK_ELEMENTS,
     Resonator,
+    _detuning,
     _gains,
     demux,
     matched_channels,
@@ -220,13 +221,49 @@ def test_matched_channels_match_one_argmin_per_resonator(line):
 def test_demux_across_block_boundaries(n_res, n_tones):
     rng = np.random.default_rng(n_res)
     f_r = 4.0e9 + 4.0e9 * rng.random(n_res)
-    resonators = [Resonator(f, q) for f, q in zip(f_r, 10.0 ** rng.uniform(2, 6, n_res))]
-    lo = MultiToneLo(tuple(Tone(f, 0.5, 0.1) for f in np.linspace(4.0e9, 8.0e9, n_tones)))
+    _check_blocked_demux(f_r, 10.0 ** rng.uniform(2, 6, n_res), np.linspace(4.0e9, 8.0e9, n_tones))
+
+
+def test_demux_across_block_boundaries_on_resonance_and_at_q_1e308():
+    # Every third resonance on a tone and every fifth Q 1e308, whose detuning
+    # overflows off resonance: cells of +0.0 and -inf in each of three blocks.
+    n_res = 2 * (_BLOCK_ELEMENTS // 3) + 7
+    rng = np.random.default_rng(n_res)
+    freqs = np.linspace(4.0e9, 8.0e9, 3)
+    f_r = 4.0e9 + 4.0e9 * rng.random(n_res)
+    f_r[::3] = rng.choice(freqs, len(f_r[::3]))
+    q = 10.0 ** rng.uniform(2, 6, n_res)
+    q[::5] = 1e308
+    xtalk = _check_blocked_demux(f_r, q, freqs)
+    assert (xtalk == 0.0).sum() == len(f_r[::3]) and not np.signbit(xtalk[xtalk == 0.0]).any()
+    assert (xtalk[::5] == -np.inf).sum() == 3 * len(q[::5]) - (xtalk[::5] == 0.0).sum()
+
+
+def _check_blocked_demux(f_r, q, freqs):
+    """Demux a bank against one argmin per resonator, 20 log10 |gain| and,
+    bit for bit, the dB expression over the whole matrix in one pass."""
+    resonators = [Resonator(f, qk) for f, qk in zip(f_r, q)]
+    lo = MultiToneLo(tuple(Tone(f, 0.5, 0.1) for f in freqs))
     channels, xtalk = demux(resonators, lo)
     assert _bits(channels) == _bits(_ref_matched_channels(resonators, lo))
-    freqs = np.array([t.freq_hz for t in lo.tones])
-    want = [20.0 * np.log10(np.abs(resonator_gain(r, freqs))) for r in resonators]
+    with np.errstate(divide="ignore"):
+        want = [20.0 * np.log10(np.abs(resonator_gain(r, freqs))) for r in resonators]
     np.testing.assert_allclose(xtalk, want, rtol=0, atol=1e-12)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _detuning(q[:, None], f_r[:, None], freqs)
+        assert xtalk.tobytes() == (0.0 - 10.0 * np.log10(1.0 + x * x)).tobytes()
+    return xtalk
+
+
+def test_an_integer_tone_frequency_demuxes_as_its_float():
+    # A config may give a frequency as a JSON integer past the int64 range;
+    # the bank must hold it as a float, not in an object array that the gain
+    # and crosstalk arithmetic fail on.
+    resonators = [Resonator(8.0e9, Q), Resonator(1.0e20, Q)]
+    as_int = demux(resonators, MultiToneLo((Tone(8.0e9, 0.5), Tone(10**20, 0.5))))
+    as_float = demux(resonators, MultiToneLo((Tone(8.0e9, 0.5), Tone(1.0e20, 0.5))))
+    assert [(c.amp, c.phase_rad) for c in as_int[0]] == [(c.amp, c.phase_rad) for c in as_float[0]]
+    assert as_int[1].tobytes() == as_float[1].tobytes()
 
 
 def test_crosstalk_on_resonance_is_positive_zero():
