@@ -18,11 +18,11 @@ import numpy as np
 
 from .mixer import RATE_CHECKS, MixerConfig, _rate_map
 from .qubit import QubitParams
-from .signals import ENVELOPE_CHECKS, IF_CHECKS, raise_first
+from .signals import ENVELOPE_CHECKS, IF_CHECKS, NumericError, raise_first
 
 
 
-class CalibrationError(RuntimeError):
+class CalibrationError(NumericError, RuntimeError):
     """A request with no amplitude: a target outside [0, pi] or unreachable
     at a_if <= 1, an LO that puts no carrier on the qubit, or malformed input.
     The amplitude is closed form and T1/Tphi do not enter, so no search can

@@ -2,7 +2,9 @@
 compilations, emit CSV/JSON artifacts with reproducibility sidecars and
 optional SVG plots.
 
-Exit codes: 0 success, 2 config or output error, 3 numerical failure, 64 usage error.
+Exit codes: 0 success, 2 config or output error, 3 numerical failure (any
+``signals.NumericError``), 64 usage error. The compiler, resources and svgplot
+layers are imported by the one command that runs each, not with this module.
 """
 from __future__ import annotations
 
@@ -20,16 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import qubit as qb
-from .calibration import CalibratedPulse, CalibrationError, calibrate_pulse
-from .compiler import CompileError, Program, schedule, parallelism_stats
-from .demux import Resonator, crosstalk_db, matched_channels
+from .calibration import CalibratedPulse, calibrate_pulse
+from .demux import (DEFAULT_BANDWIDTH_HZ, DEFAULT_Q, DEFAULT_REF_FREQ_HZ, Resonator, crosstalk_db,
+                    matched_channels)
 from .experiments import ExperimentError, chevron, run_experiment
-from .mixer import SAMPLES_PER_CYCLE, MixerConfig, MixerError, output_spectrum
-from .qubit import FitError, FitModel, QubitParams, fit_curve
-from .resources import (DEFAULT_BANDWIDTH_HZ, DEFAULT_Q, DEFAULT_REF_FREQ_HZ, ResourceError,
-                        resource_report)
-from .signals import MultiToneLo, SignalError, Tone
-from .svgplot import PlotError, emit_plot
+from .mixer import SAMPLES_PER_CYCLE, MixerConfig, output_spectrum
+from .qubit import FitModel, QubitParams, fit_curve
+from .signals import MultiToneLo, NumericError, Tone
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -152,7 +151,7 @@ def load_config(path: str | None) -> DeviceConfig:
         )
         if not (0 < cfg.f_if_hz < math.inf and 0 < cfg.cycle_period_s < math.inf):
             raise ConfigError("IF defaults must be positive and finite")
-    except (KeyError, TypeError, AttributeError, SignalError, MixerError, qb.QubitError) as exc:
+    except (KeyError, TypeError, AttributeError, NumericError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
     return cfg
 
@@ -181,10 +180,12 @@ class _Artifacts:
     def __init__(self, command: str, args: argparse.Namespace, cfg: DeviceConfig):
         self.command, self.args, self.cfg = command, args, cfg
 
-    def path(self, name: str) -> Path:
+    @functools.cached_property
+    def _dir(self) -> Path:
+        """The output directory, made when the first artifact is written."""
         out = Path(self.args.out or os.environ.get("QCVZ_OUT_DIR") or ".")
         out.mkdir(parents=True, exist_ok=True)
-        return out / name
+        return out
 
     def _sidecar(self, path: Path) -> None:
         meta = {"command": self.command, "seed": self.args.seed, "args": vars(self.args),
@@ -192,7 +193,7 @@ class _Artifacts:
         Path(f"{path}.meta.json").write_text(_dumps(_strict(meta)))
 
     def write(self, name: str, text: str, sidecar: bool = True) -> Path:
-        path = self.path(name)
+        path = self._dir / name
         path.write_text(text)
         if sidecar:
             self._sidecar(path)
@@ -212,6 +213,8 @@ class _Artifacts:
         text = ",".join(header) + "\n" + (row * len(cols[0])) % cells
         path = self.write(f"{name}.csv", text, sidecar)
         if plot and self.args.plot:
+            from .svgplot import emit_plot
+
             emit_plot(path, plot)
 
 
@@ -322,6 +325,8 @@ def cmd_spectrum(cfg: DeviceConfig, args, out: _Artifacts) -> None:
 
 
 def cmd_compile(cfg: DeviceConfig, args, out: _Artifacts) -> None:
+    from .compiler import Program, parallelism_stats, schedule
+
     prog_raw = _read_json(args.program, "program")
     qubits = prog_raw.get("qubits") if isinstance(prog_raw, dict) else None
     try:  # from_names raises TypeError for a name that is not a JSON string
@@ -345,6 +350,8 @@ def cmd_compile(cfg: DeviceConfig, args, out: _Artifacts) -> None:
 
 
 def cmd_resources(cfg: DeviceConfig, args, out: _Artifacts) -> None:
+    from .resources import resource_report
+
     rep = resource_report(
         args.n, q=args.q_factor, bandwidth_hz=args.bandwidth_hz, ref_freq_hz=args.ref_freq_hz
     )
@@ -353,6 +360,8 @@ def cmd_resources(cfg: DeviceConfig, args, out: _Artifacts) -> None:
 
 
 def cmd_plot(cfg: DeviceConfig, args, out: _Artifacts) -> None:
+    from .svgplot import emit_plot
+
     emit_plot(args.csv, args.kind, args.svg)
 
 
@@ -443,12 +452,12 @@ class _UsageError(ValueError):
 
 # Each error class a command may raise, and its exit code. Inputs are read
 # into ConfigErrors, so an OSError is an artifact that cannot be written.
+# Every layer's error derives from NumericError.
 _EXIT_CODES = {
     ConfigError: EXIT_CONFIG,
     OSError: EXIT_CONFIG,
     _UsageError: EXIT_USAGE,
-    **dict.fromkeys((FitError, CalibrationError, ExperimentError, PlotError, CompileError,
-                     MixerError, SignalError, ResourceError, qb.QubitError), EXIT_NUMERIC),
+    NumericError: EXIT_NUMERIC,
 }
 
 

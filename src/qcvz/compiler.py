@@ -48,12 +48,14 @@ from enum import Enum
 
 import numpy as np
 
+from .signals import NumericError
+
 QUARTER = 0.25 * math.pi
 # Largest phase_distance at which equivalent calls two unitaries equal.
 EQUIVALENCE_TOL = 1e-9
 
 
-class CompileError(ValueError):
+class CompileError(NumericError, ValueError):
     """Invalid gate program or mode violation."""
 
 

@@ -19,6 +19,13 @@ from .signals import MultiToneLo, SignalError, Tone
 # the crosstalk pass works in place on each block of its matrix.
 _BLOCK_ELEMENTS = 1 << 14
 
+# The default resonator bank of the resource estimates: each resonator's Q,
+# and the band W its tones share around the reference frequency f_c, so that
+# tones one linewidth apart number W Q / f_c.
+DEFAULT_Q = 1.0e4
+DEFAULT_BANDWIDTH_HZ = 2.0e9
+DEFAULT_REF_FREQ_HZ = 5.0e9
+
 
 @dataclass(frozen=True)
 class Resonator:

@@ -15,11 +15,10 @@ import numpy as np
 
 from . import qubit as qb
 from .calibration import CalibratedPulse, CalibrationError
-from .compiler import Program, Schedule, _gate_matrix
 from .mixer import (CARRIER_CHECKS, DRIVE_CHECKS, SAMPLES_PER_CYCLE, MixerConfig, _rate_map,
                     rabi_rates)
 from .qubit import FitModel, QubitParams, Trajectory, fit_curve
-from .signals import CYCLE_CHECKS, ENVELOPE_CHECKS, IF_CHECKS, raise_first
+from .signals import CYCLE_CHECKS, ENVELOPE_CHECKS, IF_CHECKS, NumericError, raise_first
 
 # Rabi periods in each trace residual_ratio fits.
 RABI_PERIODS = 3.0
@@ -27,7 +26,7 @@ RABI_PERIODS = 3.0
 VZ_DELAY_S = 1e-8
 
 
-class ExperimentError(RuntimeError):
+class ExperimentError(NumericError, RuntimeError):
     pass
 
 
@@ -178,14 +177,15 @@ def run_experiment(
 
 
 def simulate_schedule(
-    sched: Schedule,
-    program: Program,
+    sched,
+    program,
     q_list: list[QubitParams],
     cfg_list: list[MixerConfig],
     x90_list: list[CalibratedPulse],
     cycle_period_s: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Execute a compiled schedule through mixer and qubit models.
+    """Execute ``sched``, the compiler.Schedule of the compiler.Program
+    ``program``, through mixer and qubit models.
 
     The shared IF line carries qubit k's flat x90 envelope in every emitted
     cycle; mixer k's bit gates it, and an off cycle leaks off_leakage of the
@@ -290,6 +290,8 @@ def _ideal_p1(table, codes) -> np.ndarray:
     """|<1|U|0>|^2 per row of gate ``codes`` into ``table`` (``len(table)``
     pads): each gate's matrix is built once, then U|0> is built one gate
     column at a time over all rows."""
+    from .compiler import _gate_matrix
+
     mats = np.stack([_gate_matrix(g) for g in table] + [np.eye(2, dtype=complex)])
     psi = np.zeros((len(codes), 2), dtype=complex)
     psi[:, 0] = 1.0

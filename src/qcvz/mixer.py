@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .signals import IF_CHECKS, IfProgram, Tone, raise_first
+from .signals import IF_CHECKS, IfProgram, NumericError, Tone, raise_first
 
 # Reported maximum mixer output power; metadata for resource tables only.
 MAX_OUTPUT_POWER_PW = 4.11
@@ -26,7 +26,7 @@ MAX_OUTPUT_POWER_DBM = -83.9
 SAMPLES_PER_CYCLE = 256
 
 
-class MixerError(ValueError):
+class MixerError(NumericError, ValueError):
     """Invalid mixer configuration or drive request."""
 
 

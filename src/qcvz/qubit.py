@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .mixer import DriveEnvelope
-from .signals import raise_first
+from .signals import NumericError, raise_first
 
 _EPS = float(np.finfo(float).eps)
 # validate_density_matrix's bound on trace error, anti-Hermitian part and
@@ -39,11 +39,11 @@ BLOCH_GROUND = np.array([1.0, 0.0, 0.0, 1.0])
 BLOCH_P1 = np.array([0.5, 0.0, 0.0, -0.5])
 
 
-class QubitError(ValueError):
+class QubitError(NumericError, ValueError):
     """Invalid qubit parameters or state."""
 
 
-class FitError(RuntimeError):
+class FitError(NumericError, RuntimeError):
     """Curve fit did not converge."""
 
 

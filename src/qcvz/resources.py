@@ -4,16 +4,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict
 
+from .demux import DEFAULT_BANDWIDTH_HZ, DEFAULT_Q, DEFAULT_REF_FREQ_HZ
 from .mixer import MAX_OUTPUT_POWER_PW, MAX_OUTPUT_POWER_DBM
+from .signals import NumericError
 
 STANDBY_PW = 1.92
 PEAK_PW = 220.0
-DEFAULT_Q = 1.0e4
-DEFAULT_BANDWIDTH_HZ = 2.0e9
-DEFAULT_REF_FREQ_HZ = 5.0e9
 
 
-class ResourceError(ValueError):
+class ResourceError(NumericError, ValueError):
     """Invalid resource-estimate inputs."""
 
 

@@ -15,8 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class NumericError(Exception):
+    """Base of every qcvz error that the CLI reports as a numerical failure
+    (exit 3). Each layer's error class derives from it and from ValueError or
+    RuntimeError."""
 
-class SignalError(ValueError):
+
+class SignalError(NumericError, ValueError):
     """Invalid signal description."""
 
 

@@ -9,6 +9,8 @@ import csv
 import math
 from pathlib import Path
 
+from .signals import NumericError
+
 WIDTH, HEIGHT = 720, 480
 MARGIN = 60
 
@@ -22,7 +24,7 @@ _STOPS = [
 ]
 
 
-class PlotError(ValueError):
+class PlotError(NumericError, ValueError):
     """CSV schema does not match the requested plot kind."""
 
 

@@ -1,6 +1,8 @@
 import argparse
+import ast
 import contextlib
 import copy
+import importlib
 import io
 import json
 import math
@@ -26,7 +28,7 @@ from qcvz.cli import (
 from qcvz.demux import demux, resonator_gain
 from qcvz.mixer import BitTimeline, baseband_output
 from qcvz.qubit import Trajectory, ground_state, propagate
-from qcvz.signals import CycleSpec, Envelope, IfProgram, Tone
+from qcvz.signals import CycleSpec, Envelope, IfProgram, NumericError, Tone
 from qcvz.svgplot import PlotError, emit_plot
 
 
@@ -627,6 +629,47 @@ def test_unwritable_artifacts_are_config_errors(tmp_path, monkeypatch):
         code, text = run_clean(cmd, *REQUIRED_FLAGS.get(cmd, []), *svg, "--out", "file/out")
         assert (code == EXIT_CONFIG and text.startswith("qcvz: ") and text.count("\n") == 1
                 and "file/" in text), (cmd, text)
+
+
+def test_each_command_makes_its_output_directory_once(tmp_path, monkeypatch):
+    made, mkdir = [], Path.mkdir
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        return mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counted)
+    out = tmp_path / "out"
+    assert run(out, "t1", "--points", "13", "--plot") == EXIT_OK
+    assert made == [out]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "t1.csv", "t1.csv.meta.json", "t1.svg", "t1_fit.json"]
+
+
+def test_every_layer_error_is_a_numeric_error():
+    # main maps NumericError to exit 3, so a layer's error class that does
+    # not derive from it would end in a traceback.
+    found = set()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"qcvz.{path.stem}")
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Error"):
+                found.add(node.name)
+                if node.name not in ("ConfigError", "_UsageError"):
+                    assert issubclass(getattr(module, node.name), NumericError), node.name
+    assert found >= {"SignalError", "CompileError", "PlotError", "MixerError", "ResourceError",
+                     "QubitError", "FitError", "CalibrationError", "ExperimentError",
+                     "ConfigError", "_UsageError"}
+
+
+def test_numeric_error_exits_3_with_its_message(tmp_path, monkeypatch, capsys):
+    def fail(cfg, args, out):
+        raise NumericError("no such number")
+
+    monkeypatch.setitem(cli.COMMANDS, "calibrate", (fail, cli.COMMANDS["calibrate"][1]))
+    assert run(tmp_path, "calibrate") == EXIT_NUMERIC
+    assert capsys.readouterr().err == "qcvz: no such number\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 # The numeric flags of each command that takes any, from the command table,

@@ -2,8 +2,10 @@
 layer imports as a module, every module imports only modules below it, every
 module-level private name is read somewhere in the package, every error
 message has one source, the README's library example runs, neither
-importing qcvz nor running a command loads scipy, and importing the CLI
-builds no command parser."""
+importing qcvz nor running a command loads scipy, importing the CLI builds
+no command parser and loads none of the layers that only one command runs
+(compiler, resources, svgplot and its csv), and a bring-up command loads no
+compiler while compile does."""
 import ast
 import json
 import os
@@ -189,15 +191,33 @@ def _last_line(probe: str) -> str:
     return out.stdout.splitlines()[-1]
 
 
-def _scipy_modules_after(code: str) -> list[str]:
-    """scipy modules loaded by ``code`` in a fresh interpreter."""
+def _modules_after(code: str, *prefixes: str) -> list[str]:
+    """Modules named with one of ``prefixes`` that ``code`` has loaded in a
+    fresh interpreter."""
     return json.loads(_last_line(
         code + "\nimport json, sys\n"
-        "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))"))
+        f"print(json.dumps([m for m in sys.modules if m.startswith({prefixes!r})]))"))
 
 
 def test_import_loads_no_scipy():
-    assert _scipy_modules_after("import qcvz, qcvz.cli") == []
+    assert _modules_after("import qcvz, qcvz.cli", "scipy") == []
+
+
+# Layers that only one command runs (compile, resources, plot or --plot),
+# which that command imports when it runs.
+ONE_COMMAND_LAYERS = ("qcvz.compiler", "qcvz.resources", "qcvz.svgplot", "csv")
+
+
+def test_import_loads_no_one_command_layer():
+    assert _modules_after("import qcvz, qcvz.cli", *ONE_COMMAND_LAYERS) == []
+
+
+def test_bringup_commands_load_no_one_command_layer(tmp_path):
+    run = ("from qcvz.cli import main\n"
+           f"assert main(['calibrate', '--out', {str(tmp_path)!r}]) == 0\n"
+           f"assert main(['t1', '--points', '13', '--out', {str(tmp_path)!r}]) == 0")
+    assert _modules_after(run, *ONE_COMMAND_LAYERS) == []
+    assert (tmp_path / "pulses.json").exists() and (tmp_path / "t1_fit.json").exists()
 
 
 def test_import_builds_no_parser():
@@ -209,7 +229,7 @@ def test_compile_loads_no_scipy(tmp_path):
     program.write_text(json.dumps({"qubits": [["x90", "z45", "h"], ["x180"]]}))
     argv = ["compile", "--program", str(program), "--out", str(tmp_path)]
     run = f"from qcvz.cli import main\nassert main({argv!r}) == 0"
-    assert _scipy_modules_after(run) == []
+    assert _modules_after(run, "scipy", "qcvz.compiler") == ["qcvz.compiler"]
     assert (tmp_path / "schedule.json").exists()
 
 
@@ -219,7 +239,7 @@ def test_commands_that_fit_or_sweep_load_no_scipy(tmp_path):
     run = ("from qcvz.cli import main\n"
            f"for argv in {commands!r}:\n"
            f"    assert main([*argv, '--out', {str(tmp_path)!r}]) == 0, argv")
-    assert _scipy_modules_after(run) == []
+    assert _modules_after(run, "scipy") == []
     for name in ("t1_fit.json", "ramsey_fit.json", "echo_fit.json", "rabi.csv", "chevron.csv"):
         assert (tmp_path / name).exists()
 
