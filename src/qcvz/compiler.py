@@ -210,7 +210,8 @@ def _lower(program: Program, quantized: bool) -> tuple[np.ndarray, np.ndarray, n
     n_pulses = table[:, 1].astype(np.int8)[codes]
     phases = np.repeat(frames[:, 0::2].ravel(), n_pulses.ravel())
     if quantized:
-        return phases % 8, n_pulses.sum(axis=1), (final % 8) * QUARTER
+        # & 7 is mod 8 for every int8 in two's complement, and much cheaper.
+        return phases & 7, n_pulses.sum(axis=1), (final & 7) * QUARTER
     # In place, so a 500 x 100 program's lowering holds one copy of its phases.
     deg = np.remainder(np.degrees(phases, out=phases), 360.0, out=phases)
     frame = final % math.tau
@@ -309,7 +310,12 @@ class Schedule:
     and IF phase ``theta_if_deg[i]`` and fires the qubits
     ``fired[offsets[i]:offsets[i + 1]]`` (CSR layout, ``n_cycles + 1``
     offsets), each fired index in ``range(n_qubits)``. The arrays are made
-    read-only."""
+    read-only, and ``slot``, ``offsets`` and ``fired`` must be integer.
+
+    ``schedule`` returns int64 ``slot`` and ``offsets``, float64
+    ``theta_if_deg`` and int32 ``fired`` in both modes. For rows of up to 8191
+    pulses, quantized45 holds each pulse's phase and slot in 8 or 16 bits and
+    widens only the one slot per cycle."""
 
     slot: np.ndarray
     theta_if_deg: np.ndarray
@@ -322,10 +328,12 @@ class Schedule:
         for a in (self.slot, self.theta_if_deg, self.offsets, self.fired):
             a.setflags(write=False)
         c, offsets = len(self.slot), self.offsets
-        if not (len(self.theta_if_deg) == c and len(offsets) == c + 1 and offsets[0] == 0
+        if not (all(np.issubdtype(a.dtype, np.integer) for a in (self.slot, offsets, self.fired))
+                and len(self.theta_if_deg) == c and len(offsets) == c + 1 and offsets[0] == 0
                 and offsets[-1] == self.fired.size and (np.diff(offsets) >= 0).all()):
-            raise CompileError("schedule arrays disagree: need one theta per slot and "
-                               "len(slot) + 1 nondecreasing offsets from 0 to fired.size")
+            raise CompileError("schedule arrays disagree: need integer slot, offsets and "
+                               "fired, one theta per slot and len(slot) + 1 nondecreasing "
+                               "offsets from 0 to fired.size")
         if self.fired.size and not (0 <= self.fired.min() and self.fired.max() < self.n_qubits):
             raise CompileError(f"fired qubit index out of range({self.n_qubits})")
 
@@ -426,19 +434,22 @@ def schedule(program: Program, mode: ScheduleMode | str = ScheduleMode.QUANTIZED
     n = program.n_qubits
     if not phases.size:
         return Schedule(np.zeros(0, np.int64), np.zeros(0), np.zeros(1, np.int64),
-                        np.zeros(0, np.int64), mode, n)
+                        np.zeros(0, np.int32), mode, n)
     valid = np.arange(lens.max()) < lens[:, None]
     if quantized:
         k = np.zeros(valid.shape, np.int8)
         k[valid] = phases
-        step = (np.diff(k, axis=1, prepend=np.int8(-1)) - 1) % 8 + 1
-        slot = np.cumsum(step, axis=1, dtype=np.int64)[valid] - 1
+        step = ((np.diff(k, axis=1, prepend=np.int8(-1)) - 1) & 7) + 1
+        # slot1 is slot + 1. Each step is at most 8, so it fits in 8 * (longest
+        # row): 8 or 16 bits for rows of up to 8191 pulses. Only the one slot
+        # per cycle is widened and shifted.
+        slot1 = np.cumsum(step, axis=1, dtype=np.min_scalar_type(8 * lens.max()))[valid]
         # A stable sort keeps the qubits ascending within a slot; on 16 bits
         # or fewer numpy's stable sort is a radix sort.
-        order = np.argsort(slot.astype(np.min_scalar_type(slot.max())), kind="stable")
-        slot, qubit = slot[order], valid.nonzero()[0][order]
-        offsets = np.r_[0, np.flatnonzero(np.diff(slot)) + 1, slot.size]
-        slot = slot[offsets[:-1]]
+        order = np.argsort(slot1, kind="stable")
+        slot1, qubit = slot1[order], np.repeat(np.arange(n, dtype=np.int32), lens)[order]
+        offsets = np.r_[0, np.flatnonzero(np.diff(slot1)) + 1, slot1.size]
+        slot = slot1[offsets[:-1]].astype(np.int64) - 1
         return Schedule(slot, (slot % 8 * 45).astype(float), offsets, qubit, mode, n)
     # Code every pulse by its cluster; clusters are numbered in order of v,
     # so argmax over cluster counts breaks ties to the lowest v. Code c pads
@@ -477,7 +488,8 @@ def schedule(program: Program, mode: ScheduleMode | str = ScheduleMode.QUANTIZED
         left -= fire.size
     offsets = np.r_[0, np.cumsum([f.size for f in fired])]
     theta = vals[opens][picked] % 360.0
-    return Schedule(np.arange(len(picked)), theta, offsets, np.concatenate(fired), mode, n)
+    return Schedule(np.arange(len(picked)), theta, offsets,
+                    np.concatenate(fired).astype(np.int32), mode, n)
 
 
 @dataclass(frozen=True)

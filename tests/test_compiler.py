@@ -364,6 +364,7 @@ EDGE_NAMES = FREE_NAMES + ["z:1e-7", "z:-3.0000001"]
 def test_schedule_arrays_match_json_cycles_and_stats(case):
     mode, rows = case
     sched = schedule(Program(tuple(tuple(gates(*row)) for row in rows)), mode)
+    assert sched.fired.dtype == np.int32
     d = sched.to_dict()
     assert sched.to_json() == json.dumps(d, indent=2, sort_keys=True, allow_nan=False) + "\n"
     assert sched.cycles == tuple(Cycle(c["theta_if"], tuple(c["fired"]), c["slot"])
@@ -385,8 +386,10 @@ def test_schedule_rejects_nonfinite_theta_and_bad_qubits():
 
 
 def _sched(slot, theta, offsets, fired, n_qubits=1, mode=ScheduleMode.FREE):
-    return Schedule(np.array(slot, np.int64), np.array(theta, float),
-                    np.array(offsets, np.int64), np.array(fired, np.int64), mode, n_qubits)
+    """A Schedule from lists, as int64 (theta float64); arrays pass unchanged."""
+    slot, offsets, fired = (a if isinstance(a, np.ndarray) else np.array(a, np.int64)
+                            for a in (slot, offsets, fired))
+    return Schedule(slot, np.array(theta, float), offsets, fired, mode, n_qubits)
 
 
 @pytest.mark.parametrize("slot, theta, offsets, fired", [
@@ -398,6 +401,9 @@ def _sched(slot, theta, offsets, fired, n_qubits=1, mode=ScheduleMode.FREE):
     ([0], [0.0], [1, 0], []),              # offsets start past 0 and decrease
     ([0, 1], [0.0, 0.0], [0, 2, 1], [0]),  # offsets decrease
     ([0], [0.0], [0, 1], [0, 0]),          # offsets end before the last fired
+    ([0], [0.0], [0, 1], np.array([0.5])),       # a fractional fired qubit
+    (np.array([0.7]), [0.0], [0, 1], [0]),       # a fractional slot
+    ([0], [0.0], np.array([0.0, 1.0]), [0]),     # float offsets
 ])
 def test_schedule_rejects_arrays_that_disagree(slot, theta, offsets, fired):
     with pytest.raises(CompileError, match="schedule arrays disagree"):
@@ -553,8 +559,69 @@ def test_bench_size_schedules_match_reference_bytes(seed):
         gate_rows = [[gate[name] for name in row] for row in rows]
         for mode in modes:
             ref = _ref_array_schedule(gate_rows, mode).to_json()
-            assert schedule(Program.from_names(rows), mode).to_json() == ref
-            assert schedule(Program(gate_rows), mode).to_json() == ref
+            for prog in (Program.from_names(rows), Program(gate_rows)):
+                sched = schedule(prog, mode)
+                assert sched.to_json() == ref and sched.fired.dtype == np.int32
+
+
+# Where quantized45's narrow types change: slot + 1 reaches 8 * 8191 = 65528
+# (16 bits) and 8 * 8192 = 65536 (32 bits) after a z315, qubit counts pass
+# 256 and 65536, an int8 frame wraps many times, and empty rows sit among
+# full ones.
+@pytest.mark.parametrize("rows", [
+    [["z315"] + ["x90"] * 8191, ["x90", "t", "x90"]],
+    [["z315"] + ["x90"] * 8192, ["x90", "t", "x90"]],
+    [["x90"]] * 257,
+    [["t", "x90"]] * 65537,
+    [["z315"] * 300 + ["x90", "t", "x90", "h", "x180", "sdg", "x90"], ["x90"], ["z45"] * 129],
+    [[], ["x90", "s"] * 40, [], [], ["t", "x90", "h"] * 30, [], ["z90"], []],
+], ids=["slot16", "slot32", "qubits257", "qubits65537", "frame_wrap", "empty_rows"])
+@pytest.mark.parametrize("mode", ["quantized45", "free"])
+def test_narrow_schedule_boundaries_match_reference_bytes(rows, mode):
+    gate = {name: Gate.parse(name) for name in set(itertools.chain.from_iterable(rows))}
+    gate_rows = [[gate[name] for name in row] for row in rows]
+    sched = schedule(Program.from_names(rows), mode)
+    assert sched.fired.dtype == np.int32
+    assert sched.to_json() == _ref_array_schedule(gate_rows, mode).to_json()
+
+
+# -- replay: quantized45 parallelism with no compiler code -------------------
+# Each gate as (frame += a, emit n X90s, frame += b), in units of pi/4.
+_REPLAY_STEP = {"x90": (0, 1, 0), "x180": (0, 2, 0), "h": (2, 1, 2), "s": (2, 0, 0),
+                "sdg": (-2, 0, 0), "t": (1, 0, 0), "tdg": (-1, 0, 0),
+                **{f"z{45 * k}": (k, 0, 0) for k in range(1, 8)}}
+
+
+def _replay_mean_fired(codes):
+    """Mean qubits fired per cycle of the gates ``Q45_NAMES[codes]``: each
+    pulse at k * 45 degrees fires in the first rolling slot after its row's
+    previous pulse that is k mod 8, and a cycle is a slot that fires any."""
+    steps = np.array([_REPLAY_STEP[name] for name in Q45_NAMES])
+    a, pulses, b = steps[codes].transpose(2, 0, 1)
+    frame = np.zeros(codes.shape[0], np.int64)
+    last = np.full(codes.shape[0], -1, np.int64)
+    slots = []
+    for j in range(codes.shape[1]):
+        frame += a[:, j]
+        for p in range(pulses.max(initial=0)):
+            emit = pulses[:, j] > p
+            last[emit] += 1 + (frame[emit] - last[emit] - 1) % 8
+            slots.append(last[emit])
+        frame += b[:, j]
+    counts = np.bincount(np.concatenate(slots))
+    return float(np.mean(counts[counts > 0]))
+
+
+@pytest.mark.parametrize("n, mean_per_qubit", [(1000, 0.130), (10_000, 0.123)])
+def test_quantized45_parallelism_of_random_clifford_t_programs(n, mean_per_qubit):
+    # 300 gates per qubit drawn uniformly from the Clifford+T and z(k*45)
+    # names. The mean counts the drain at the end, when the longest rows run
+    # alone, so it lies below n / 8.
+    codes = np.random.default_rng(3).choice(len(Q45_NAMES), (n, 300))
+    prog = Program.from_names(np.array(Q45_NAMES)[codes].tolist())
+    mean_fired = parallelism_stats(schedule(prog)).mean_fired
+    assert mean_fired == _replay_mean_fired(codes)
+    assert mean_fired / n == pytest.approx(mean_per_qubit, abs=5e-4)
 
 
 def test_free_schedule_with_a_distinct_phase_per_pulse_matches_reference_bytes():
