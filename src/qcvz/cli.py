@@ -187,16 +187,18 @@ class _Artifacts:
         out.mkdir(parents=True, exist_ok=True)
         return out
 
-    def _sidecar(self, path: Path) -> None:
-        meta = {"command": self.command, "seed": self.args.seed, "args": vars(self.args),
-                "config": self.cfg.raw}
-        Path(f"{path}.meta.json").write_text(_dumps(_strict(meta)))
+    @functools.cached_property
+    def _meta(self) -> str:
+        """The ``.meta.json`` text, encoded once: it names no artifact, so
+        every sidecar of the command is the same."""
+        return _dumps(_strict({"command": self.command, "seed": self.args.seed,
+                               "args": vars(self.args), "config": self.cfg.raw}))
 
     def write(self, name: str, text: str, sidecar: bool = True) -> Path:
         path = self._dir / name
         path.write_text(text)
         if sidecar:
-            self._sidecar(path)
+            Path(f"{path}.meta.json").write_text(self._meta)
         return path
 
     def json(self, name: str, obj, sidecar: bool = True) -> None:

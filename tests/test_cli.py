@@ -263,6 +263,19 @@ def test_spectrum_outputs(tmp_path):
     assert (tmp_path / "crosstalk.csv").exists()
 
 
+def test_spectrum_encodes_its_sidecar_once(tmp_path, monkeypatch):
+    # Both artifacts take a sidecar, and the meta names neither of them.
+    encoded, dumps = [], cli._dumps
+    monkeypatch.setattr(cli, "_dumps", lambda obj: encoded.append(obj) or dumps(obj))
+    assert run(tmp_path, "spectrum") == EXIT_OK
+    assert len(encoded) == 1
+    meta = {"command": "spectrum", "seed": 0, "config": cli.DEFAULT_CONFIG,
+            "args": dict(PARSED_DEFAULTS["spectrum"], out=str(tmp_path))}
+    want = (json.dumps(meta, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+    for name in ("spectrum", "crosstalk"):
+        assert (tmp_path / f"{name}.csv.meta.json").read_bytes() == want, name
+
+
 def test_spectrum_with_if_above_lo_is_numeric_error(tmp_path, capsys):
     # A 9-GHz IF against the default 8-GHz tone: no positive difference tone.
     path = tmp_path / "cfg.json"

@@ -442,11 +442,22 @@ def test_to_json_matches_json_dumps_on_edge_cases(case, mode):
     assert sched.to_json().count('"theta_if": -0.0\n') == negative_zeros
 
 
-@pytest.mark.parametrize("mode, names", [("quantized45", Q45_NAMES), ("free", EDGE_NAMES)])
+def _off_grid_before_each_x90(rng):
+    """200 rows of 50 X90s, each after a z:<radians> at a random angle, so that
+    each free-mode cycle fires one qubit and a joint follows every line."""
+    angles = rng.uniform(0.0, 2 * math.pi, (200, 50)).tolist()
+    return [[g for a in row for g in (f"z:{a!r}", "x90")] for row in angles]
+
+
+@pytest.mark.parametrize("mode, names", [("quantized45", Q45_NAMES), ("free", EDGE_NAMES),
+                                         ("free", _off_grid_before_each_x90)])
 def test_to_json_matches_json_dumps_on_a_random_program(mode, names):
     rng = np.random.default_rng(11)
-    sched = schedule(Program.from_names(rng.choice(names, (2000, 50)).tolist()), mode)
+    rows = names(rng) if callable(names) else rng.choice(names, (2000, 50)).tolist()
+    sched = schedule(Program.from_names(rows), mode)
     assert sched.fired.size > 5_000 and sched.to_json() == _dumps(sched)
+    if callable(names):
+        assert sched.slot.size == sched.fired.size
 
 
 # -- reference: the id-coded lowering and the per-cycle scans ---------------
