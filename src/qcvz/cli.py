@@ -25,8 +25,8 @@ from . import qubit as qb
 from .calibration import CalibratedPulse, calibrate_pulse
 from .demux import (DEFAULT_BANDWIDTH_HZ, DEFAULT_Q, DEFAULT_REF_FREQ_HZ, Resonator, crosstalk_db,
                     matched_channels)
-from .experiments import ExperimentError, chevron, run_experiment
-from .mixer import SAMPLES_PER_CYCLE, MixerConfig, output_spectrum
+from .experiments import ExperimentError, chevron, rabi_trace, run_experiment
+from .mixer import MixerConfig, output_spectrum
 from .qubit import FitModel, QubitParams, fit_curve
 from .signals import MultiToneLo, NumericError, Tone
 
@@ -265,12 +265,8 @@ def cmd_chevron(cfg: DeviceConfig, args, out: _Artifacts) -> None:
 
 def cmd_rabi(cfg: DeviceConfig, args, out: _Artifacts) -> None:
     k = args.qubit
-    q = cfg.qubits[k]
-    f_lo = cfg.mixers[k].channel.freq_hz
-    # One resonant chevron column, read at the sample edges of the pulse.
-    t = np.arange(SAMPLES_PER_CYCLE + 1) / (SAMPLES_PER_CYCLE / args.tau_max_s)
-    p1 = chevron(q, cfg.mixers[k], f_lo, [f_lo - q.f_qubit_hz], t, mixer_on=not args.off,
-                 a_if=args.a_if)[0]
+    t, p1 = rabi_trace(cfg.qubits[k], cfg.mixers[k], cfg.mixers[k].channel.freq_hz,
+                       args.tau_max_s, not args.off, args.a_if)
     out.csv("rabi", ["t_s", "p1"], [t, p1], plot="line")
 
 

@@ -51,8 +51,6 @@ import numpy as np
 from .signals import NumericError
 
 QUARTER = 0.25 * math.pi
-# Largest phase_distance at which equivalent calls two unitaries equal.
-EQUIVALENCE_TOL = 1e-9
 
 
 class CompileError(NumericError, ValueError):
@@ -156,14 +154,6 @@ def _parse_names(names) -> list[Gate]:
     return [Gate.parse(name) for name in names]
 
 
-@dataclass(frozen=True)
-class LoweredQubit:
-    """Pulse phase list plus the residual virtual-Z frame after the last pulse."""
-
-    thetas_deg: tuple[float, ...]
-    final_frame_rad: float
-
-
 # Z rotation contributed by each composite gate; X90 emits a pulse.
 _Z_ANGLE = {
     GateKind.S: 0.5 * math.pi,
@@ -221,19 +211,8 @@ def _lower(program: Program, quantized: bool) -> tuple[np.ndarray, np.ndarray, n
     return deg, n_pulses.sum(axis=1), frame
 
 
-def lower(gates, quantized: bool = True) -> LoweredQubit:
-    """Lower a gate list to X90 pulses with frame-tracked theta_if values.
-
-    Quantized mode requires every Z angle to be a multiple of pi/4 (within
-    1e-9 of one) and tracks the frame exactly as an integer mod 8.
-    """
-    phases, _, final = _lower(Program((tuple(gates),)), quantized)
-    thetas = 45.0 * phases if quantized else phases
-    return LoweredQubit(tuple(thetas.tolist()), float(final[0]))
-
-
-# Ideal gate matrices (global phase irrelevant to equivalence checks). Every
-# other kind is diag(1, e^{i angle}): its _Z_ANGLE, or a Z gate's own angle.
+# Ideal gate matrices, up to global phase, for simulate_schedule's ideal p1.
+# Every other kind is diag(1, e^{i angle}): its _Z_ANGLE, or a Z gate's own angle.
 _X90 = np.array([[1.0, -1.0j], [-1.0j, 1.0]], dtype=complex) / math.sqrt(2.0)
 _MATRICES = {GateKind.X90: _X90, GateKind.X180: _X90 @ _X90,
              GateKind.H: np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)}
@@ -243,47 +222,6 @@ def _gate_matrix(g: Gate) -> np.ndarray:
     if g.kind in _MATRICES:
         return _MATRICES[g.kind]
     return np.diag([1.0, np.exp(1j * _Z_ANGLE.get(g.kind, g.angle_rad))])
-
-
-def ideal_unitary(gates) -> np.ndarray:
-    """Matrix product of the standard gate definitions, first gate applied first."""
-    u = np.eye(2, dtype=complex)
-    for g in gates:
-        u = _gate_matrix(g) @ u
-    return u
-
-
-def pulse_unitary(phi_rad: float) -> np.ndarray:
-    """R_phi(pi/2) = exp(-i (pi/4)(cos phi sigma_x + sin phi sigma_y))."""
-    c = math.cos(QUARTER)
-    s = math.sin(QUARTER)
-    return np.array(
-        [
-            [c, -1j * s * np.exp(-1j * phi_rad)],
-            [-1j * s * np.exp(1j * phi_rad), c],
-        ],
-        dtype=complex,
-    )
-
-
-def lowered_unitary(lq: LoweredQubit) -> np.ndarray:
-    """Unitary realized by the pulse list followed by the residual frame Z."""
-    u = np.eye(2, dtype=complex)
-    for theta in lq.thetas_deg:
-        u = pulse_unitary(-math.radians(theta)) @ u
-    zf = np.array([[1.0, 0.0], [0.0, np.exp(1j * lq.final_frame_rad)]], dtype=complex)
-    return zf @ u
-
-
-def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """min over alpha of ||u - e^{i alpha} v||_F."""
-    tr = np.trace(v.conj().T @ u)
-    alpha = np.angle(tr) if tr != 0 else 0.0
-    return float(np.linalg.norm(u - np.exp(1j * alpha) * v))
-
-
-def equivalent(u: np.ndarray, v: np.ndarray) -> bool:
-    return phase_distance(u, v) < EQUIVALENCE_TOL
 
 
 class ScheduleMode(str, Enum):

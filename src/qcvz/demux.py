@@ -63,17 +63,6 @@ def _gains(q, f_r, f):
     return (re + 1j * im)[()]
 
 
-def resonator_gain(r: Resonator, f_hz: float) -> complex:
-    """Complex transfer of the resonator at frequency f.
-
-    gain = 1 / (1 + 2j Q (f - f_r) / f_r); unity on resonance, |gain| <= 1.
-    """
-    f = np.asarray(f_hz, dtype=float)
-    if not np.all((f > 0) & (f < math.inf)):
-        raise SignalError("frequency must be positive and finite")
-    return _gains(r.q, r.f_r_hz, f)
-
-
 def matched_channels(resonators: list[Resonator], lo: MultiToneLo) -> list[Tone]:
     """Channel of every mixer: mixer k gets the LO tone nearest resonator k
     (ties go to the lower tone), through resonator k's gain in Smith's form,

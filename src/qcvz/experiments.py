@@ -78,6 +78,14 @@ def chevron(
     return _populations((states[np.searchsorted(cuts, taus), ..., 0] @ qb.BLOCH_P1).T)
 
 
+def rabi_trace(q: QubitParams, cfg: MixerConfig, f_lo_hz: float, tau_s: float,
+               mixer_on: bool = True, a_if: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """(t, p1) of one resonant flat pulse of duration tau_s: the chevron
+    column at f_if = f_lo - f_qubit, read at the pulse's sample edges."""
+    t = np.arange(SAMPLES_PER_CYCLE + 1) / (SAMPLES_PER_CYCLE / tau_s)
+    return t, chevron(q, cfg, f_lo_hz, [f_lo_hz - q.f_qubit_hz], t, mixer_on, a_if)[0]
+
+
 def residual_ratio(
     q: QubitParams,
     cfg: MixerConfig,
@@ -86,13 +94,11 @@ def residual_ratio(
 ) -> list[tuple[float, float]]:
     """Off/on Rabi-frequency ratio across IF amplitudes.
 
-    Each point fits a sinusoid to the resonant Rabi trace for both mixer
-    states: a one-column chevron read at the pulse's sample edges. Points
-    where the off-state fit fails (vanishing drive) are dropped with a
+    Each point fits a sinusoid to the ``rabi_trace`` of both mixer states.
+    Points where the off-state fit fails (vanishing drive) are dropped with a
     warning entry of NaN.
     """
     eps = cfg.off_leakage
-    f_if = f_lo_hz - q.f_qubit_hz
     out = []
     for a in np.asarray(a_if_grid, dtype=float):
         if not 0.0 <= a <= 1.0:
@@ -103,9 +109,7 @@ def residual_ratio(
             continue
         freqs = {}
         for on, f_scale in ((True, 1.0), (False, eps)):
-            tau = RABI_PERIODS / (f_scale * f_on)
-            t = np.arange(SAMPLES_PER_CYCLE + 1) / (SAMPLES_PER_CYCLE / tau)  # sample edges
-            p1 = chevron(q, cfg, f_lo_hz, [f_if], t, mixer_on=on, a_if=float(a))[0]
+            t, p1 = rabi_trace(q, cfg, f_lo_hz, RABI_PERIODS / (f_scale * f_on), on, float(a))
             try:
                 freqs[on] = fit_curve(FitModel.RABI_SINUSOID, t, p1).params["f"]
             except qb.FitError:

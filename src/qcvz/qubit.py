@@ -94,10 +94,6 @@ class QubitParams:
         return QubitParams(self.f_qubit_hz, math.inf, math.inf)
 
 
-def ground_state() -> np.ndarray:
-    return np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-
-
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
@@ -127,20 +123,6 @@ class Trajectory:
         if np.any(np.diff(self.times_s) < 0):
             raise QubitError("trajectory times must be monotone")
         raise_first(POPULATION_CHECKS, p1=self.p1)
-
-
-def rabi_analytic(omega_rad: float, delta_rad: float, t_s) -> np.ndarray | float:
-    """Closed-form Rabi population from the ground state under a flat drive.
-
-    p1 = (Omega^2 / (Omega^2 + delta^2)) sin^2(sqrt(Omega^2 + delta^2) t / 2)
-    """
-    t = np.asarray(t_s, dtype=float)
-    w2 = omega_rad**2 + delta_rad**2
-    if w2 == 0.0:
-        out = np.zeros_like(t)
-    else:
-        out = (omega_rad**2 / w2) * np.sin(0.5 * math.sqrt(w2) * t) ** 2
-    return float(out) if np.isscalar(t_s) else out
 
 
 _EYE4 = np.eye(4)

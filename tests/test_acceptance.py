@@ -16,12 +16,7 @@ from qcvz.compiler import (
     Gate,
     GateKind,
     Program,
-    ideal_unitary,
-    lower,
-    lowered_unitary,
     parallelism_stats,
-    phase_distance,
-    pulse_unitary,
     schedule,
 )
 from qcvz.experiments import chevron, residual_ratio, run_experiment, simulate_schedule
@@ -36,12 +31,20 @@ from qcvz.qubit import (
     FitModel,
     QubitParams,
     fit_curve,
-    ground_state,
     propagate,
-    rabi_analytic,
 )
 from qcvz.resources import cable_count, max_tones, power_estimate
 from qcvz.signals import CycleSpec, Envelope, IfProgram, Tone
+
+from oracles import (
+    ground_state,
+    ideal_unitary,
+    lower,
+    lowered_unitary,
+    phase_distance,
+    pulse_product,
+    rabi_analytic,
+)
 
 TWO_PI = 2.0 * math.pi
 F_LO = 8.0e9
@@ -182,10 +185,7 @@ def _transfer_tables():
         for f in range(8):
             prefix = [Gate.z(f * QUARTER)] if f else []
             lq = lower(prefix + [gate])
-            a = np.eye(2, dtype=complex)
-            for theta in lq.thetas_deg:
-                a = pulse_unitary(-math.radians(theta)) @ a
-            a_tab[s, f] = a
+            a_tab[s, f] = pulse_product(lq.thetas_deg)
             f_new = lq.final_frame_rad / QUARTER
             assert abs(f_new - round(f_new)) < 1e-9
             f_tab[s, f] = round(f_new) % 8

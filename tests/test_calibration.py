@@ -25,7 +25,7 @@ from qcvz.mixer import (
     baseband_output,
     rabi_rates,
 )
-from qcvz.qubit import FitModel, QubitParams, fit_curve, ground_state, propagate
+from qcvz.qubit import FitModel, QubitParams, fit_curve, propagate
 from qcvz.signals import (
     CycleSpec,
     Envelope,
@@ -34,6 +34,8 @@ from qcvz.signals import (
     Tone,
     raise_first,
 )
+
+from oracles import ground_state
 
 F_Q = 4.53202e9
 F_LO = 8.0e9
@@ -136,6 +138,20 @@ def test_residual_ratio_matches_drive_propagation():
 def test_residual_ratio_rejects_bad_grid():
     with pytest.raises(CalibrationError):
         residual_ratio(QubitParams(F_Q), make_cfg(), [1.5], F_LO)
+
+
+def test_residual_ratio_reads_nan_where_the_mixer_gives_no_drive():
+    # At a_if = 0 the Rabi rate is 0 in both mixer states: no trace to fit.
+    pts = residual_ratio(QubitParams(F_Q), make_cfg(), [0.0], F_LO)
+    assert len(pts) == 1 and pts[0][0] == 0.0 and math.isnan(pts[0][1])
+
+
+def test_calibrate_pulses_rejects_counts_that_disagree():
+    q, cfg = QubitParams(F_Q), make_cfg()
+    for cfgs, f_los in (([cfg, cfg], [F_LO]), ([cfg], [F_LO, F_LO]), ([], [])):
+        with pytest.raises(CalibrationError) as info:
+            calibrate_pulses([q], cfgs, math.pi, 50e-9, f_los)
+        assert str(info.value) == "qubit/mixer/LO counts disagree"
 
 
 TWO_PI = 2.0 * math.pi

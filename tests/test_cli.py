@@ -25,11 +25,13 @@ from qcvz.cli import (
     load_config,
     main,
 )
-from qcvz.demux import demux, resonator_gain
+from qcvz.demux import demux
 from qcvz.mixer import BitTimeline, baseband_output
-from qcvz.qubit import Trajectory, ground_state, propagate
+from qcvz.qubit import Trajectory, propagate
 from qcvz.signals import CycleSpec, Envelope, IfProgram, NumericError, Tone
 from qcvz.svgplot import PlotError, emit_plot
+
+from oracles import ground_state, resonator_gain
 
 
 def run(outdir, *argv):
@@ -128,6 +130,15 @@ def test_bad_config(tmp_path):
     ):
         p.write_text(json.dumps(raw))
         assert run(tmp_path, "spectrum", "--config", str(p)) == EXIT_CONFIG
+
+
+def test_missing_config_file_is_config_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(cli.ConfigError) as info:
+        load_config(str(missing))
+    assert str(info.value) == f"config file not found: {missing}"
+    assert main(["resources", "-n", "10", "--config", str(missing)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"qcvz: config file not found: {missing}\n"
 
 
 def test_default_config_loads():
@@ -385,6 +396,21 @@ def test_heatmap_is_deterministic_and_rejects_a_ragged_grid(tmp_path):
         render("repeated", rows[:-1] + rows[:1])
     assert run(tmp_path, "chevron", "--plot") == EXIT_OK
     assert (tmp_path / "chevron.svg").read_bytes().count(b"<rect x=") == 41 * 26
+
+
+def test_plot_names_an_empty_csv_a_wrong_width_and_an_unknown_kind(tmp_path):
+    csv = tmp_path / "data.csv"
+    for text, kind, message in (
+        ("", "line", f"{csv}: empty CSV"),
+        ("t_s,p1\n", "line", f"{csv}: empty CSV"),
+        ("t_s,p1\n0,1\n", "heatmap", f"{csv}: expected 3 columns, found 2"),
+        ("x,y,v\n0,0,1\n", "line", f"{csv}: expected 2 columns, found 3"),
+        ("t_s,p1\n0,1\n", "bar", "unknown plot kind 'bar'"),
+    ):
+        csv.write_text(text)
+        with pytest.raises(PlotError) as info:
+            emit_plot(csv, kind)
+        assert str(info.value) == message, (text, kind)
 
 
 class _Tables:

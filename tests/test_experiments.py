@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcvz.calibration import CalibratedPulse
-from qcvz.compiler import Gate, Program, ideal_unitary, schedule
+from qcvz.compiler import Gate, Program, schedule
 from qcvz.experiments import (
     VZ_DELAY_S,
     ExperimentError,
@@ -17,8 +17,10 @@ from qcvz.experiments import (
     simulate_schedule,
 )
 from qcvz.mixer import BitTimeline, MixerConfig, MixerError, Nonlinearity, baseband_output
-from qcvz.qubit import QubitError, QubitParams, delay_maps, ground_state, propagate
+from qcvz.qubit import QubitError, QubitParams, delay_maps, propagate
 from qcvz.signals import CycleSpec, Envelope, IfProgram, SignalError, Tone
+
+from oracles import ground_state, ideal_unitary
 
 F_Q = 4.53202e9
 F_LO = 8.0e9
@@ -251,6 +253,23 @@ def _outcome(fn, *args, **kwargs):
     except Exception as exc:
         return type(exc), str(exc)
     return None
+
+
+def test_run_experiment_names_a_missing_grid_or_pulse():
+    q = QubitParams(F_Q)
+    cfg = MixerConfig(Tone(F_LO, 0.5, 0.0), 4.0e7)
+    x90 = CalibratedPulse(F_LO, F_LO - F_Q, 0.5, 15e-9, 0.5 * math.pi)
+    x180 = replace(x90, target_angle_rad=math.pi)
+    delays = np.array([0.0, 1e-6])
+    for kind, pulses, grid, message in (
+        ("vz_ramsey", (x90,), {}, "vz_ramsey needs a dtheta grid"),
+        ("t1", (x90, x180), {}, "t1 needs a delay grid"),
+        ("ramsey", (None, x180), {"delays_s": delays}, "missing calibrated pi/2 pulse"),
+        ("echo", (x90, None), {"delays_s": delays}, "missing calibrated pi pulse"),
+    ):
+        with pytest.raises(ExperimentError) as info:
+            run_experiment(kind, q, cfg, *pulses, **grid)
+        assert str(info.value) == message, kind
 
 
 def test_run_experiment_rejects_what_the_loop_rejects():

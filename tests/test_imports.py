@@ -1,11 +1,12 @@
 """Every name a qcvz module imports is read somewhere in that module, every
 layer imports as a module, every module imports only modules below it, every
-module-level private name is read somewhere in the package, every error
-message has one source, the README's library example runs, neither
-importing qcvz nor running a command loads scipy, importing the CLI builds
-no command parser and loads none of the layers that only one command runs
-(compiler, resources, svgplot and its csv), and a bring-up command loads no
-compiler while compile does."""
+module-level private name is read somewhere in the package, every public one
+is read by another definition, named by the benchmark or a reference model,
+every error message has one source, the README's library example runs,
+neither importing qcvz nor running a command loads scipy, importing the CLI
+builds no command parser and loads none of the layers that only one command
+runs (compiler, resources, svgplot and its csv), and a bring-up command loads
+no compiler while compile does."""
 import ast
 import json
 import os
@@ -125,6 +126,54 @@ def test_unread_private_name_is_found():
                   "_K, _J = 1, 2\n_T: int = 3\n__version__ = '1'\n")
     b = ast.parse("import a\nfrom a import _unused\n_used()\nprint(a._J, _T)\n")
     assert _unread_private_names([a, b]) == {"_unused", "_Lone", "_K"}
+
+
+def _unread_public_names(trees: list[ast.Module], bench: str) -> set[str]:
+    """Module-level public functions, classes and constants of ``trees`` that
+    no other module-level statement of ``trees`` reads, as a name or as an
+    attribute, and that ``bench`` (the benchmark's source) does not name."""
+    defined: dict[str, set[int]] = {}
+    reads = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            else:
+                names = set()
+            for name in names:
+                if not name.startswith("_"):
+                    defined.setdefault(name, set()).add(id(node))
+            reads.append((id(node), {
+                n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}))
+    return {name for name, where in defined.items()
+            if not any(name in read for node, read in reads if node not in where)
+            and not re.search(rf"\b{name}\b", bench)}
+
+
+# Public names that nothing in src/ or bench/ reads: the reference model that
+# the tests check the fast paths against, one reason each.
+REFERENCE_MODEL = (
+    "propagate",  # exact Lindblad propagation of any sampled drive, on density matrices
+    "residual_ratio",  # criterion 6's off/on Rabi-rate ratio, which README documents
+)
+
+
+def test_every_public_name_is_read_or_a_reference_model():
+    # A public name that only the tests read is an oracle: tests/oracles.py.
+    trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
+    bench = "\n".join(p.read_text() for p in sorted((SRC.parents[1] / "bench").glob("*.py")))
+    assert _unread_public_names(trees, bench) == set(REFERENCE_MODEL)
+
+
+def test_unread_public_name_is_found():
+    a = ast.parse('def used(): pass\ndef alone(): return alone()\nclass Lone: pass\n'
+                  'K, J = 1, 2\nT: int = 3\nB = 4\ndef _private(): pass\n"""used K"""\n')
+    b = ast.parse("import a\nused()\nprint(a.J, T)\n")
+    assert _unread_public_names([a, b], "x = a.B") == {"alone", "Lone", "K"}
 
 
 # A number, inf or nan in a message's text, or a {field} of a format string.

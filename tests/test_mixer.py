@@ -42,6 +42,13 @@ def flat_prog(thetas_deg, period=15e-9, a_if=1.0, f_if=F_IF):
     return IfProgram(f_if, period, [CycleSpec(t, env) for t in thetas_deg])
 
 
+def test_bit_timeline_takes_only_0_and_1():
+    for bits in ((0, 2), (-1,), (1, 0, 7)):
+        with pytest.raises(MixerError) as info:
+            BitTimeline(bits)
+        assert str(info.value) == "bits must be 0 or 1"
+
+
 def test_max_output_constants():
     assert MAX_OUTPUT_POWER_PW == pytest.approx(4.11)
     assert MAX_OUTPUT_POWER_DBM == pytest.approx(-83.9)

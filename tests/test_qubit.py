@@ -22,12 +22,12 @@ from qcvz.qubit import (
     _held_maps,
     delay_maps,
     fit_curve,
-    ground_state,
     propagate,
-    rabi_analytic,
     validate_density_matrix,
 )
 from qcvz.signals import Tone
+
+from oracles import ground_state, rabi_analytic
 
 TWO_PI = 2.0 * math.pi
 F_Q = 4.53202e9
@@ -113,6 +113,17 @@ def test_validate_density_matrix():
         validate_density_matrix(np.array([[0.7, 0.0], [0.0, 0.7]]))
     with pytest.raises(Exception):
         validate_density_matrix(np.array([[0.5, 0.9], [0.9, 0.5]]))
+    for rho, message in ((np.eye(3) / 3.0, "density matrix must be 2x2, got shape (3, 3)"),
+                         (np.array([[0.5, 0.1], [0.2, 0.5]]), "density matrix is not Hermitian")):
+        with pytest.raises(QubitError) as info:
+            validate_density_matrix(rho)
+        assert str(info.value) == message
+
+
+def test_trajectory_rejects_times_out_of_order():
+    with pytest.raises(QubitError) as info:
+        Trajectory([0.0, 2e-9, 1e-9], [0.0, 0.5, 1.0])
+    assert str(info.value) == "trajectory times must be monotone"
 
 
 def test_rabi_analytic_pi_pulse():
