@@ -57,6 +57,11 @@ class CalibratedPulse:
     tau_if_s: float
     target_angle_rad: float
 
+    def __post_init__(self):
+        # The drive checks catch a bad a_if, tau or f_if; nothing else reads the target.
+        if not math.isfinite(self.target_angle_rad):
+            raise CalibrationError(f"target angle must be finite, got {self.target_angle_rad}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 

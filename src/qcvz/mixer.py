@@ -92,9 +92,11 @@ class BitTimeline:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
-        if any(b not in (0, 1) for b in self.bits):
+        bits = tuple(self.bits)
+        # Checked before int(), which would truncate 1.5 to 1 and raise on NaN.
+        if any(b not in (0, 1) for b in bits):
             raise MixerError("bits must be 0 or 1")
+        object.__setattr__(self, "bits", tuple(map(int, bits)))
 
     def __len__(self) -> int:
         return len(self.bits)

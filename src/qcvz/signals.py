@@ -25,6 +25,26 @@ class SignalError(NumericError, ValueError):
     """Invalid signal description."""
 
 
+# Dtypes whose one value .item() turns into a Python number that every check
+# treats as numpy does; not bool, whose arrays numpy refuses to subtract.
+_ONE_VALUE_DTYPES = frozenset(map(np.dtype, (np.float64, np.int64)))
+
+
+def _one_values(fields) -> dict | None:
+    """``fields`` as Python numbers if each holds one value, else None. An int
+    beyond 2**53, which numpy would round to a float64, does not count."""
+    one = {}
+    for name, v in fields.items():
+        if isinstance(v, (np.ndarray, np.generic)):
+            if v.size != 1 or v.dtype not in _ONE_VALUE_DTYPES:
+                return None
+            v = v.item()
+        if not (type(v) in (float, bool) or type(v) is int and abs(v) <= 2**53):
+            return None
+        one[name] = v
+    return one
+
+
 def raise_first(checks, **fields) -> None:
     """Raise, at the first index where one of ``checks`` fails, the first of
     them that fails there. A check is (error, message, ok): ``ok`` takes the
@@ -34,7 +54,23 @@ def raise_first(checks, **fields) -> None:
     A field can be a plain number, so ``ok`` negates with np.logical_not.
     With no index (an empty field) nothing is raised. Each constructor calls
     its own checks with its scalars, and a fast path calls the checks of every
-    constructor it stands in for, in their order, with one value per pulse."""
+    constructor it stands in for, in their order, with one value per pulse.
+
+    When every field holds one value (a float, bool or int, or a float64 or
+    int64 array of size 1, as for one pulse or one qubit), the checks first
+    run on those values as Python numbers, at a tenth of the cost of numpy
+    calls. Python compares, adds, subtracts, multiplies and takes % of them
+    with numpy's IEEE results, and no check in qcvz divides by a field or
+    multiplies two fields, so each check answers as it would on the arrays.
+    If all pass, nothing is raised; if any fails or raises, the array code
+    below runs on the fields as given and raises exactly what it raised."""
+    one = _one_values(fields)
+    if one is not None:
+        try:
+            if all(ok(one) for _, _, ok in checks):
+                return
+        except Exception:
+            pass
     oks = [ok(fields) for _, _, ok in checks]
     if np.asarray(functools.reduce(operator.and_, oks)).all():
         return

@@ -2,8 +2,9 @@
 
 None of these is on a path that qcvz runs: the ideal and lowered unitaries
 with their distance up to global phase, a one-row view of the compiler's
-lowering, the analytic Rabi population, the ground-state density matrix and
-one resonator's complex gain.
+lowering, the analytic Rabi population, the ground-state density matrix,
+one resonator's complex gain, and ``signals.raise_first`` with numpy arrays
+only.
 
 Sign convention (the compiler's module docstring): an X90 emitted at frame F
 is driven at theta_if = F, i.e. with physical pulse phase -F, so the pulse
@@ -11,7 +12,9 @@ product applies R_phi(pi/2) at phi = -theta for each lowered theta.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -101,3 +104,20 @@ def resonator_gain(r, f_hz) -> complex:
     gain = 1 / (1 + 2j Q (f - f_r) / f_r), through ``demux._gains``; unity on
     resonance, |gain| <= 1."""
     return _gains(r.q, r.f_r_hz, np.asarray(f_hz, dtype=float))
+
+
+def reference_raise_first(checks, **fields) -> None:
+    """``signals.raise_first`` as it read before one-value fields were
+    checked as Python numbers: every check runs once, with numpy, on the
+    fields as given."""
+    oks = [ok(fields) for _, _, ok in checks]
+    if np.asarray(functools.reduce(operator.and_, oks)).all():
+        return
+    shape = np.broadcast_shapes(*map(np.shape, (*fields.values(), *oks)))
+    bad = ~np.array([np.broadcast_to(ok, shape).reshape(-1) for ok in oks])
+    at = np.flatnonzero(bad.any(axis=0))
+    if at.size:
+        k = at[0]
+        error, message, _ = checks[int(np.argmax(bad[:, k]))]
+        raise error(message.format(
+            **{name: np.broadcast_to(v, shape).flat[k] for name, v in fields.items()}))

@@ -931,6 +931,21 @@ def test_pulses_numbers_end_in_documented_exit_codes(tmp_path, default_pulses, p
     assert not failures
 
 
+def test_pulses_with_nan_targets_are_numeric_errors(tmp_path, default_pulses):
+    # A target angle is read by nothing on the drive path, so only the pulse
+    # itself can refuse a NaN one; the command then writes no csv.
+    raw = copy.deepcopy(default_pulses)
+    raw["x90"]["target_angle_rad"] = raw["x180"]["target_angle_rad"] = math.nan
+    pulses = tmp_path / "pulses.json"
+    pulses.write_text(json.dumps(raw))
+    for cmd in ("t1", "ramsey", "echo", "vz-ramsey"):
+        out = tmp_path / cmd
+        code, text = run_clean(cmd, "--pulses", str(pulses), "--out", str(out))
+        assert code == EXIT_NUMERIC, (cmd, code, text)
+        assert "target angle must be finite, got nan" in text
+        assert not list(out.glob("*.csv"))
+
+
 
 def _node_paths(raw, path=()):
     """Key paths of every node below the root of a JSON tree."""

@@ -43,10 +43,12 @@ def flat_prog(thetas_deg, period=15e-9, a_if=1.0, f_if=F_IF):
 
 
 def test_bit_timeline_takes_only_0_and_1():
-    for bits in ((0, 2), (-1,), (1, 0, 7)):
+    for bits in ((0, 2), (-1,), (1, 0, 7), (1.5,), (0.9,), (math.nan,)):
         with pytest.raises(MixerError) as info:
             BitTimeline(bits)
         assert str(info.value) == "bits must be 0 or 1"
+    bits = BitTimeline((0, 1, True, False, np.int64(1))).bits
+    assert bits == (0, 1, 1, 0, 1) and all(type(b) is int for b in bits)
 
 
 def test_max_output_constants():

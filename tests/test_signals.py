@@ -1,11 +1,18 @@
+import importlib
 import math
+import pkgutil
 import re
+import string
+import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcvz
+from oracles import reference_raise_first
 from qcvz.signals import (
     CycleSpec,
     Envelope,
@@ -13,6 +20,8 @@ from qcvz.signals import (
     MultiToneLo,
     SignalError,
     Tone,
+    _one_values,
+    raise_first,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -115,3 +124,109 @@ def test_if_program_replace_checks_again():
         replace(prog, f_if_hz=math.nan)
     with pytest.raises(SignalError, match="cycle 0: envelope duration 1e-08 exceeds"):
         replace(prog, cycle_period_s=5e-9)
+
+
+def _check_tables() -> dict:
+    """Every module-level *_CHECKS table in the package, by name."""
+    tables = {}
+    for info in pkgutil.iter_modules(qcvz.__path__):
+        module = importlib.import_module(f"qcvz.{info.name}")
+        tables.update((name, value) for name, value in vars(module).items()
+                      if name.endswith("_CHECKS") and isinstance(value, tuple))
+    return tables
+
+
+CHECK_TABLES = _check_tables()
+
+
+class _Reads(dict):
+    """A field dict that records each name a check reads and gives it True."""
+
+    def __missing__(self, name):
+        self[name] = True
+        return True
+
+
+def _field_names(checks) -> list[str]:
+    """The fields that the checks' tests and messages read."""
+    names = _Reads()
+    for _, message, ok in checks:
+        ok(names)
+        for _, name, _, _ in string.Formatter().parse(message):
+            if name:
+                names[name]
+    return sorted(names)
+
+
+def _near(x):
+    return [x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf),
+            x * (1 + 1e-12), x * (1 + 1e-9)]
+
+
+# Each check's boundaries (and their neighbours, and the relative slack of the
+# checks that compare two fields), signed zeros, subnormals, huge values and
+# non-finite values; ints on both sides of 2**53, past which float64 rounds them.
+EDGE_FLOATS = sorted({y for x in (0.0, 5e-324, 1e-9 * 45.0, 45.0, 90.0, 1.0, 1e-9, 0.5,
+                                  1.5e-8, 5e9, 5.1e9, math.pi / 2, math.pi, 1e308)
+                      for y in _near(x) + [-v for v in _near(x)]}) + [math.nan, math.inf, -math.inf]
+EDGE_INTS = [0, 1, -1, 2, 45, 2**53, 2**53 + 1, -(2**53) - 1, 10**18]
+NUMBERS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(), st.sampled_from(EDGE_INTS),
+                    st.booleans())
+
+
+@st.composite
+def field_values(draw, values):
+    """A plain number, a numpy scalar, or an array of one or three values."""
+    form = draw(st.sampled_from(["plain", "scalar", "one", "three"]))
+    if form == "plain":
+        return draw(values)
+    if form == "scalar":
+        return np.array(draw(values))[()]
+    return np.array([draw(values) for _ in range(1 if form == "one" else 3)])
+
+
+def _outcome(fn, checks, fields):
+    """(error class and message or None, warning messages) of one call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            fn(checks, **fields)
+            error = None
+        except Exception as exc:
+            error = (type(exc), str(exc))
+    return error, {str(w.message) for w in caught}
+
+
+def test_every_check_table_is_drawn():
+    assert set(CHECK_TABLES) == {
+        "ENVELOPE_CHECKS", "IF_CHECKS", "CYCLE_CHECKS", "CARRIER_CHECKS", "DRIVE_CHECKS",
+        "RATE_CHECKS", "_AMPLITUDE_CHECKS", "POPULATION_CHECKS", "_LO_CHECKS", "_TARGET_CHECKS"}
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_raise_first_raises_what_the_array_code_raises(data):
+    # One to three tables, as the fast paths chain them; the Python path may
+    # only drop a warning that numpy gives, never add one.
+    names = data.draw(st.lists(st.sampled_from(sorted(CHECK_TABLES)), min_size=1, max_size=3,
+                               unique=True), label="tables")
+    checks = sum((CHECK_TABLES[name] for name in names), ())
+    # quantized is a flag: a number there makes `&` raise, on each path its own way.
+    fields = {name: data.draw(field_values(st.one_of(st.booleans(), NUMBERS)
+                                           if name == "quantized" else NUMBERS), label=name)
+              for name in _field_names(checks)}
+    want, want_warnings = _outcome(reference_raise_first, checks, fields)
+    got, got_warnings = _outcome(raise_first, checks, fields)
+    assert got == want
+    assert got_warnings <= want_warnings
+
+
+def test_one_values_unwraps_what_python_checks_alike():
+    one = _one_values({"a": np.array([1.5]), "b": True, "c": np.int64(2**53), "d": -0.0,
+                       "e": np.array([[-7]]), "f": np.float64(3.0)})
+    assert one == {"a": 1.5, "b": True, "c": 2**53, "d": 0.0, "e": -7, "f": 3.0}
+    assert [type(v) for v in one.values()] == [float, bool, int, float, int, float]
+    for other in (np.zeros(3), np.zeros(0), np.float32(1.0), np.array([1], dtype=np.int32),
+                  np.array([True]), np.True_, 2**53 + 1, np.array([-(2**53) - 1]), 1j, "1",
+                  None):
+        assert _one_values({"a": 1.0, "b": other}) is None
