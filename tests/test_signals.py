@@ -221,6 +221,19 @@ def test_raise_first_raises_what_the_array_code_raises(data):
     assert got_warnings <= want_warnings
 
 
+@pytest.mark.parametrize("table, fields", [
+    # numpy refuses to subtract bool arrays, where Python subtracts bools as ints
+    ("_LO_CHECKS", dict(f_lo_hz=1.0, f_qubit_hz=np.array([True]), f_if_hz=1.0,
+                        carrier_hz=np.array([True]))),
+    # `&` on a float raises on both paths, each with its own message
+    ("CYCLE_CHECKS", dict(cycle=0, quantized=np.array([1.0]), theta_if_deg=0.0, duration_s=0.0,
+                          cycle_period_s=1.0)),
+])
+def test_raise_first_raises_what_the_array_code_raises_on_odd_fields(table, fields):
+    checks = CHECK_TABLES[table]
+    assert _outcome(raise_first, checks, fields) == _outcome(reference_raise_first, checks, fields)
+
+
 def test_one_values_unwraps_what_python_checks_alike():
     one = _one_values({"a": np.array([1.5]), "b": True, "c": np.int64(2**53), "d": -0.0,
                        "e": np.array([[-7]]), "f": np.float64(3.0)})
