@@ -42,6 +42,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -248,7 +249,11 @@ class Schedule:
     and IF phase ``theta_if_deg[i]`` and fires the qubits
     ``fired[offsets[i]:offsets[i + 1]]`` (CSR layout, ``n_cycles + 1``
     offsets), each fired index in ``range(n_qubits)``. The arrays are made
-    read-only, and ``slot``, ``offsets`` and ``fired`` must be integer.
+    read-only. A Schedule holds only what ``schedule`` emits, or raises
+    CompileError: integer ``slot``, ``offsets`` and ``fired``, a qubit fired
+    in every cycle (``offsets`` strictly increase), slots strictly increasing
+    from 0, finite thetas and an integer ``n_qubits`` >= 1. A str ``mode``
+    becomes a ScheduleMode.
 
     ``schedule`` returns int64 ``slot`` and ``offsets``, float64
     ``theta_if_deg`` and int32 ``fired`` in both modes. For rows of up to 8191
@@ -263,79 +268,69 @@ class Schedule:
     n_qubits: int
 
     def __post_init__(self):
+        object.__setattr__(self, "mode", ScheduleMode(self.mode))
         for a in (self.slot, self.theta_if_deg, self.offsets, self.fired):
             a.setflags(write=False)
-        c, offsets = len(self.slot), self.offsets
+        n, c, offsets = self.n_qubits, len(self.slot), self.offsets
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise CompileError(f"n_qubits must be an integer >= 1, got {n!r}")
         if not (all(np.issubdtype(a.dtype, np.integer) for a in (self.slot, offsets, self.fired))
                 and len(self.theta_if_deg) == c and len(offsets) == c + 1 and offsets[0] == 0
-                and offsets[-1] == self.fired.size and (np.diff(offsets) >= 0).all()):
+                and offsets[-1] == self.fired.size and (np.diff(offsets) > 0).all()):
             raise CompileError("schedule arrays disagree: need integer slot, offsets and "
-                               "fired, one theta per slot and len(slot) + 1 nondecreasing "
-                               "offsets from 0 to fired.size")
-        if self.fired.size and not (0 <= self.fired.min() and self.fired.max() < self.n_qubits):
-            raise CompileError(f"fired qubit index out of range({self.n_qubits})")
-
-    def _rows(self):
-        """(theta_if_deg, fired list, slot) per cycle, as Python numbers."""
-        fired = self.fired.tolist()
-        return zip(self.theta_if_deg.tolist(),
-                   (fired[a:b] for a, b in itertools.pairwise(self.offsets.tolist())),
-                   self.slot.tolist())
+                               "fired, one theta per slot and len(slot) + 1 strictly "
+                               "increasing offsets from 0 to fired.size (no empty cycle)")
+        if not (np.diff(self.slot, prepend=-1) > 0).all():
+            raise CompileError("schedule slots must strictly increase from 0")
+        if not np.isfinite(self.theta_if_deg).all():
+            raise CompileError("schedule theta_if_deg must be finite")
+        if self.fired.size and not (0 <= self.fired.min() and self.fired.max() < n):
+            raise CompileError(f"fired qubit index out of range({n})")
 
     @functools.cached_property
     def cycles(self) -> tuple[Cycle, ...]:
-        """The cycles as ``Cycle`` records, built once from the arrays. The
-        package itself reads only the arrays; these stay because the
-        benchmark's traced ``compiler.schedule`` counter in ``bench/spans.py``
-        counts cycles, pulses and slots from them."""
-        return tuple(Cycle(theta, tuple(fired), slot) for theta, fired, slot in self._rows())
+        """The cycles as ``Cycle`` records, built once from the arrays. Only
+        the benchmark's traced ``compiler.schedule`` counter reads them."""
+        return tuple(Cycle(theta, tuple(fired.tolist()), slot) for theta, fired, slot in zip(
+            self.theta_if_deg.tolist(), np.split(self.fired, self.offsets[1:-1]),
+            self.slot.tolist()))
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode.value,
-            "n_qubits": self.n_qubits,
-            "cycles": [
-                {"theta_if": theta, "fired": fired, "slot": slot}
-                for theta, fired, slot in self._rows()
-            ],
-        }
+        """The ``schedule.json`` document that ``to_json`` writes, read back."""
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2, sort_keys=True,
-        allow_nan=False) + "\\n"``, byte for byte, written from the arrays:
-        each fired qubit's line is gathered by ``fired``, and one joint string
-        per cycle boundary is inserted at ``offsets`` (which ``__post_init__``
-        checks). Joint 0 opens the document and the first cycle; joint i
-        closes cycle i - 1 with its slot and theta and opens the next cycle,
-        or the last joint closes the document.
+        """The ``schedule.json`` text: ``{"cycles": [{"fired": [...], "slot":
+        s, "theta_if": t}, ...], "mode": m, "n_qubits": n}`` in the layout of
+        ``json.dumps(..., indent=2, sort_keys=True)``: one fired qubit per
+        line, each theta as its repr, and a closing newline. Each fired
+        qubit's line is gathered by ``fired``, and one joint string per cycle
+        boundary is inserted at ``offsets``: joint 0 opens the document and
+        the first cycle; joint i closes cycle i - 1 with its slot and theta
+        and opens the next, or the last joint closes the document.
 
         Python formats one joint per cycle and none per fired qubit. On a
-        2-vCPU VM, 10^5 qubits x 300 random quantized45 gates (745 cycles,
-        8.6e6 fired) take ~0.5 s with a 266-MiB traced peak; 500 x 100
-        X90s after off-grid angles (50,000 one-qubit cycles) take ~61 ms,
-        most of it the repr of each distinct theta and the joints."""
+        2-vCPU VM, 10^5 x 300 random quantized45 gates (8.6e6 fired) take
+        ~0.5 s; 500 x 100 off-grid X90s (50,000 cycles) take ~61 ms."""
         theta, offsets = self.theta_if_deg, self.offsets
-        if not np.isfinite(theta).all():
-            raise ValueError("Out of range float values are not JSON compliant")
         # Distinct thetas by bit pattern: unique values would merge -0.0 and
         # 0.0, which json prints differently.
         _, first, code = np.unique(theta.view(f"u{theta.itemsize}"),
                                    return_index=True, return_inverse=True)
         reprs = [repr(t) for t in theta[first].tolist()]
-        n, c, filled = self.n_qubits, len(self.slot), np.diff(offsets) > 0
+        n, c = self.n_qubits, len(self.slot)
         # Qubit q's line with a leading comma at q, and at n + q without one,
-        # for a non-empty cycle's first qubit.
+        # for each cycle's first qubit, at offsets[:-1].
         table = np.array([*(f",\n        {q}" for q in range(n)),
                           *(f"\n        {q}" for q in range(n))], dtype=object)
-        lines, starts = table[self.fired], offsets[:-1][filled]
+        lines, starts = table[self.fired], offsets[:-1]
         lines[starts] = table[n:][self.fired[starts]]
         opening = '\n    {\n      "fired": ['
         tail = f'],\n  "mode": "{self.mode.value}",\n  "n_qubits": {n}\n}}\n'
-        ends = np.where(filled, "\n      ]", "]").tolist()
         nexts = ["," + opening] * (c - 1) + ["\n  " + tail]
         joints = ['{\n  "cycles": [' + (opening if c else tail),
-                  *(f'{end},\n      "slot": {slot},\n      "theta_if": {reprs[k]}\n    }}{nxt}'
-                    for end, slot, k, nxt in zip(ends, self.slot.tolist(), code.tolist(), nexts))]
+                  *(f'\n      ],\n      "slot": {slot},\n      "theta_if": {reprs[k]}\n    }}{nxt}'
+                    for slot, k, nxt in zip(self.slot.tolist(), code.tolist(), nexts))]
         return "".join(np.insert(lines, offsets, joints).tolist())
 
 
@@ -431,10 +426,5 @@ def parallelism_stats(s: Schedule) -> ParallelismStats:
     counts = np.diff(s.offsets)
     if not counts.size:
         return ParallelismStats(0, 0.0, 0, 0)
-    nonzero = counts[counts > 0]
-    return ParallelismStats(
-        cycles=counts.size,
-        mean_fired=float(np.mean(counts)),
-        max_fired=int(counts.max()),
-        min_nonzero_fired=int(nonzero.min()) if nonzero.size else 0,
-    )
+    return ParallelismStats(counts.size, float(np.mean(counts)), int(counts.max()),
+                            int(counts.min()))

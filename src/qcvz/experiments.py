@@ -204,8 +204,8 @@ def simulate_schedule(
     Returns (simulated final p1 per qubit, ideal |<1|U|0>|^2 per qubit).
     """
     n = sched.n_qubits
-    if not (len(q_list) == len(cfg_list) == len(x90_list) == n):
-        raise ExperimentError("schedule/qubit/mixer/pulse counts disagree")
+    if not (program.n_qubits == len(q_list) == len(cfg_list) == len(x90_list) == n):
+        raise ExperimentError("schedule/program/qubit/mixer/pulse counts disagree")
     n_cycles = sched.slot.size
     # The empty slots before each cycle, as indices into their distinct counts.
     idle, gap = np.unique(np.diff(sched.slot, prepend=-1) - 1, return_inverse=True)
@@ -217,7 +217,7 @@ def simulate_schedule(
     state = np.tile(qb.BLOCH_GROUND, (n, 1))
     for g, bits, r in zip(gap, fired, _frame_rotations(sched.theta_if_deg)):
         state = np.einsum("kij,kj->ki", maps[g, bits, qubits], state @ r) @ r.T
-    return _populations(state @ qb.BLOCH_P1), _ideal_p1(program.table, program.codes[:n])
+    return _populations(state @ qb.BLOCH_P1), _ideal_p1(program.table, program.codes)
 
 
 def _frame_rotations(theta_deg) -> np.ndarray:

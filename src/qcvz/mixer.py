@@ -61,6 +61,12 @@ class Nonlinearity(str, Enum):
 
 @dataclass(frozen=True)
 class MixerConfig:
+    """One cryogenic mixer. Two infinite limits are accepted: an
+    ``on_off_ratio_db`` of inf is the ideal switch (``off_leakage`` 0.0),
+    and a ``bpf_stopband_db`` of inf the ideal filter, which removes the
+    IF, LO and sum lines (-inf dB in ``output_spectrum``). NaN in either
+    raises MixerError."""
+
     channel: Tone
     gain_hz_per_unit: float
     on_off_ratio_db: float = 28.5

@@ -2,9 +2,9 @@
 
 None of these is on a path that qcvz runs: the ideal and lowered unitaries
 with their distance up to global phase, a one-row view of the compiler's
-lowering, the analytic Rabi population, the ground-state density matrix,
-one resonator's complex gain, and ``signals.raise_first`` with numpy arrays
-only.
+lowering, a schedule's ``schedule.json`` document built cycle by cycle, the
+analytic Rabi population, the ground-state density matrix, one resonator's
+complex gain, and ``signals.raise_first`` with numpy arrays only.
 
 Sign convention (the compiler's module docstring): an X90 emitted at frame F
 is driven at theta_if = F, i.e. with physical pulse phase -F, so the pulse
@@ -13,6 +13,7 @@ product applies R_phi(pi/2) at phi = -theta for each lowered theta.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from typing import NamedTuple
@@ -37,6 +38,23 @@ def lower(gates, quantized: bool = True) -> LoweredQubit:
     phases, _, final = _lower(Program((tuple(gates),)), quantized)
     thetas = 45.0 * phases if quantized else phases
     return LoweredQubit(tuple(thetas.tolist()), float(final[0]))
+
+
+def schedule_document(sched) -> dict:
+    """The ``schedule.json`` document of a ``compiler.Schedule``, built from
+    its arrays one cycle at a time; ``json.dumps(schedule_document(s),
+    indent=2, sort_keys=True) + "\\n"`` is the reference for ``s.to_json()``."""
+    fired = sched.fired.tolist()
+    return {
+        "mode": sched.mode.value,
+        "n_qubits": sched.n_qubits,
+        "cycles": [
+            {"theta_if": theta, "fired": fired[a:b], "slot": slot}
+            for theta, (a, b), slot in zip(sched.theta_if_deg.tolist(),
+                                           itertools.pairwise(sched.offsets.tolist()),
+                                           sched.slot.tolist())
+        ],
+    }
 
 
 def ideal_unitary(gates) -> np.ndarray:

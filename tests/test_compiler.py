@@ -25,7 +25,14 @@ from qcvz.compiler import (
 )
 from qcvz.experiments import _ideal_p1
 
-from oracles import ideal_unitary, lower, lowered_unitary, phase_distance, pulse_unitary
+from oracles import (
+    ideal_unitary,
+    lower,
+    lowered_unitary,
+    phase_distance,
+    pulse_unitary,
+    schedule_document,
+)
 
 
 def gates(*names):
@@ -361,7 +368,8 @@ def test_schedule_arrays_match_json_cycles_and_stats(case):
     mode, rows = case
     sched = schedule(Program(tuple(tuple(gates(*row)) for row in rows)), mode)
     assert sched.fired.dtype == np.int32
-    d = sched.to_dict()
+    d = schedule_document(sched)
+    assert sched.to_dict() == d
     assert sched.to_json() == json.dumps(d, indent=2, sort_keys=True, allow_nan=False) + "\n"
     assert sched.cycles == tuple(Cycle(c["theta_if"], tuple(c["fired"]), c["slot"])
                                  for c in d["cycles"])
@@ -372,10 +380,8 @@ def test_schedule_arrays_match_json_cycles_and_stats(case):
 
 def test_schedule_rejects_nonfinite_theta_and_bad_qubits():
     one = np.array([0, 1])
-    sched = Schedule(np.array([0]), np.array([math.nan]), one, np.array([0]), ScheduleMode.FREE, 1)
-    for write in (sched.to_json, lambda: json.dumps(sched.to_dict(), allow_nan=False)):
-        with pytest.raises(ValueError):
-            write()
+    with pytest.raises(CompileError, match="theta_if_deg must be finite"):
+        Schedule(np.array([0]), np.array([math.nan]), one, np.array([0]), ScheduleMode.FREE, 1)
     for k in (-1, 1):
         with pytest.raises(CompileError):
             Schedule(np.array([0]), np.array([0.0]), one, np.array([k]), ScheduleMode.FREE, 1)
@@ -406,25 +412,59 @@ def test_schedule_rejects_arrays_that_disagree(slot, theta, offsets, fired):
         _sched(slot, theta, offsets, fired)
 
 
-def test_parallelism_stats_skips_empty_cycles():
-    assert parallelism_stats(_sched([0, 1], [0.0, 45.0], [0, 0, 0], [])) == \
-        ParallelismStats(2, 0.0, 0, 0)
-    assert parallelism_stats(_sched([0, 1, 2], [0.0] * 3, [0, 0, 2, 2], [0, 0])) == \
-        ParallelismStats(3, 2 / 3, 2, 2)
+# What ``schedule`` never emits is refused when the Schedule is built: a
+# decreasing slot, for one, would run simulate_schedule through a negative
+# idle time, and a qubit count of 1.5, 0 or -3 has no schedule.json.
+@pytest.mark.parametrize("args, kwargs, message", [
+    (([5, 1], [0.0, 45.0], [0, 1, 2], [0, 0]), {}, "slots must strictly increase from 0"),
+    (([0, 0], [0.0, 0.0], [0, 1, 2], [0, 0]), {}, "slots must strictly increase from 0"),
+    (([-1], [0.0], [0, 1], [0]), {}, "slots must strictly increase from 0"),
+    (([0, 1], [0.0, 45.0], [0, 0, 1], [0]), {}, r"\(no empty cycle\)"),
+    (([0], [0.0], [0, 0], []), {}, r"\(no empty cycle\)"),
+    (([0, 1, 2, 3, 4], [0.0, 45.0, 90.0, 45.0, 0.0], [0, 0, 2, 2, 3, 3], [1, 0, 2]),
+     {"n_qubits": 3}, r"\(no empty cycle\)"),
+    (([0, 1], [0.0, 45.0], [0, 0, 0], []), {}, r"\(no empty cycle\)"),
+    (([0], [math.nan], [0, 1], [0]), {}, "theta_if_deg must be finite"),
+    (([0], [math.inf], [0, 1], [0]), {}, "theta_if_deg must be finite"),
+    (([0], [-math.inf], [0, 1], [0]), {}, "theta_if_deg must be finite"),
+    (([0], [0.0], [0, 1], [0]), {"n_qubits": 1.5}, r"n_qubits must be an integer >= 1, got 1\.5"),
+    (([0], [0.0], [0, 1], [0]), {"n_qubits": 0}, "n_qubits must be an integer >= 1, got 0"),
+    (([0], [0.0], [0, 1], [0]), {"n_qubits": -3}, "n_qubits must be an integer >= 1, got -3"),
+], ids=["slots_decrease", "slots_repeat", "slot_negative", "empty_first_cycle",
+        "one_empty_cycle", "empty_cycles_between", "all_cycles_empty", "theta_nan",
+        "theta_inf", "theta_-inf", "qubits_1.5", "qubits_0", "qubits_-3"])
+def test_schedule_refuses_what_schedule_never_emits(args, kwargs, message):
+    with pytest.raises(CompileError, match=message):
+        _sched(*args, **kwargs)
+
+
+def test_schedule_converts_a_str_mode():
+    sched = _sched([0], [0.0], [0, 1], [0], mode="free")
+    assert sched.mode is ScheduleMode.FREE
+    assert sched.to_dict()["mode"] == "free"
+
+
+def test_parallelism_stats_counts_fired_per_cycle():
+    with pytest.raises(CompileError, match=r"\(no empty cycle\)"):
+        _sched([0, 1, 2], [0.0] * 3, [0, 0, 2, 2], [0, 0])
+    assert parallelism_stats(_sched([0, 3, 4], [0.0] * 3, [0, 1, 4, 6], [0, 0, 1, 2, 0, 2],
+                                    n_qubits=3)) == ParallelismStats(3, 2.0, 3, 1)
 
 
 def _dumps(sched):
-    return json.dumps(sched.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return json.dumps(schedule_document(sched), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
-# Hand-built schedules: no cycles, empty cycles in every position, qubit ids
-# of 1 to 5 digits, and thetas whose reprs differ from their unique values
-# (-0.0 and 0.0) or need up to 17 significant digits.
+# Hand-built schedules: no cycles, one cycle of one qubit, a cycle whose
+# qubits are not in order, qubit ids of 1 to 5 digits, and thetas whose reprs
+# differ from their unique values (-0.0 and 0.0) or need up to 17 significant
+# digits.
 @pytest.mark.parametrize("case", [
     ([], [], [0], [], 1),
     ([], [], [0], [], 12000),
-    ([0], [0.0], [0, 0], [], 1),
-    ([0, 1, 2, 3, 4], [0.0, 45.0, 90.0, 45.0, 0.0], [0, 0, 2, 2, 3, 3], [1, 0, 2], 3),
+    ([0], [0.0], [0, 1], [0], 1),
+    ([1, 3], [45.0, 45.0], [0, 2, 3], [1, 0, 2], 3),
     ([0, 5, 9], [-0.0, 0.0, -0.0], [0, 6, 7, 11],
      [0, 7, 42, 999, 1000, 11999, 5, 10000, 12, 345, 6789], 12000),
     ([2, 3, 4, 6, 7], [1e-7, 359.99999999999994, 0.30000000000000004, 123.45678901234567, 1e-7],

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcvz.calibration import CalibratedPulse
-from qcvz.compiler import Gate, Program, schedule
+from qcvz.calibration import CalibratedPulse, calibrate_pulse
+from qcvz.compiler import CompileError, Gate, Program, Schedule, schedule
 from qcvz.experiments import (
     VZ_DELAY_S,
     ExperimentError,
@@ -115,8 +115,8 @@ def reference_simulate_schedule(sched, program, q_list, cfg_list, x90_list, cycl
     qubit. Every rolling slot up to the last cycle's is a cycle; an empty slot
     is an idle cycle with bit 0."""
     n = sched.n_qubits
-    if not (len(q_list) == len(cfg_list) == len(x90_list) == n):
-        raise ExperimentError("schedule/qubit/mixer/pulse counts disagree")
+    if not (program.n_qubits == len(q_list) == len(cfg_list) == len(x90_list) == n):
+        raise ExperimentError("schedule/program/qubit/mixer/pulse counts disagree")
     sim = np.empty(n)
     ideal = np.empty(n)
     at_slot = {c.slot: c for c in sched.cycles}
@@ -244,6 +244,36 @@ def test_simulate_schedule_rejects_what_the_loop_rejects():
     want = reference_simulate_schedule(*empty[:4], [x90s[0], too_long], CYCLE_S)
     got = simulate_schedule(*empty[:4], [x90s[0], too_long], CYCLE_S)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_simulate_schedule_checks_the_program_row_count():
+    # A program of 1 or 3 rows does not belong to a 2-qubit schedule; its
+    # ideal p1 must not be cut or come up short.
+    qubit = dict(f_lo=8.0e9, f_q=8.0e9 - F_IF, t1=math.inf, tphi=math.inf, gain=4e7,
+                 nonlinearity="linear", ratio=30.0, lo_phase=0.0, a_if=0.5, tau=CYCLE_S)
+    sched, program, qs, cfgs, x90s = build_cable("quantized45", [["x90"], ["h"]], [qubit] * 2)
+    for rows in ([["x90"]], [["x90"], ["h"], ["x90"]]):
+        other = Program.from_names(rows)
+        for fn in (reference_simulate_schedule, simulate_schedule):
+            with pytest.raises(ExperimentError, match="schedule/program/qubit/mixer/pulse"):
+                fn(sched, other, qs, cfgs, x90s, CYCLE_S)
+
+
+def test_simulate_schedule_cannot_be_given_slots_that_run_backwards():
+    # One calibrated X90-X90 qubit, T1 = Tphi = 20 us, fires in slots 0 and 8.
+    # Slots [5, 1] would run through a negative idle time (to p1 = 1.0) and
+    # [0, 0] would fire twice in one slot (0.99963), so the Schedule refuses both.
+    q = QubitParams(F_LO - F_IF, 2e-5, 2e-5)
+    cfg = MixerConfig(Tone(F_LO, 0.5, 0.0), 4.0e7)
+    args = (Program.from_names([["x90", "x90"]]), [q], [cfg],
+            [calibrate_pulse(q, cfg, 0.5 * math.pi, CYCLE_S, F_LO)], CYCLE_S)
+    arrays = [np.array(a) for a in ([0.0, 0.0], [0, 1, 2], [0, 0])]
+    sim, _ = simulate_schedule(Schedule(np.array([0, 8]), *arrays, "quantized45", 1), *args)
+    assert np.array_equal(sim, simulate_schedule(schedule(args[0]), *args)[0])
+    assert abs(sim[0] - 0.99515) < 1e-5
+    for slot in ([5, 1], [0, 0]):
+        with pytest.raises(CompileError, match="slots must strictly increase from 0"):
+            Schedule(np.array(slot), *arrays, "quantized45", 1)
 
 
 def _outcome(fn, *args, **kwargs):

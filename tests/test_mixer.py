@@ -73,6 +73,17 @@ def test_mixer_config_validation():
             make_cfg(**kw)
 
 
+def test_mixer_config_takes_infinite_limits_and_refuses_nan():
+    # An infinite ratio is the ideal switch, an infinite stopband the ideal filter.
+    cfg = make_cfg(on_off_ratio_db=math.inf, bpf_stopband_db=math.inf)
+    assert cfg.off_leakage == 0.0
+    assert output_spectrum(cfg, F_IF, False) == [
+        (F_LO - F_IF, -math.inf), (F_IF, -math.inf), (F_LO, -math.inf), (F_LO + F_IF, -math.inf)]
+    for kw in (dict(on_off_ratio_db=math.nan), dict(bpf_stopband_db=math.nan)):
+        with pytest.raises(MixerError, match="got nan"):
+            make_cfg(**kw)
+
+
 def test_off_leakage_from_ratio():
     for r in (28.5, 45.1, 39.0):
         cfg = make_cfg(on_off_ratio_db=r)
